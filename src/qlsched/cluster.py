@@ -9,7 +9,9 @@ length / mips seconds, deterministic. Time inside a run is continuous
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -75,29 +77,26 @@ def maybe_fail(task: TaskSpec, failure_ratio: float, attempts: int,
 class _Queued:
     """One buffered task instance plus its service bookkeeping."""
 
-    __slots__ = ("task", "admit_time", "attempt", "pe", "finish")
+    __slots__ = ("task", "admit_time", "attempt", "finish")
 
     def __init__(self, task, admit_time, attempt):
         self.task = task
         self.admit_time = admit_time
         self.attempt = attempt
-        self.pe = None        # PE index once in service
         self.finish = None    # completion instant once in service
 
 
 class VmState:
     def __init__(self, spec: VmSpec):
         self.spec = spec
-        self.queue: list[_Queued] = []      # admission order; in-service entries carry pe/finish
+        self.queue: list[_Queued] = []      # admission order; in-service entries carry finish
+        self.waiting: deque[_Queued] = deque()  # admitted, not yet in service, FIFO
         self.pe_busy: list[_Queued | None] = [None] * spec.pes
+        self.assigned_length = 0            # total length of the queued tasks
 
     @property
     def occupied(self) -> int:
         return len(self.queue)
-
-    @property
-    def assigned_length(self) -> int:
-        return sum(q.task.length for q in self.queue)
 
     @property
     def free_slots(self) -> int:
@@ -105,23 +104,20 @@ class VmState:
 
     def available_at(self, clock: float) -> float:
         """Instant the next PE frees up (now, if any PE is idle)."""
-        if any(q is None for q in self.pe_busy):
+        if None in self.pe_busy:
             return clock
         return min(q.finish for q in self.pe_busy)
 
-    def _start_service(self, entry: _Queued, pe: int, now: float):
-        entry.pe = pe
-        entry.finish = now + entry.task.length / self.spec.mips
-        self.pe_busy[pe] = entry
-
-    def _feed_idle_pes(self, now: float):
-        for pe, busy in enumerate(self.pe_busy):
-            if busy is not None:
-                continue
-            waiting = next((q for q in self.queue if q.pe is None), None)
-            if waiting is None:
-                break
-            self._start_service(waiting, pe, now)
+    def _feed_idle_pes(self, now: float, vm_index: int, events: list):
+        """Start waiting entries on idle PEs, lowest PE first, and push
+        their completions onto the cluster's event heap."""
+        busy = self.pe_busy
+        while self.waiting and None in busy:
+            entry = self.waiting.popleft()
+            pe = busy.index(None)
+            entry.finish = now + entry.task.length / self.spec.mips
+            busy[pe] = entry
+            heappush(events, (entry.finish, vm_index, pe, entry))
 
 
 class ClusterState:
@@ -130,6 +126,11 @@ class ClusterState:
     def __init__(self, vm_specs: list[VmSpec]):
         self.vms = [VmState(s) for s in vm_specs]
         self.clock = 0.0
+        # In-service completions keyed (finish, vm index, pe): the heap
+        # pops them in the order a scan over every busy PE would pick.
+        self._events: list[tuple] = []
+        self._capacity = sum(s.buffer_capacity for s in vm_specs)
+        self._free = self._capacity         # free buffer slots, all VMs
 
     # -- observation helpers used by schedulers ---------------------------
 
@@ -149,10 +150,10 @@ class ClusterState:
         return [i for i, vm in enumerate(self.vms) if vm.free_slots > 0]
 
     def has_free_buffer(self) -> bool:
-        return any(vm.free_slots > 0 for vm in self.vms)
+        return self._free > 0
 
     def is_idle(self) -> bool:
-        return all(vm.occupied == 0 for vm in self.vms)
+        return self._free == self._capacity
 
     def backlog_seconds(self, vm_index: int) -> float:
         """Work queued at a VM, in seconds of single-PE service remaining.
@@ -184,14 +185,16 @@ class ClusterState:
                 f"VM {vm_index} buffer at capacity {vm.spec.buffer_capacity}")
         entry = _Queued(task, self.clock, attempt)
         vm.queue.append(entry)
-        vm._feed_idle_pes(self.clock)
+        vm.waiting.append(entry)
+        vm.assigned_length += task.length
+        self._free -= 1
+        vm._feed_idle_pes(self.clock, vm_index, self._events)
         if __debug__:
-            self._assert_occupancy()
+            self._assert_occupancy(vm)
 
     def next_event_time(self):
         """Earliest pending completion instant, or None when all idle."""
-        times = [q.finish for vm in self.vms for q in vm.pe_busy if q is not None]
-        return min(times) if times else None
+        return self._events[0][0] if self._events else None
 
     def advance_to_next_event(self, outcome=None):
         """Process the single earliest completion event.
@@ -199,27 +202,21 @@ class ClusterState:
         outcome(task, vm_index, attempt) may return a FailureOutcome;
         completions yield a CompletionRecord, requeues hand the task back
         to the caller, aborts yield a record flagged aborted. With no
-        outcome hook every event completes. Returns
+        outcome hook every event completes. Ties on the finish instant
+        go to the lowest VM index, then the lowest PE. Returns
         (records, requeued_tasks). No-op when every PE is idle.
         """
-        best = None
-        for vi, vm in enumerate(self.vms):
-            for pe, q in enumerate(vm.pe_busy):
-                if q is None:
-                    continue
-                key = (q.finish, vi, pe)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        if not self._events:
             return [], []
-        finish, vi, pe = best
+        finish, vi, pe, entry = heappop(self._events)
         vm = self.vms[vi]
-        entry = vm.pe_busy[pe]
         assert finish >= self.clock - 1e-9
         self.clock = finish
         vm.pe_busy[pe] = None
         vm.queue.remove(entry)
-        vm._feed_idle_pes(self.clock)
+        vm.assigned_length -= entry.task.length
+        self._free += 1
+        vm._feed_idle_pes(finish, vi, self._events)
 
         fate = FailureOutcome.COMPLETE
         if outcome is not None:
@@ -238,26 +235,10 @@ class ClusterState:
                 aborted=fate is FailureOutcome.ABORT,
             ))
         if __debug__:
-            self._assert_occupancy()
+            self._assert_occupancy(vm)
         return records, requeued
 
-    def _assert_occupancy(self):
-        total_cap = 0
-        total_occ = 0
-        for vm in self.vms:
-            assert 0 <= vm.occupied <= vm.spec.buffer_capacity
-            total_cap += vm.spec.buffer_capacity
-            total_occ += vm.occupied
-        assert 0 <= total_occ <= total_cap
-
-
-def admit(cluster: ClusterState, task: TaskSpec, vm_index: int, attempt: int = 1):
-    cluster.admit(task, vm_index, attempt)
-    return cluster
-
-
-def advance_to_next_event(cluster: ClusterState):
-    """Advance to the earliest completion; returns (records, cluster)."""
-    records, requeued = cluster.advance_to_next_event()
-    assert not requeued
-    return records, cluster
+    def _assert_occupancy(self, vm: VmState):
+        """The touched VM's buffer and the cluster-wide free count stay in bounds."""
+        assert 0 <= vm.occupied <= vm.spec.buffer_capacity
+        assert 0 <= self._free <= self._capacity

@@ -34,9 +34,13 @@ class Simulation:
             raise ValueError("slot_seconds must be > 0")
         self.cluster = ClusterState(vm_specs)
         self.slot_seconds = slot_seconds
-        self.failure_ratio = failure_ratio
-        self.max_attempts = max_attempts
-        self.failure_rng = failure_rng if failure_rng is not None else np.random.default_rng(0)
+        if failure_rng is None:
+            failure_rng = np.random.default_rng(0)
+
+        def outcome(task, vm_index, attempt):
+            return maybe_fail(task, failure_ratio, attempt, failure_rng, max_attempts)
+
+        self._outcome = outcome     # bound once, handed to every event
         self._pending = deque(sorted(workload, key=lambda t: (t.arrival_slot, t.id)))
         self._queue: deque[TaskSpec] = deque()
         self._attempts: dict[int, int] = {}
@@ -101,11 +105,7 @@ class Simulation:
             self._queue.append(self._pending.popleft())
 
     def _process_event(self):
-        def outcome(task, vm_index, attempt):
-            return maybe_fail(task, self.failure_ratio, attempt,
-                              self.failure_rng, self.max_attempts)
-
-        records, requeued = self.cluster.advance_to_next_event(outcome)
+        records, requeued = self.cluster.advance_to_next_event(self._outcome)
         self.records.extend(records)
         self._queue.extend(requeued)
 

@@ -11,6 +11,7 @@ per slot).
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +84,13 @@ class ArrivalModel:
     mode "iid": each slot draws from `probs` independently.
     mode "markov": `matrix[prev]` is the distribution of the next count,
     rows indexed by the previous slot's count.
+    `_cum` holds the cumulative rows as Python lists (one row for iid).
     """
 
     mode: str
     probs: np.ndarray | None = None
     matrix: np.ndarray | None = None
-    _cum: np.ndarray = field(init=False, repr=False)
+    _cum: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.mode == "iid":
@@ -97,7 +99,7 @@ class ArrivalModel:
                 raise ConfigError("iid arrival probs must be a 1-d vector")
             self._check_row(p)
             self.probs = p
-            self._cum = np.cumsum(p)
+            self._cum = [np.cumsum(p).tolist()]
         elif self.mode == "markov":
             m = np.asarray(self.matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -105,7 +107,7 @@ class ArrivalModel:
             for row in m:
                 self._check_row(row)
             self.matrix = m
-            self._cum = np.cumsum(m, axis=1)
+            self._cum = np.cumsum(m, axis=1).tolist()
         else:
             raise ConfigError(f"arrival mode must be one of {ARRIVAL_MODES}")
 
@@ -157,8 +159,8 @@ def sample_arrivals(model: ArrivalModel, prev: int, rng: np.random.Generator) ->
     """Draw one slot's arrival count; `prev` is the previous slot's count."""
     if not (0 <= prev <= model.d_max):
         raise ValueError(f"prev count {prev} outside support 0..{model.d_max}")
-    cum = model._cum if model.mode == "iid" else model._cum[prev]
-    return int(np.searchsorted(cum, rng.random(), side="right"))
+    cum = model._cum[0 if model.mode == "iid" else prev]
+    return bisect_right(cum, rng.random())
 
 
 def generate_workload(cfg: ScenarioConfig, seed: int,
@@ -186,8 +188,8 @@ def generate_workload(cfg: ScenarioConfig, seed: int,
         slot += 1
     slots = slots[: cfg.num_tasks]
     first = slots[0]
-    lengths = rng.integers(cfg.length_min, cfg.length_max + 1, size=cfg.num_tasks)
-    return [TaskSpec(i, slots[i] - first, int(lengths[i])) for i in range(cfg.num_tasks)]
+    lengths = rng.integers(cfg.length_min, cfg.length_max + 1, size=cfg.num_tasks).tolist()
+    return [TaskSpec(i, slots[i] - first, lengths[i]) for i in range(cfg.num_tasks)]
 
 
 def serialize(tasks: list[TaskSpec]) -> str:

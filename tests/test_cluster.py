@@ -108,22 +108,56 @@ def test_available_at():
 
 
 def test_assigned_length_matches_queue_and_clock_monotone():
+    # Random admits and advances on multi-PE VMs. Lengths are whole
+    # seconds of service, so finish instants often tie across VMs and PEs.
+    # After every step the kept counters and the event heap must agree with
+    # a brute-force recomputation from vm.queue and pe_busy.
     rng = np.random.default_rng(8)
     for _ in range(200):
-        c = make_cluster(num_vms=2, capacity=4)
+        c = make_cluster(num_vms=int(rng.integers(1, 4)), capacity=4,
+                         pes=int(rng.integers(1, 4)))
         tid = 0
         last_clock = 0.0
-        for _ in range(20):
+        for _ in range(30):
+            in_service = [(q.finish, vi, pe, q.task.id)
+                          for vi, vm in enumerate(c.vms)
+                          for pe, q in enumerate(vm.pe_busy) if q is not None]
+            assert c.next_event_time() == (min(in_service)[0] if in_service else None)
             if rng.random() < 0.6 and c.has_free_buffer():
-                c.admit(task(tid, int(rng.integers(100, 5000))),
+                c.admit(task(tid, 1000 * int(rng.integers(1, 5))),
                         int(rng.choice(c.feasible_vms())))
                 tid += 1
             else:
-                c.advance_to_next_event()
+                records, _ = c.advance_to_next_event()
+                if in_service:
+                    finish, vi, _, task_id = min(in_service)
+                    (r,) = records
+                    assert (r.finish_time, r.vm_index, r.task_id) == (finish, vi, task_id)
+                else:
+                    assert records == []
             assert c.clock >= last_clock
             last_clock = c.clock
+            assert c.has_free_buffer() == any(
+                len(vm.queue) < vm.spec.buffer_capacity for vm in c.vms)
+            assert c.is_idle() == all(not vm.queue for vm in c.vms)
             for vm in c.vms:
                 assert vm.assigned_length == sum(q.task.length for q in vm.queue)
+                # FIFO service: the in-service entries are the oldest
+                # admitted ones, and a PE idles only when none is waiting
+                busy = [q for q in vm.pe_busy if q is not None]
+                n = min(len(vm.queue), vm.spec.pes)
+                assert len(busy) == n and all(q in vm.queue[:n] for q in busy)
+
+    # Six completions tie at t = 1 s; admission order differs from
+    # (vm, pe) order, and the events must pop in (vm, pe) order.
+    c = make_cluster(num_vms=3, capacity=4, pes=2)
+    for tid, vm_index in enumerate([2, 0, 1, 2, 0, 1]):
+        c.admit(task(tid, 1000), vm_index)
+    popped = [c.advance_to_next_event()[0][0] for _ in range(6)]
+    assert [(r.vm_index, r.task_id) for r in popped] == [
+        (0, 1), (0, 4), (1, 2), (1, 5), (2, 0), (2, 3)]
+    assert all(r.finish_time == 1.0 for r in popped)
+    assert c.is_idle() and c.next_event_time() is None
 
 
 # -- failure draws ---------------------------------------------------------------
