@@ -92,15 +92,6 @@ class VmState:
         self.queue: list[_Queued] = []      # admission order; in-service entries carry finish
         self.waiting: deque[_Queued] = deque()  # admitted, not yet in service, FIFO
         self.pe_busy: list[_Queued | None] = [None] * spec.pes
-        self.assigned_length = 0            # total length of the queued tasks
-
-    @property
-    def occupied(self) -> int:
-        return len(self.queue)
-
-    @property
-    def free_slots(self) -> int:
-        return self.spec.buffer_capacity - len(self.queue)
 
     def available_at(self, clock: float) -> float:
         """Instant the next PE frees up (now, if any PE is idle)."""
@@ -129,25 +120,31 @@ class ClusterState:
         # In-service completions keyed (finish, vm index, pe): the heap
         # pops them in the order a scan over every busy PE would pick.
         self._events: list[tuple] = []
-        self._capacity = sum(s.buffer_capacity for s in vm_specs)
+        self._capacities = tuple(s.buffer_capacity for s in vm_specs)
+        # The only record of each VM's occupied buffer count and queued
+        # length; admit and advance_to_next_event keep both up to date.
+        self._occupied = [0] * len(vm_specs)
+        self._assigned = [0] * len(vm_specs)
+        self._capacity = sum(self._capacities)
         self._free = self._capacity         # free buffer slots, all VMs
 
     # -- observation helpers used by schedulers ---------------------------
 
     def occupied_counts(self) -> list[int]:
-        return [vm.occupied for vm in self.vms]
+        return self._occupied.copy()
 
     def assigned_lengths(self) -> list[int]:
-        return [vm.assigned_length for vm in self.vms]
+        return self._assigned.copy()
 
     def free_counts(self) -> list[int]:
-        return [vm.free_slots for vm in self.vms]
+        return [cap - n for cap, n in zip(self._capacities, self._occupied)]
 
-    def capacities(self) -> list[int]:
-        return [vm.spec.buffer_capacity for vm in self.vms]
+    def capacities(self) -> tuple[int, ...]:
+        return self._capacities
 
     def feasible_vms(self) -> list[int]:
-        return [i for i, vm in enumerate(self.vms) if vm.free_slots > 0]
+        caps = self._capacities
+        return [i for i, n in enumerate(self._occupied) if n < caps[i]]
 
     def has_free_buffer(self) -> bool:
         return self._free > 0
@@ -179,18 +176,19 @@ class ClusterState:
         Starts service immediately when a PE is idle. Raises
         BufferFullError when the buffer is at capacity.
         """
-        vm = self.vms[vm_index]
-        if vm.free_slots <= 0:
+        if self._occupied[vm_index] >= self._capacities[vm_index]:
             raise BufferFullError(
-                f"VM {vm_index} buffer at capacity {vm.spec.buffer_capacity}")
+                f"VM {vm_index} buffer at capacity {self._capacities[vm_index]}")
+        vm = self.vms[vm_index]
         entry = _Queued(task, self.clock, attempt)
         vm.queue.append(entry)
         vm.waiting.append(entry)
-        vm.assigned_length += task.length
+        self._occupied[vm_index] += 1
+        self._assigned[vm_index] += task.length
         self._free -= 1
         vm._feed_idle_pes(self.clock, vm_index, self._events)
         if __debug__:
-            self._assert_occupancy(vm)
+            self._assert_occupancy(vm_index)
 
     def next_event_time(self):
         """Earliest pending completion instant, or None when all idle."""
@@ -214,7 +212,8 @@ class ClusterState:
         self.clock = finish
         vm.pe_busy[pe] = None
         vm.queue.remove(entry)
-        vm.assigned_length -= entry.task.length
+        self._occupied[vi] -= 1
+        self._assigned[vi] -= entry.task.length
         self._free += 1
         vm._feed_idle_pes(finish, vi, self._events)
 
@@ -235,10 +234,14 @@ class ClusterState:
                 aborted=fate is FailureOutcome.ABORT,
             ))
         if __debug__:
-            self._assert_occupancy(vm)
+            self._assert_occupancy(vi)
         return records, requeued
 
-    def _assert_occupancy(self, vm: VmState):
-        """The touched VM's buffer and the cluster-wide free count stay in bounds."""
-        assert 0 <= vm.occupied <= vm.spec.buffer_capacity
+    def _assert_occupancy(self, vm_index: int):
+        """The touched VM's counters match its buffer and stay in bounds,
+        and so does the cluster-wide free count."""
+        occupied = self._occupied[vm_index]
+        assert occupied == len(self.vms[vm_index].queue)
+        assert 0 <= occupied <= self._capacities[vm_index]
+        assert self._assigned[vm_index] >= 0
         assert 0 <= self._free <= self._capacity

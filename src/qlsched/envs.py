@@ -22,6 +22,10 @@ class LengthAwareView:
 
     def __init__(self, range_mi: int = mdp.DEFAULT_RANGE_MI,
                  l_cap: int = mdp.DEFAULT_L_CAP):
+        if range_mi <= 0:
+            raise ValueError("range_mi must be > 0")
+        if l_cap < 0:
+            raise ValueError("l_cap must be >= 0")
         self.range_mi = range_mi
         self.l_cap = l_cap
 
@@ -31,8 +35,9 @@ class LengthAwareView:
     def feasible(self, cluster):
         return cluster.feasible_vms()
 
-    def reward(self, cluster, action):
-        return float(mdp.reward(self.state(cluster), action, cluster.capacities()))
+    def reward(self, cluster, action, state):
+        """Reward of `action`; `state` is this view's state of `cluster`."""
+        return float(mdp.reward(state, action, cluster.capacities()))
 
 
 class FreeBufferView:
@@ -54,9 +59,9 @@ class FreeBufferView:
     def feasible(self, cluster):
         return cluster.feasible_vms()
 
-    def reward(self, cluster, action):
-        cap = cluster.vms[action].spec.buffer_capacity
-        free_frac = cluster.vms[action].free_slots / cap
+    def reward(self, cluster, action, state):
+        """Reward of `action`; `state` is this view's state of `cluster`."""
+        free_frac = state[action] / cluster.capacities()[action]
         backlogs = [cluster.backlog_seconds(i) for i in range(len(cluster.vms))]
         top = max(backlogs)
         delay = backlogs[action] / top if top > 0 else 0.0
@@ -85,6 +90,7 @@ class SimulationEnv:
         self.d_max = d_max
         self.num_actions = len(self.vm_specs) + 1  # VM indices plus defer
         self.sim: Simulation | None = None
+        self.state = None   # view state last returned by reset or step
 
     def reset(self, rng: np.random.Generator):
         workload = generate_workload(self.scenario, int(rng.integers(2**63)),
@@ -98,18 +104,20 @@ class SimulationEnv:
         task = self.sim.next_decision()
         assert task is not None
         cluster = self.sim.cluster
-        return self.view.state(cluster), self.view.feasible(cluster)
+        self.state = self.view.state(cluster)
+        return self.state, self.view.feasible(cluster)
 
     def step(self, action: int, rng: np.random.Generator):
         cluster = self.sim.cluster
-        reward_value = self.view.reward(cluster, action)
+        # the cluster has not changed since self.state was encoded
+        reward_value = self.view.reward(cluster, action, self.state)
         self.sim.apply(action)
         task = self.sim.next_decision()
         terminal = task is None
         # next_decision only pauses when some buffer has space (or the run
         # drained, leaving everything free), so the action set is never empty
-        state = self.view.state(cluster)
-        return reward_value, state, self.view.feasible(cluster), terminal
+        self.state = self.view.state(cluster)
+        return reward_value, self.state, self.view.feasible(cluster), terminal
 
     def episode_metrics(self):
         done = [r for r in self.sim.records if not r.aborted]

@@ -41,10 +41,13 @@ def discretize_length(total_mi: int, range_mi: int = DEFAULT_RANGE_MI,
 
 def encode_state(cluster, range_mi: int = DEFAULT_RANGE_MI,
                  l_cap: int = DEFAULT_L_CAP) -> tuple:
-    """Observed scheduler state of a cluster, as a flat tuple of 2K ints."""
-    b = cluster.occupied_counts()
-    l = cluster.assigned_lengths()
-    return tuple(b) + tuple(discretize_length(x, range_mi, l_cap) for x in l)
+    """Observed scheduler state of a cluster, as a flat tuple of 2K ints.
+
+    Length classes as discretize_length's, without its checks on the
+    arguments: LengthAwareView makes them once.
+    """
+    return (tuple(cluster.occupied_counts())
+            + tuple([min(x // range_mi, l_cap) for x in cluster.assigned_lengths()]))
 
 
 def split_state(state: tuple) -> tuple[tuple, tuple]:
@@ -68,7 +71,7 @@ def reward(state: tuple, action: int, capacities) -> int:
     actions (buffer at capacity).
     """
     b, l = split_state(state)
-    if np.isscalar(capacities):
+    if not isinstance(capacities, (list, tuple)) and np.isscalar(capacities):
         capacities = [capacities] * len(b)
     if not (0 <= action < len(b)):
         raise ValueError(f"action {action} out of range for {len(b)} VMs")
@@ -79,12 +82,6 @@ def reward(state: tuple, action: int, capacities) -> int:
     if l[action] == max(l):
         return -1
     return 0
-
-
-def default_service_probability(mips: float, slot_seconds: float,
-                                mean_task_length: float) -> float:
-    """Per-epoch head-task completion probability matching mean service rate."""
-    return min(1.0, mips * slot_seconds / mean_task_length)
 
 
 @dataclass

@@ -23,9 +23,8 @@ def random_select(cluster, rng: np.random.Generator):
     free = cluster.feasible_vms()
     if not free:
         return None
-    k = len(cluster.vms)
-    pick = int(rng.integers(k))
-    if cluster.vms[pick].free_slots > 0:
+    pick = int(rng.integers(len(cluster.vms)))
+    if pick in free:
         return pick
     return free[int(rng.integers(len(free)))]
 
@@ -77,7 +76,7 @@ class QschAgent:
         return self.view.state(cluster)
 
     def reward_of(self, cluster, action: int) -> float:
-        return self.view.reward(cluster, action)
+        return self.view.reward(cluster, action, self.view.state(cluster))
 
     def select(self, cluster, rng: np.random.Generator, epsilon: float = 0.0):
         actions = cluster.feasible_vms()

@@ -27,15 +27,16 @@ class LearnerConfig:
     lr_exponent: float = DEFAULT_LR_EXPONENT
 
     def __post_init__(self):
+        # range checks are written so that NaN fails them
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError("gamma must be in (0, 1)")
         if not (0.0 <= self.epsilon0 <= 1.0):
             raise ConfigError("epsilon0 must be in [0, 1]")
-        if self.total_cycles < 1:
+        if not self.total_cycles >= 1:
             raise ConfigError("total_cycles must be a positive integer")
-        if self.repeater_threshold < 1:
+        if not self.repeater_threshold >= 1:
             raise ConfigError("repeater_threshold must be a positive integer")
-        if self.lr_exponent <= 0:
+        if not self.lr_exponent > 0:
             raise ConfigError("lr_exponent must be > 0")
 
 
@@ -100,7 +101,7 @@ class QTable:
         row = self._q.get(state)
         if row is None:
             return 0.0
-        return max(row[a] for a in actions)
+        return max([row[a] for a in actions])
 
     def greedy(self, state, actions=None) -> int:
         """Lowest-index argmax over the state's feasible actions."""
@@ -109,11 +110,7 @@ class QTable:
         row = self._q.get(state)
         if row is None:
             return actions[0]
-        best = max(row[a] for a in actions)
-        for a in actions:
-            if row[a] == best:
-                return a
-        raise AssertionError("unreachable")
+        return max(actions, key=row.__getitem__)   # the first maximum wins
 
 
 def select_action(state, table: QTable, epsilon: float,
@@ -125,7 +122,6 @@ def select_action(state, table: QTable, epsilon: float,
     Raises NoFeasibleActionError when `actions` is empty (the caller must
     defer the task).
     """
-    actions = list(actions)
     if not actions:
         raise NoFeasibleActionError("every VM buffer is full")
     if len(actions) == 1:
@@ -135,8 +131,9 @@ def select_action(state, table: QTable, epsilon: float,
     row = table._q.get(state)
     if row is None:
         return actions[int(rng.integers(len(actions)))]
-    best = max(row[a] for a in actions)
-    ties = [a for a in actions if row[a] == best]
+    values = [row[a] for a in actions]
+    best = max(values)
+    ties = [a for a, v in zip(actions, values) if v == best]
     if len(ties) == 1:
         return ties[0]
     return ties[int(rng.integers(len(ties)))]
@@ -151,12 +148,13 @@ def update_q(table: QTable, state, action, reward_value: float, next_state,
     the bootstrap is the max over the next state's feasible actions, and
     the visit count then increments. The state must have been ensure()d.
     """
-    beta = learning_rate(table._visits[state][action], lr_exponent)
+    visits = table._visits[state]
+    beta = learning_rate(visits[action], lr_exponent)
     target = reward_value + gamma * table.max_q(next_state, next_actions)
     row = table._q[state]
     new_q = (1.0 - beta) * row[action] + beta * target
     row[action] = new_q
-    table._visits[state][action] += 1
+    visits[action] += 1
     if __debug__:
         bound = 1.0 / (1.0 - gamma) + 1e-9
         assert abs(new_q) <= bound, f"|q|={new_q} escapes the reward bound"
@@ -195,15 +193,6 @@ class TrainResult:
     cycles_run: int
     stop_reason: str                 # "stable", "budget" or "schedule"
     trace: list = field(default_factory=list)
-
-    def greedy_policy(self):
-        """Evaluation-time policy: argmax q with uniform random tie-break."""
-        table = self.table
-
-        def policy(state, actions, rng):
-            return select_action(state, table, 0.0, rng, actions)
-
-        return policy
 
 
 def train(env, cfg: LearnerConfig, seed) -> TrainResult:

@@ -55,6 +55,11 @@ class ExperimentPlan:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for key in ("replications", "seed", "range_mi", "l_cap",
+                    "arrival_dmax", "max_attempts"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.task_counts is None:
             self.task_counts = [self.scenario.num_tasks]
         if self.buffer_sizes is None:
@@ -66,9 +71,10 @@ class ExperimentPlan:
                 raise ConfigError(f"unknown policy {name!r} (choose from {POLICY_NAMES})")
         if not self.policies:
             raise ConfigError("policies must be non-empty")
-        if any(t < 1 for t in self.task_counts):
+        # range checks are written so that NaN fails them
+        if not all(t >= 1 for t in self.task_counts):
             raise ConfigError("task_counts entries must be >= 1")
-        if any(b < 1 for b in self.buffer_sizes):
+        if not all(b >= 1 for b in self.buffer_sizes):
             raise ConfigError("buffer_sizes entries must be >= 1")
         if any(not (0.0 <= f <= 1.0) for f in self.failure_ratios):
             raise ConfigError("failure_ratios entries must lie in [0, 1]")
@@ -76,7 +82,7 @@ class ExperimentPlan:
             raise ConfigError("replications must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.slot_seconds <= 0:
+        if not self.slot_seconds > 0:
             raise ConfigError("slot_seconds must be > 0")
         if self.range_mi <= 0:
             raise ConfigError("range_mi must be > 0")
@@ -164,9 +170,6 @@ class RunOutputs:
         if not out:
             raise KeyError(f"no runs match ({policy}, {tasks}, {buffer}, {failure})")
         return out
-
-    def pooled_mean(self, policy: str, metric: str, **point) -> float:
-        return float(np.mean(self.run_values(policy, metric, **point)))
 
 
 def _vm_specs(scenario: ScenarioConfig, buffer_size: int):

@@ -59,21 +59,22 @@ class ScenarioConfig:
     arrival_mean: float = 1.0
 
     def __post_init__(self):
-        if self.num_tasks < 1:
+        # range checks are written so that NaN fails them
+        if not self.num_tasks >= 1:
             raise ConfigError("num_tasks must be >= 1")
         if not (0 < self.length_min <= self.length_max):
             raise ConfigError("need 0 < length_min <= length_max")
-        if self.num_vms < 1:
+        if not self.num_vms >= 1:
             raise ConfigError("num_vms must be >= 1")
-        if self.vm_mips <= 0:
+        if not self.vm_mips > 0:
             raise ConfigError("vm_mips must be > 0")
         if not (1 <= self.buffer_min <= self.buffer_max):
             raise ConfigError("need 1 <= buffer_min <= buffer_max")
-        if self.num_pes < 1:
+        if not self.num_pes >= 1:
             raise ConfigError("num_pes must be >= 1")
         if self.arrival_mode not in ARRIVAL_MODES:
             raise ConfigError(f"arrival_mode must be one of {ARRIVAL_MODES}")
-        if self.arrival_mean <= 0:
+        if not self.arrival_mean > 0:
             raise ConfigError("arrival_mean must be > 0")
 
 

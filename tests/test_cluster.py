@@ -110,12 +110,15 @@ def test_available_at():
 def test_assigned_length_matches_queue_and_clock_monotone():
     # Random admits and advances on multi-PE VMs. Lengths are whole
     # seconds of service, so finish instants often tie across VMs and PEs.
-    # After every step the kept counters and the event heap must agree with
-    # a brute-force recomputation from vm.queue and pe_busy.
+    # After every step the kept counters, the observation helpers and the
+    # event heap must agree with a brute-force recomputation from vm.queue
+    # and pe_busy. Buffer capacities differ between VMs.
     rng = np.random.default_rng(8)
     for _ in range(200):
-        c = make_cluster(num_vms=int(rng.integers(1, 4)), capacity=4,
-                         pes=int(rng.integers(1, 4)))
+        pes = int(rng.integers(1, 4))
+        c = ClusterState([VmSpec(index=i, mips=1000.0, pes=pes,
+                                 buffer_capacity=int(rng.integers(1, 5)))
+                          for i in range(int(rng.integers(1, 4)))])
         tid = 0
         last_clock = 0.0
         for _ in range(30):
@@ -140,8 +143,15 @@ def test_assigned_length_matches_queue_and_clock_monotone():
             assert c.has_free_buffer() == any(
                 len(vm.queue) < vm.spec.buffer_capacity for vm in c.vms)
             assert c.is_idle() == all(not vm.queue for vm in c.vms)
+            occupied = [len(vm.queue) for vm in c.vms]
+            assert c.occupied_counts() == occupied
+            assert c.assigned_lengths() == [sum(q.task.length for q in vm.queue)
+                                            for vm in c.vms]
+            assert c.free_counts() == [vm.spec.buffer_capacity - n
+                                       for vm, n in zip(c.vms, occupied)]
+            assert c.feasible_vms() == [i for i, (vm, n) in enumerate(zip(c.vms, occupied))
+                                        if n < vm.spec.buffer_capacity]
             for vm in c.vms:
-                assert vm.assigned_length == sum(q.task.length for q in vm.queue)
                 # FIFO service: the in-service entries are the oldest
                 # admitted ones, and a PE idles only when none is waiting
                 busy = [q for q in vm.pe_busy if q is not None]

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qlsched.cluster import ClusterState, VmSpec
+from qlsched.envs import LengthAwareView
 from qlsched.errors import CapacityError
-from qlsched.mdp import (action_values, build_oracle_mdp,
-                         default_service_probability, discretize_length,
+from qlsched.mdp import (action_values, build_oracle_mdp, discretize_length,
                          encode_state, feasible_vms_of_state, reward,
                          split_state, value_iteration)
 from qlsched.workload import TaskSpec
@@ -67,6 +67,28 @@ def test_encode_mixed_occupancy():
     c.admit(TaskSpec(2, 0, 9000), 1)
     # B=(2,1,0), L=(25000,9000,0) -> classes (2,0,0)
     assert encode_state(c, 10000) == (2, 1, 0, 2, 0, 0)
+
+
+def test_encode_matches_discretize_over_random_runs():
+    rng = np.random.default_rng(41)
+    for range_mi, l_cap in [(1, 0), (3000, 2), (7919, 5), (10000, 40)]:
+        c = ClusterState([VmSpec(index=i, mips=1000.0, buffer_capacity=4, pes=2)
+                          for i in range(3)])
+        for tid in range(80):
+            free = c.feasible_vms()
+            if free and rng.random() < 0.6:
+                c.admit(TaskSpec(tid, 0, int(rng.integers(1, 20000))),
+                        int(rng.choice(free)))
+            else:
+                c.advance_to_next_event()
+            state = encode_state(c, range_mi, l_cap)
+            assert state == tuple(c.occupied_counts()) + tuple(
+                discretize_length(x, range_mi, l_cap) for x in c.assigned_lengths())
+            assert all(type(x) is int for x in state)
+    with pytest.raises(ValueError, match="range_mi"):
+        LengthAwareView(0, 2)
+    with pytest.raises(ValueError, match="l_cap"):
+        LengthAwareView(10, -1)
 
 
 def test_split_and_feasible_of_state():
@@ -191,11 +213,6 @@ def test_sample_next_matches_kernel():
         counts[m.sample_next(idx, 1, rng)] += 1
     for c, p in zip(cols, probs):
         assert abs(counts[int(c)] / n - p) < 0.02
-
-
-def test_default_service_probability():
-    assert default_service_probability(1000, 30, 102500) == pytest.approx(30000 / 102500)
-    assert default_service_probability(1000, 200, 100000) == 1.0
 
 
 # -- value iteration --------------------------------------------------------------

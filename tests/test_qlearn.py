@@ -10,7 +10,6 @@ from qlsched.qlearn import (
     ConvergenceMonitor,
     LearnerConfig,
     QTable,
-    TrainResult,
     check_convergence,
     decay_epsilon,
     export_qtable,
@@ -375,16 +374,6 @@ class TestTrain:
         assert first["cycle"] == 0
         assert first["epsilon"] == cfg.epsilon0
         assert first["states_seen"] >= 1
-
-    def test_greedy_policy_uses_table(self):
-        table = QTable(3)
-        table.ensure(S, (0, 1, 2))
-        set_q(table, S, 2, 0.9)
-        result = TrainResult(table=table, cycles_run=1, stop_reason="stable")
-        policy = result.greedy_policy()
-        rng = np.random.default_rng(9)
-        assert policy(S, [0, 1, 2], rng) == 2
-        assert policy(("unseen",), [0, 1], rng) in (0, 1)
 
 
 class TestExportQtable:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from qlsched.cluster import VmSpec
+from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
 from qlsched.policies import fifo_select, greedy_select, random_select
 from qlsched.simulate import Simulation, run_policy_simulation
-from qlsched.workload import TaskSpec
+from qlsched.workload import ScenarioConfig, TaskSpec
 
 
 def specs(num_vms=2, capacity=3, mips=1000.0, pes=1):
@@ -36,7 +37,7 @@ def test_all_same_slot_admitted_at_zero():
     for _ in range(4):
         assert sim.next_decision() is not None
         assert sim.cluster.clock == 0.0
-        sim.apply(0 if sim.cluster.vms[0].free_slots else 1)
+        sim.apply(0 if sim.cluster.free_counts()[0] else 1)
     assert sim.all_assigned()
 
 
@@ -136,3 +137,28 @@ def test_fifo_order_preserved_for_global_queue():
 def test_slot_seconds_validation():
     with pytest.raises(ValueError):
         Simulation(specs(), [TaskSpec(0, 0, 1)], slot_seconds=0.0)
+
+
+@pytest.mark.parametrize("view", [LengthAwareView(2000, 3), FreeBufferView(0.5, 0.5)],
+                         ids=["length_aware", "free_buffer"])
+def test_env_reuses_a_fresh_state(view):
+    # The env hands the state it encoded at the last decision to the
+    # reward; it must equal a fresh encoding of the unchanged cluster,
+    # requeues included.
+    scenario = ScenarioConfig(num_tasks=40, length_min=500, length_max=6000,
+                              num_vms=3, vm_mips=1000, buffer_min=3, buffer_max=3,
+                              num_pes=2)
+    env = SimulationEnv(scenario, specs(num_vms=3, pes=2), view,
+                        failure_ratio=0.2)
+    rng = np.random.default_rng(12)
+    state, actions = env.reset(rng)
+    terminal = False
+    while not terminal:
+        cluster = env.sim.cluster
+        assert env.state == state == view.state(cluster)
+        assert actions == view.feasible(cluster)
+        action = actions[int(rng.integers(len(actions)))]
+        expect = view.reward(cluster, action, view.state(cluster))
+        reward, state, actions, terminal = env.step(action, rng)
+        assert reward == expect
+    assert any(r.attempts > 1 for r in env.sim.records)
