@@ -12,6 +12,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from .errors import BufferFullError
 from .workload import TaskSpec
 
 DEFAULT_MAX_ATTEMPTS = 10
+
+# Uniforms a failure hook takes from its generator per rng.random(n) call.
+FAILURE_DRAW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,7 @@ class VmSpec:
     pes: int = 1
 
 
-@dataclass(frozen=True)
-class CompletionRecord:
+class CompletionRecord(NamedTuple):
     """Outcome of one task's final service attempt on a VM.
 
     submit_time is the admission instant of that attempt, finish_time the
@@ -54,24 +57,62 @@ class FailureOutcome(enum.Enum):
     ABORT = "abort"
 
 
+def _fate(u: float, failure_ratio: float, attempts: int,
+          max_attempts: int) -> FailureOutcome:
+    """The one fate rule: u < failure_ratio fails the attempt, which is
+    requeued while attempts < max_attempts and aborted after that."""
+    if u >= failure_ratio:
+        return FailureOutcome.COMPLETE
+    return FailureOutcome.REQUEUE if attempts < max_attempts else FailureOutcome.ABORT
+
+
+def _check_ratio(failure_ratio: float):
+    if not (0.0 <= failure_ratio <= 1.0):
+        raise ValueError("failure_ratio must be in [0, 1]")
+
+
 def maybe_fail(task: TaskSpec, failure_ratio: float, attempts: int,
                rng: np.random.Generator,
                max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> FailureOutcome:
     """Draw the fate of a finishing service attempt.
 
-    One Bernoulli(failure_ratio) draw per attempt. A failed attempt is
-    requeued while attempts < max_attempts and aborted once the budget is
-    exhausted. The uniform is drawn even at ratio 0 so runs with
-    different ratios share one failure stream.
+    One Bernoulli(failure_ratio) draw per attempt: a single rng.random()
+    call, made at every ratio, 0 included. A failed attempt is requeued
+    while attempts < max_attempts and aborted once the budget is
+    exhausted. The simulator reaches the same fates through
+    failure_hook, which draws nothing at ratio 0.
     """
-    if not (0.0 <= failure_ratio <= 1.0):
-        raise ValueError("failure_ratio must be in [0, 1]")
+    _check_ratio(failure_ratio)
     if attempts < 1:
         raise ValueError("attempts counts the current attempt, so >= 1")
-    u = rng.random()
-    if u >= failure_ratio:
-        return FailureOutcome.COMPLETE
-    return FailureOutcome.REQUEUE if attempts < max_attempts else FailureOutcome.ABORT
+    return _fate(rng.random(), failure_ratio, attempts, max_attempts)
+
+
+def failure_hook(failure_ratio: float, rng: np.random.Generator,
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
+    """Outcome hook for advance_to_next_event, or None at ratio 0.
+
+    Above 0 the hook gives the k-th event it sees the fate maybe_fail
+    would give it with the k-th scalar rng.random() draw. It takes the
+    uniforms in blocks of FAILURE_DRAW_BLOCK via rng.random(n), which
+    yields the same doubles as n scalar calls, so rng must belong to the
+    run alone: after the run its state is up to one block further on.
+    At ratio 0 every attempt completes and rng is never read.
+    """
+    _check_ratio(failure_ratio)
+    if failure_ratio == 0.0:
+        return None
+
+    def uniforms():
+        while True:
+            yield from rng.random(FAILURE_DRAW_BLOCK).tolist()
+
+    draws = uniforms()
+
+    def outcome(task, vm_index, attempt):
+        return _fate(next(draws), failure_ratio, attempt, max_attempts)
+
+    return outcome
 
 
 class _Queued:
@@ -216,26 +257,18 @@ class ClusterState:
         self._assigned[vi] -= entry.task.length
         self._free += 1
         vm._feed_idle_pes(finish, vi, self._events)
+        if __debug__:
+            self._assert_occupancy(vi)
 
         fate = FailureOutcome.COMPLETE
         if outcome is not None:
             fate = outcome(entry.task, vi, entry.attempt)
-        records, requeued = [], []
-        if fate is FailureOutcome.REQUEUE:
-            requeued.append(entry.task)
-        else:
-            records.append(CompletionRecord(
-                task_id=entry.task.id,
-                submit_time=entry.admit_time,
-                finish_time=finish,
-                exec_time=entry.task.length / vm.spec.mips,
-                vm_index=vi,
-                attempts=entry.attempt,
-                aborted=fate is FailureOutcome.ABORT,
-            ))
-        if __debug__:
-            self._assert_occupancy(vi)
-        return records, requeued
+            if fate is FailureOutcome.REQUEUE:
+                return [], [entry.task]
+        task = entry.task
+        return [CompletionRecord(task.id, entry.admit_time, finish,
+                                 task.length / vm.spec.mips, vi, entry.attempt,
+                                 fate is FailureOutcome.ABORT)], []
 
     def _assert_occupancy(self, vm_index: int):
         """The touched VM's counters match its buffer and stay in bounds,

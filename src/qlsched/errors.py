@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config type checks."""
+
+from numbers import Real
 
 
 class ConfigError(ValueError):
@@ -23,3 +25,16 @@ class CapacityError(ValueError):
 
 class MetricsError(ValueError):
     """Metric requested on an empty or inconsistent record set."""
+
+
+def require_int(key: str, value):
+    """Raise ConfigError naming `key` unless value is an int (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def require_real(key: str, value):
+    """Raise ConfigError naming `key` unless value is a real number
+    (bools and strings are not)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")

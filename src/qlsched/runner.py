@@ -24,7 +24,7 @@ import yaml
 from . import mdp
 from .cluster import DEFAULT_MAX_ATTEMPTS, VmSpec
 from .envs import FreeBufferView, LengthAwareView, SimulationEnv
-from .errors import ConfigError
+from .errors import ConfigError, require_int, require_real
 from .metrics import aggregate, build_report
 from .policies import (POLICY_NAMES, QlearnPolicy, QschAgent, fifo_select,
                        greedy_select, mixed_select, random_select)
@@ -57,15 +57,23 @@ class ExperimentPlan:
     def __post_init__(self):
         for key in ("replications", "seed", "range_mi", "l_cap",
                     "arrival_dmax", "max_attempts"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            require_int(key, getattr(self, key))
         if self.task_counts is None:
             self.task_counts = [self.scenario.num_tasks]
         if self.buffer_sizes is None:
             self.buffer_sizes = [self.scenario.buffer_max]
-        if not self.task_counts or not self.buffer_sizes or not self.failure_ratios:
-            raise ConfigError("sweep lists must be non-empty")
+        for key, check in (("task_counts", require_int),
+                           ("buffer_sizes", require_int),
+                           ("failure_ratios", require_real)):
+            entries = getattr(self, key)
+            if not isinstance(entries, (list, tuple)):
+                raise ConfigError(f"{key} must be a list, got {entries!r}")
+            if not entries:
+                raise ConfigError(f"sweep lists must be non-empty: {key}")
+            for value in entries:
+                check(key, value)
+        for key in ("slot_seconds", "qsch_w_buffer", "qsch_w_wait"):
+            require_real(key, getattr(self, key))
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {name!r} (choose from {POLICY_NAMES})")
@@ -78,6 +86,10 @@ class ExperimentPlan:
             raise ConfigError("buffer_sizes entries must be >= 1")
         if any(not (0.0 <= f <= 1.0) for f in self.failure_ratios):
             raise ConfigError("failure_ratios entries must lie in [0, 1]")
+        if not (0.0 <= self.qsch_w_buffer <= 1.0):
+            raise ConfigError("qsch_w_buffer must lie in [0, 1]")
+        if not (0.0 <= self.qsch_w_wait <= 1.0):
+            raise ConfigError("qsch_w_wait must lie in [0, 1]")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.seed < 0:

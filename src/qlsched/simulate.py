@@ -11,10 +11,11 @@ the global queue and are rescheduled like fresh submissions.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 
 import numpy as np
 
-from .cluster import DEFAULT_MAX_ATTEMPTS, ClusterState, VmSpec, maybe_fail
+from .cluster import DEFAULT_MAX_ATTEMPTS, ClusterState, VmSpec, failure_hook
 from .workload import TaskSpec
 
 
@@ -24,6 +25,11 @@ class Simulation:
     The caller drives it: next_decision() advances time until a task can
     be admitted somewhere (returning that task) or the run is fully
     drained (returning None); apply(vm_index) admits the pending task.
+
+    failure_ratio is checked here, once. At ratio 0 no uniform is drawn.
+    Above 0 the fates are those of one maybe_fail draw per event, but a
+    caller-supplied failure_rng is read in blocks of FAILURE_DRAW_BLOCK
+    uniforms (rng.random(n)), so it should serve this run alone.
     """
 
     def __init__(self, vm_specs: list[VmSpec], workload: list[TaskSpec],
@@ -36,12 +42,9 @@ class Simulation:
         self.slot_seconds = slot_seconds
         if failure_rng is None:
             failure_rng = np.random.default_rng(0)
-
-        def outcome(task, vm_index, attempt):
-            return maybe_fail(task, failure_ratio, attempt, failure_rng, max_attempts)
-
-        self._outcome = outcome     # bound once, handed to every event
-        self._pending = deque(sorted(workload, key=lambda t: (t.arrival_slot, t.id)))
+        # None at ratio 0, so every event completes without a draw
+        self._outcome = failure_hook(failure_ratio, failure_rng, max_attempts)
+        self._pending = deque(sorted(workload, key=attrgetter("arrival_slot", "id")))
         self._queue: deque[TaskSpec] = deque()
         self._attempts: dict[int, int] = {}
         self.records = []

@@ -13,10 +13,12 @@ from __future__ import annotations
 import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, TraceParseError
+from .errors import ConfigError, TraceParseError, require_int, require_real
 
 DEFAULT_D_MAX = 5
 ARRIVAL_MODES = ("iid", "markov")
@@ -26,8 +28,7 @@ ARRIVAL_MODES = ("iid", "markov")
 _MAX_IDLE_SLOTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(NamedTuple):
     """One task: identity, arrival slot and length in MI."""
 
     id: int
@@ -59,6 +60,12 @@ class ScenarioConfig:
     arrival_mean: float = 1.0
 
     def __post_init__(self):
+        for key in ("num_tasks", "length_min", "length_max", "num_vms",
+                    "buffer_min", "buffer_max", "num_pes", "num_datacenters",
+                    "num_hosts"):
+            require_int(key, getattr(self, key))
+        for key in ("vm_mips", "vm_ram_mb", "vm_bandwidth_mbps", "arrival_mean"):
+            require_real(key, getattr(self, key))
         # range checks are written so that NaN fails them
         if not self.num_tasks >= 1:
             raise ConfigError("num_tasks must be >= 1")
@@ -150,10 +157,31 @@ class ArrivalModel:
         return cls(mode="markov", matrix=m)
 
 
+def _arrival_model(mode: str, d_max: int, mean: float) -> ArrivalModel:
+    if mode == "iid":
+        return ArrivalModel.iid_binomial(d_max, mean)
+    return ArrivalModel.markov_sticky(d_max, mean)
+
+
 def arrival_model_for(cfg: ScenarioConfig, d_max: int = DEFAULT_D_MAX) -> ArrivalModel:
-    if cfg.arrival_mode == "iid":
-        return ArrivalModel.iid_binomial(d_max, cfg.arrival_mean)
-    return ArrivalModel.markov_sticky(d_max, cfg.arrival_mean)
+    """A fresh arrival model for cfg; the caller may change it freely."""
+    return _arrival_model(cfg.arrival_mode, d_max, cfg.arrival_mean)
+
+
+@lru_cache(maxsize=64)
+def _cum_rows(mode: str, d_max: int, mean: float) -> tuple[tuple[float, ...], ...]:
+    """Cumulative arrival rows indexed by the previous slot's count.
+
+    Built once per (mode, d_max, mean) and kept as tuples, so no caller
+    can change the rows another run draws from. An iid model repeats its
+    one row for every count bisect_right can return (len(row) included,
+    should rounding leave the last entry below 1), so one lookup serves
+    both modes.
+    """
+    cum = _arrival_model(mode, d_max, mean)._cum
+    if mode == "iid":
+        cum = cum * (len(cum[0]) + 1)
+    return tuple(tuple(row) for row in cum)
 
 
 def sample_arrivals(model: ArrivalModel, prev: int, rng: np.random.Generator) -> int:
@@ -171,26 +199,32 @@ def generate_workload(cfg: ScenarioConfig, seed: int,
     Deterministic in (cfg, seed). Ids are assigned 0..n-1 in arrival
     order, so arrival slots are non-decreasing in id. Slots are shifted
     so the first arrival lands in slot 0; makespans then measure the
-    span of actual work rather than an arbitrary idle lead-in.
+    span of actual work rather than an arbitrary idle lead-in. Each
+    slot's count is one bisect of a uniform into the cumulative row of
+    the previous count, the draw sample_arrivals makes.
     """
     rng = np.random.default_rng(seed)
-    model = arrival_model_for(cfg, d_max)
+    rows = _cum_rows(cfg.arrival_mode, d_max, cfg.arrival_mean)
+    random = rng.random
+    n = cfg.num_tasks
     slots: list[int] = []
     slot = 0
-    prev = 0
+    d = 0
     idle = 0
-    while len(slots) < cfg.num_tasks:
-        d = sample_arrivals(model, prev, rng)
-        prev = d
-        slots.extend([slot] * d)
-        idle = idle + 1 if d == 0 else 0
-        if idle > _MAX_IDLE_SLOTS:
-            raise ConfigError("arrival model produced no arrivals for too long")
+    while len(slots) < n:
+        d = bisect_right(rows[d], random())
+        if d:
+            slots.extend([slot] * d)
+            idle = 0
+        else:
+            idle += 1
+            if idle > _MAX_IDLE_SLOTS:
+                raise ConfigError("arrival model produced no arrivals for too long")
         slot += 1
-    slots = slots[: cfg.num_tasks]
     first = slots[0]
-    lengths = rng.integers(cfg.length_min, cfg.length_max + 1, size=cfg.num_tasks).tolist()
-    return [TaskSpec(i, slots[i] - first, lengths[i]) for i in range(cfg.num_tasks)]
+    lengths = rng.integers(cfg.length_min, cfg.length_max + 1, size=n).tolist()
+    return [TaskSpec(i, s - first, length)
+            for i, s, length in zip(range(n), slots, lengths)]
 
 
 def serialize(tasks: list[TaskSpec]) -> str:

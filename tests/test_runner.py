@@ -278,10 +278,38 @@ def test_cli_runtime_failure_exit_2(tmp_path, capsys):
     (None, "slot_seconds", float("nan")),
     ("scenario", "arrival_mean", float("nan")),
     (None, "replications", "5"),
+    (None, "qsch_w_buffer", 1.5),
+    (None, "qsch_w_buffer", float("nan")),
+    (None, "qsch_w_wait", 1.5),
+    (None, "qsch_w_wait", float("nan")),
+    (None, "task_counts", [True]),
+    (None, "task_counts", [12.5]),
+    (None, "buffer_sizes", [True]),
+    (None, "buffer_sizes", ["10"]),
+    (None, "failure_ratios", [True]),
+    (None, "failure_ratios", ["0.1"]),
+    ("scenario", "num_tasks", 2.5),
+    ("scenario", "num_tasks", True),
+    ("scenario", "length_min", 5000.0),
+    ("scenario", "length_max", "200000"),
+    ("scenario", "num_vms", True),
+    ("scenario", "buffer_min", 5.5),
+    ("scenario", "buffer_max", 12.5),
+    ("scenario", "num_pes", 1.0),
+    ("scenario", "num_datacenters", "1"),
+    ("scenario", "num_hosts", 1.5),
+    ("scenario", "vm_mips", "fast"),
+    ("scenario", "arrival_mean", True),
+    (None, "slot_seconds", "30"),
+    ("learner", "gamma", "0.9"),
+    ("learner", "total_cycles", 600.5),
 ])
 def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value):
     # values that once slipped past validation: NaN compares false with
-    # every bound, and a string replication count raised a TypeError
+    # every bound, a string replication count raised a TypeError, the
+    # qsch weights were only checked when training started, sweep entries
+    # and scenario ints were not type-checked, and a string where a number
+    # belongs raised a TypeError past the CLI's config-error handler
     with open(os.path.join(CONFIG_DIR, "scenario1.yaml"), encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     (cfg[section] if section else cfg)[key] = value

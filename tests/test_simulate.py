@@ -8,7 +8,8 @@ per admission.
 import numpy as np
 import pytest
 
-from qlsched.cluster import VmSpec
+from qlsched import simulate
+from qlsched.cluster import FAILURE_DRAW_BLOCK, VmSpec, maybe_fail
 from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
 from qlsched.policies import fifo_select, greedy_select, random_select
 from qlsched.simulate import Simulation, run_policy_simulation
@@ -74,14 +75,16 @@ def test_requeued_task_goes_to_tail():
     # VM capacity 1, two tasks in slot 0: task 0 fails once, so it must
     # requeue behind task 1.
     class OneFail:
+        # the simulator reads its failure rng in blocks of random(size)
         def __init__(self):
             self.done = False
 
-        def random(self):
-            if self.done:
-                return 1.0
-            self.done = True
-            return 0.0  # first draw < ratio -> fail
+        def random(self, size):
+            block = np.ones(size)
+            if not self.done:
+                self.done = True
+                block[0] = 0.0  # first draw < ratio -> fail
+            return block
 
     wl = [TaskSpec(0, 0, 1000), TaskSpec(1, 0, 1000)]
     sim = Simulation(specs(num_vms=1, capacity=1), wl, slot_seconds=1000.0,
@@ -92,6 +95,45 @@ def test_requeued_task_goes_to_tail():
     assert by_finish[1].attempts == 2
     # response is measured from the final admission
     assert by_finish[1].submit_time == pytest.approx(2.0)
+
+
+def _failure_run(ratio, seed, max_attempts=2):
+    rng = np.random.default_rng(seed)
+    wl = [TaskSpec(i, i // 3, int(rng.integers(500, 4000))) for i in range(200)]
+    failure_rng = np.random.default_rng(seed + 1)
+    records = run_policy_simulation(
+        specs(num_vms=3, capacity=2, pes=2), wl, random_select,
+        slot_seconds=1.0, failure_ratio=ratio, max_attempts=max_attempts,
+        policy_rng=np.random.default_rng(seed + 2), failure_rng=failure_rng)
+    return records, failure_rng
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.2, 1.0])
+def test_block_failure_draws_match_one_maybe_fail_per_event(monkeypatch, ratio):
+    # Reference: one maybe_fail call (one scalar draw) per event on a twin
+    # generator, at every ratio, 0 included.
+    for seed in (3, 40, 77):
+        records, failure_rng = _failure_run(ratio, seed)
+        draws = []
+
+        def scalar_hook(failure_ratio, rng, max_attempts):
+            def outcome(task, vm_index, attempt):
+                draws.append(task.id)
+                return maybe_fail(task, failure_ratio, attempt, rng, max_attempts)
+            return outcome
+
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "failure_hook", scalar_hook)
+            expect, _ = _failure_run(ratio, seed)
+        assert records == expect
+        assert len(draws) > 2 * FAILURE_DRAW_BLOCK
+        if ratio == 0.0:
+            assert failure_rng.bit_generator.state == \
+                np.random.default_rng(seed + 1).bit_generator.state
+        else:
+            assert any(r.aborted for r in records)
+            if ratio < 1.0:
+                assert any(r.attempts > 1 and not r.aborted for r in records)
 
 
 def test_conservation_property():
@@ -137,6 +179,12 @@ def test_fifo_order_preserved_for_global_queue():
 def test_slot_seconds_validation():
     with pytest.raises(ValueError):
         Simulation(specs(), [TaskSpec(0, 0, 1)], slot_seconds=0.0)
+
+
+@pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
+def test_failure_ratio_checked_at_construction(ratio):
+    with pytest.raises(ValueError, match="failure_ratio"):
+        Simulation(specs(), [TaskSpec(0, 0, 1)], failure_ratio=ratio)
 
 
 @pytest.mark.parametrize("view", [LengthAwareView(2000, 3), FreeBufferView(0.5, 0.5)],

@@ -180,6 +180,52 @@ def test_arrival_model_validation(kw):
         ArrivalModel(**kw)
 
 
+def _reference_workload(cfg, seed, d_max):
+    # reference: one validated sample_arrivals draw per slot, on a fresh
+    # arrival model
+    rng = np.random.default_rng(seed)
+    model = arrival_model_for(cfg, d_max)
+    slots = []
+    slot = 0
+    prev = 0
+    while len(slots) < cfg.num_tasks:
+        d = sample_arrivals(model, prev, rng)
+        prev = d
+        slots.extend([slot] * d)
+        slot += 1
+    slots = slots[: cfg.num_tasks]
+    first = slots[0]
+    lengths = rng.integers(cfg.length_min, cfg.length_max + 1,
+                           size=cfg.num_tasks).tolist()
+    return [TaskSpec(i, slots[i] - first, lengths[i]) for i in range(cfg.num_tasks)]
+
+
+@pytest.mark.parametrize("mode", ["iid", "markov"])
+def test_generate_matches_per_slot_reference(mode):
+    for d_max, mean in ((1, 0.5), (2, 1.0), (5, 1.0), (5, 2.5), (8, 3.0)):
+        for num_tasks in (1, 7, 60, 250):
+            cfg = scenario(num_tasks=num_tasks, arrival_mode=mode,
+                           arrival_mean=mean)
+            for seed in range(6):
+                assert generate_workload(cfg, seed, d_max) == \
+                    _reference_workload(cfg, seed, d_max)
+
+
+@pytest.mark.parametrize("mode", ["iid", "markov"])
+def test_changed_arrival_model_leaves_generation_alone(mode):
+    cfg = scenario(num_tasks=80, arrival_mode=mode, arrival_mean=1.5)
+    before = generate_workload(cfg, seed=9)
+    model = arrival_model_for(cfg)
+    if mode == "iid":
+        model.probs[:] = 0.0
+        model.probs[-1] = 1.0
+    else:
+        model.matrix[:] = 0.0
+        model.matrix[:, -1] = 1.0
+    model._cum[0][:] = [0.0] * len(model._cum[0])
+    assert generate_workload(cfg, seed=9) == before
+
+
 def test_markov_generation_runs():
     cfg = scenario(arrival_mode="markov", num_tasks=50)
     tasks = generate_workload(cfg, seed=5)
