@@ -131,7 +131,10 @@ class VmState:
     def __init__(self, spec: VmSpec):
         self.spec = spec
         self.queue: list[_Queued] = []      # admission order; in-service entries carry finish
-        self.waiting: deque[_Queued] = deque()  # admitted, not yet in service, FIFO
+        # Admitted, not yet in service, FIFO. While anything waits, no PE
+        # is idle, so a freed PE takes the head and an admission starts
+        # at once or waits, never both.
+        self.waiting: deque[_Queued] = deque()
         self.pe_busy: list[_Queued | None] = [None] * spec.pes
 
     def available_at(self, clock: float) -> float:
@@ -139,17 +142,6 @@ class VmState:
         if None in self.pe_busy:
             return clock
         return min(q.finish for q in self.pe_busy)
-
-    def _feed_idle_pes(self, now: float, vm_index: int, events: list):
-        """Start waiting entries on idle PEs, lowest PE first, and push
-        their completions onto the cluster's event heap."""
-        busy = self.pe_busy
-        while self.waiting and None in busy:
-            entry = self.waiting.popleft()
-            pe = busy.index(None)
-            entry.finish = now + entry.task.length / self.spec.mips
-            busy[pe] = entry
-            heappush(events, (entry.finish, vm_index, pe, entry))
 
 
 class ClusterState:
@@ -160,7 +152,9 @@ class ClusterState:
         self.clock = 0.0
         # In-service completions keyed (finish, vm index, pe): the heap
         # pops them in the order a scan over every busy PE would pick.
-        self._events: list[tuple] = []
+        # Callers may read it (events[0][0] is the next completion
+        # instant); admit and advance_to_next_event are its only writers.
+        self.events: list[tuple] = []
         self._capacities = tuple(s.buffer_capacity for s in vm_specs)
         # The only record of each VM's occupied buffer count and queued
         # length; admit and advance_to_next_event keep both up to date.
@@ -170,6 +164,14 @@ class ClusterState:
         self._free = self._capacity         # free buffer slots, all VMs
 
     # -- observation helpers used by schedulers ---------------------------
+
+    def counters(self) -> tuple[list[int], list[int]]:
+        """The live per-VM (occupied counts, assigned lengths) lists.
+
+        No copy: the caller must not change them, and they change with
+        the next admission or completion.
+        """
+        return self._occupied, self._assigned
 
     def occupied_counts(self) -> list[int]:
         return self._occupied.copy()
@@ -214,26 +216,38 @@ class ClusterState:
     def admit(self, task: TaskSpec, vm_index: int, attempt: int = 1):
         """Append task to vm_index's buffer at the current clock.
 
-        Starts service immediately when a PE is idle. Raises
-        BufferFullError when the buffer is at capacity.
+        Starts service on the lowest idle PE when there is one, else the
+        task waits. Raises BufferFullError when the buffer is at capacity.
         """
-        if self._occupied[vm_index] >= self._capacities[vm_index]:
+        occupied = self._occupied
+        caps = self._capacities
+        if occupied[vm_index] >= caps[vm_index]:
             raise BufferFullError(
-                f"VM {vm_index} buffer at capacity {self._capacities[vm_index]}")
+                f"VM {vm_index} buffer at capacity {caps[vm_index]}")
         vm = self.vms[vm_index]
-        entry = _Queued(task, self.clock, attempt)
+        clock = self.clock
+        entry = _Queued(task, clock, attempt)
         vm.queue.append(entry)
-        vm.waiting.append(entry)
-        self._occupied[vm_index] += 1
+        occupied[vm_index] += 1
         self._assigned[vm_index] += task.length
         self._free -= 1
-        vm._feed_idle_pes(self.clock, vm_index, self._events)
-        if __debug__:
-            self._assert_occupancy(vm_index)
+        busy = vm.pe_busy
+        if None in busy:
+            assert not vm.waiting, "a PE is idle while an entry waits"
+            pe = busy.index(None)
+            entry.finish = finish = clock + task.length / vm.spec.mips
+            busy[pe] = entry
+            heappush(self.events, (finish, vm_index, pe, entry))
+        else:
+            vm.waiting.append(entry)
+        assert (0 <= occupied[vm_index] == len(vm.queue) <= caps[vm_index]
+                and self._assigned[vm_index] >= 0
+                and 0 <= self._free <= self._capacity), \
+            f"occupancy counters of VM {vm_index} out of step with its buffer"
 
     def next_event_time(self):
         """Earliest pending completion instant, or None when all idle."""
-        return self._events[0][0] if self._events else None
+        return self.events[0][0] if self.events else None
 
     def advance_to_next_event(self, outcome=None):
         """Process the single earliest completion event.
@@ -242,39 +256,43 @@ class ClusterState:
         completions yield a CompletionRecord, requeues hand the task back
         to the caller, aborts yield a record flagged aborted. With no
         outcome hook every event completes. Ties on the finish instant
-        go to the lowest VM index, then the lowest PE. Returns
+        go to the lowest VM index, then the lowest PE. The freed PE takes
+        the head of the VM's waiting entries. Returns
         (records, requeued_tasks). No-op when every PE is idle.
         """
-        if not self._events:
+        events = self.events
+        if not events:
             return [], []
-        finish, vi, pe, entry = heappop(self._events)
+        finish, vi, pe, entry = heappop(events)
         vm = self.vms[vi]
         assert finish >= self.clock - 1e-9
         self.clock = finish
-        vm.pe_busy[pe] = None
         vm.queue.remove(entry)
         self._occupied[vi] -= 1
-        self._assigned[vi] -= entry.task.length
-        self._free += 1
-        vm._feed_idle_pes(finish, vi, self._events)
-        if __debug__:
-            self._assert_occupancy(vi)
-
-        fate = FailureOutcome.COMPLETE
-        if outcome is not None:
-            fate = outcome(entry.task, vi, entry.attempt)
-            if fate is FailureOutcome.REQUEUE:
-                return [], [entry.task]
         task = entry.task
-        return [CompletionRecord(task.id, entry.admit_time, finish,
-                                 task.length / vm.spec.mips, vi, entry.attempt,
-                                 fate is FailureOutcome.ABORT)], []
+        self._assigned[vi] -= task.length
+        self._free += 1
+        mips = vm.spec.mips
+        busy = vm.pe_busy
+        if vm.waiting:
+            head = vm.waiting.popleft()
+            head.finish = head_finish = finish + head.task.length / mips
+            busy[pe] = head
+            heappush(events, (head_finish, vi, pe, head))
+            assert None not in busy, "a PE is idle while an entry waits"
+        else:
+            busy[pe] = None
+        assert (0 <= self._occupied[vi] == len(vm.queue) <= self._capacities[vi]
+                and self._assigned[vi] >= 0
+                and 0 <= self._free <= self._capacity), \
+            f"occupancy counters of VM {vi} out of step with its buffer"
 
-    def _assert_occupancy(self, vm_index: int):
-        """The touched VM's counters match its buffer and stay in bounds,
-        and so does the cluster-wide free count."""
-        occupied = self._occupied[vm_index]
-        assert occupied == len(self.vms[vm_index].queue)
-        assert 0 <= occupied <= self._capacities[vm_index]
-        assert self._assigned[vm_index] >= 0
-        assert 0 <= self._free <= self._capacity
+        if outcome is None:
+            return [CompletionRecord(task.id, entry.admit_time, finish,
+                                     task.length / mips, vi, entry.attempt)], []
+        fate = outcome(task, vi, entry.attempt)
+        if fate is FailureOutcome.REQUEUE:
+            return [], [task]
+        return [CompletionRecord(task.id, entry.admit_time, finish,
+                                 task.length / mips, vi, entry.attempt,
+                                 fate is FailureOutcome.ABORT)], []

@@ -18,7 +18,11 @@ from .workload import DEFAULT_D_MAX, ScenarioConfig, generate_workload
 
 
 class LengthAwareView:
-    """State (B_1..B_K, Lclass_1..Lclass_K); reward from mdp.reward."""
+    """State (B_1..B_K, Lclass_1..Lclass_K); reward from mdp.reward.
+
+    The reward is a function of (state, action, capacities) alone, so
+    each view remembers the rewards it has computed.
+    """
 
     def __init__(self, range_mi: int = mdp.DEFAULT_RANGE_MI,
                  l_cap: int = mdp.DEFAULT_L_CAP):
@@ -28,6 +32,7 @@ class LengthAwareView:
             raise ValueError("l_cap must be >= 0")
         self.range_mi = range_mi
         self.l_cap = l_cap
+        self._rewards: dict = {}
 
     def state(self, cluster):
         return mdp.encode_state(cluster, self.range_mi, self.l_cap)
@@ -36,8 +41,16 @@ class LengthAwareView:
         return cluster.feasible_vms()
 
     def reward(self, cluster, action, state):
-        """Reward of `action`; `state` is this view's state of `cluster`."""
-        return float(mdp.reward(state, action, cluster.capacities()))
+        """Reward of `action`; `state` is this view's state of `cluster`.
+
+        An infeasible action raises on every call: only rewards that
+        mdp.reward returned are remembered.
+        """
+        key = (state, action, cluster.capacities())
+        value = self._rewards.get(key)
+        if value is None:
+            value = self._rewards[key] = float(mdp.reward(*key))
+        return value
 
 
 class FreeBufferView:
@@ -95,7 +108,11 @@ class SimulationEnv:
     def reset(self, rng: np.random.Generator):
         workload = generate_workload(self.scenario, int(rng.integers(2**63)),
                                      self.d_max)
-        failure_rng = np.random.default_rng(int(rng.integers(2**63)))
+        # the seed is drawn at every ratio, so the training stream is the
+        # same; at ratio 0 the simulator reads no failure generator
+        failure_seed = int(rng.integers(2**63))
+        failure_rng = (np.random.default_rng(failure_seed)
+                       if self.failure_ratio > 0 else None)
         self.sim = Simulation(self.vm_specs, workload,
                               slot_seconds=self.slot_seconds,
                               failure_ratio=self.failure_ratio,
@@ -108,16 +125,17 @@ class SimulationEnv:
         return self.state, self.view.feasible(cluster)
 
     def step(self, action: int, rng: np.random.Generator):
-        cluster = self.sim.cluster
+        sim = self.sim
+        view = self.view
+        cluster = sim.cluster
         # the cluster has not changed since self.state was encoded
-        reward_value = self.view.reward(cluster, action, self.state)
-        self.sim.apply(action)
-        task = self.sim.next_decision()
-        terminal = task is None
+        reward_value = view.reward(cluster, action, self.state)
+        sim.apply(action)
+        terminal = sim.next_decision() is None
         # next_decision only pauses when some buffer has space (or the run
         # drained, leaving everything free), so the action set is never empty
-        self.state = self.view.state(cluster)
-        return reward_value, self.state, self.view.feasible(cluster), terminal
+        self.state = state = view.state(cluster)
+        return reward_value, state, view.feasible(cluster), terminal
 
     def episode_metrics(self):
         done = [r for r in self.sim.records if not r.aborted]

@@ -43,11 +43,12 @@ def encode_state(cluster, range_mi: int = DEFAULT_RANGE_MI,
                  l_cap: int = DEFAULT_L_CAP) -> tuple:
     """Observed scheduler state of a cluster, as a flat tuple of 2K ints.
 
-    Length classes as discretize_length's, without its checks on the
-    arguments: LengthAwareView makes them once.
+    Length classes as discretize_length's, min(total // range_mi, l_cap),
+    without its checks on the arguments: LengthAwareView makes them once.
     """
-    return (tuple(cluster.occupied_counts())
-            + tuple([min(x // range_mi, l_cap) for x in cluster.assigned_lengths()]))
+    occupied, assigned = cluster.counters()
+    return (*occupied,
+            *[c if (c := x // range_mi) <= l_cap else l_cap for x in assigned])
 
 
 def split_state(state: tuple) -> tuple[tuple, tuple]:

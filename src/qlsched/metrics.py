@@ -20,28 +20,66 @@ def completed(records):
     return [r for r in records if not r.aborted]
 
 
-def avg_response_time(records) -> float:
-    """Mean of finish - submit over completed records."""
+# The private helpers take the completed records, already checked to be
+# non-empty, so build_report filters and checks once; each public
+# function filters and checks, then calls its helper.
+
+def _require_done(records, message: str):
     done = completed(records)
     if not done:
-        raise MetricsError("no completed tasks to average over")
+        raise MetricsError(message)
+    return done
+
+
+def _mean_response(done) -> float:
     return float(np.mean([r.finish_time - r.submit_time for r in done]))
 
 
-def avg_waiting_time(records) -> float:
-    """Mean buffer stall: finish - submit - exec over completed records."""
-    done = completed(records)
-    if not done:
-        raise MetricsError("no completed tasks to average over")
+def _mean_wait(done) -> float:
     return float(np.mean([r.finish_time - r.submit_time - r.exec_time
                           for r in done]))
 
 
-def makespan(records) -> float:
-    done = completed(records)
-    if not done:
-        raise MetricsError("no completed tasks")
+def _makespan(done) -> float:
     return float(max(r.finish_time for r in done))
+
+
+def _utilization_and_load(done, horizon: float, vm_specs, span):
+    """utilization_and_load over completed records whose makespan is
+    `span` (None when nothing completed)."""
+    if horizon <= 0:
+        raise MetricsError("horizon must be > 0")
+    if span is not None and horizon < span - 1e-9:
+        raise MetricsError("horizon shorter than the makespan")
+    k = len(vm_specs)
+    mips = [s.mips for s in vm_specs]
+    busy = [0.0] * k
+    length = [0.0] * k
+    for r in done:
+        vi = r.vm_index
+        busy[vi] += r.exec_time
+        length[vi] += r.exec_time * mips[vi]
+    busy = np.array(busy)
+    length = np.array(length)
+    pes = np.array([s.pes for s in vm_specs], dtype=float)
+    util = busy / (horizon * pes)
+    total = length.sum()
+    share = length / total if total > 0 else np.zeros(k)
+    return util.tolist(), share.tolist()
+
+
+def avg_response_time(records) -> float:
+    """Mean of finish - submit over completed records."""
+    return _mean_response(_require_done(records, "no completed tasks to average over"))
+
+
+def avg_waiting_time(records) -> float:
+    """Mean buffer stall: finish - submit - exec over completed records."""
+    return _mean_wait(_require_done(records, "no completed tasks to average over"))
+
+
+def makespan(records) -> float:
+    return _makespan(_require_done(records, "no completed tasks"))
 
 
 def utilization_and_load(records, horizon: float, vm_specs):
@@ -52,21 +90,8 @@ def utilization_and_load(records, horizon: float, vm_specs):
     when nothing completed). horizon must cover the makespan.
     """
     done = completed(records)
-    if horizon <= 0:
-        raise MetricsError("horizon must be > 0")
-    if done and horizon < max(r.finish_time for r in done) - 1e-9:
-        raise MetricsError("horizon shorter than the makespan")
-    k = len(vm_specs)
-    busy = np.zeros(k)
-    length = np.zeros(k)
-    for r in done:
-        busy[r.vm_index] += r.exec_time
-        length[r.vm_index] += r.exec_time * vm_specs[r.vm_index].mips
-    pes = np.array([s.pes for s in vm_specs], dtype=float)
-    util = busy / (horizon * pes)
-    total = length.sum()
-    share = length / total if total > 0 else np.zeros(k)
-    return util.tolist(), share.tolist()
+    span = _makespan(done) if done else None
+    return _utilization_and_load(done, horizon, vm_specs, span)
 
 
 @dataclass
@@ -82,21 +107,18 @@ class MetricsReport:
 
 def build_report(records, vm_specs, horizon: float | None = None) -> MetricsReport:
     """Assemble the full per-run report; horizon defaults to the makespan."""
-    done = completed(records)
-    if not done:
-        raise MetricsError("cannot report on a run with no completed tasks")
-    span = makespan(records)
-    if horizon is None:
-        horizon = span
-    util, share = utilization_and_load(records, horizon, vm_specs)
+    done = _require_done(records, "cannot report on a run with no completed tasks")
+    span = _makespan(done)
+    util, share = _utilization_and_load(
+        done, span if horizon is None else horizon, vm_specs, span)
     return MetricsReport(
-        avg_response_s=avg_response_time(records),
-        avg_wait_s=avg_waiting_time(records),
+        avg_response_s=_mean_response(done),
+        avg_wait_s=_mean_wait(done),
         makespan_s=span,
         utilization=util,
         load_share=share,
         task_count=len(done),
-        abort_count=sum(1 for r in records if r.aborted),
+        abort_count=len(records) - len(done),
     )
 
 

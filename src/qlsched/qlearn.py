@@ -135,9 +135,8 @@ def select_action(state, table: QTable, epsilon: float,
     row = table._q.get(state)
     if row is None:
         return actions[int(rng.integers(len(actions)))]
-    values = [row[a] for a in actions]
-    best = max(values)
-    ties = [a for a, v in zip(actions, values) if v == best]
+    best = max([row[a] for a in actions])
+    ties = [a for a in actions if row[a] == best]
     if len(ties) == 1:
         return ties[0]
     return ties[int(rng.integers(len(ties)))]
@@ -151,18 +150,23 @@ def update_q(table: QTable, state, action, reward_value: float, next_state,
     The step size comes from the pair's visit count before this update,
     the bootstrap is the max over the next state's feasible actions, and
     the visit count then increments. The state must have been ensure()d.
+    The rows are read directly, with QTable.max_q's and QTable.greedy's
+    rules: an unseen next state bootstraps 0, the first maximum wins.
     """
+    q_rows = table._q
     visits = table._visits[state]
-    beta = learning_rate(visits[action], lr_exponent)
-    target = reward_value + gamma * table.max_q(next_state, next_actions)
-    row = table._q[state]
+    n = visits[action]
+    beta = learning_rate(n, lr_exponent)
+    next_row = q_rows.get(next_state)
+    best_next = 0.0 if next_row is None else max([next_row[a] for a in next_actions])
+    target = reward_value + gamma * best_next
+    row = q_rows[state]
     new_q = (1.0 - beta) * row[action] + beta * target
     row[action] = new_q
-    visits[action] += 1
-    if __debug__:
-        bound = 1.0 / (1.0 - gamma) + 1e-9
-        assert abs(new_q) <= bound, f"|q|={new_q} escapes the reward bound"
-    table.greedy_map[state] = table.greedy(state)
+    visits[action] = n + 1
+    assert abs(new_q) <= 1.0 / (1.0 - gamma) + 1e-9, \
+        f"|q|={new_q} escapes the reward bound"
+    table.greedy_map[state] = max(table._feasible[state], key=row.__getitem__)
     return new_q
 
 
@@ -213,15 +217,19 @@ def train(env, cfg: LearnerConfig, seed) -> TrainResult:
     trace = []
     stop_reason = "schedule"
     cycles = 0
+    gamma = cfg.gamma
+    lr_exponent = cfg.lr_exponent
     for cycle in range(cfg.total_cycles):
         epsilon = decay_epsilon(cfg.epsilon0, cycle, cfg.total_cycles)
         state, actions = env.reset(rng)
+        step = env.step
+        ensure = table.ensure
         while True:
-            table.ensure(state, actions)
+            ensure(state, actions)
             action = select_action(state, table, epsilon, rng, actions)
-            reward_value, next_state, next_actions, terminal = env.step(action, rng)
+            reward_value, next_state, next_actions, terminal = step(action, rng)
             update_q(table, state, action, reward_value, next_state,
-                     next_actions, cfg.gamma, cfg.lr_exponent)
+                     next_actions, gamma, lr_exponent)
             state, actions = next_state, next_actions
             if terminal:
                 break

@@ -261,8 +261,9 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
                                              plan.arrival_dmax)
                 policy_rng = np.random.default_rng(
                     [plan.seed, 2003, point_idx, POLICY_NAMES.index(name), rep])
-                failure_rng = np.random.default_rng(
-                    [plan.seed, 3001, ti, bi, rep])
+                # at ratio 0 the simulator reads no failure generator
+                failure_rng = (np.random.default_rng([plan.seed, 3001, ti, bi, rep])
+                               if fr > 0 else None)
                 records = run_policy_simulation(
                     vm_specs, workload, policy_fn,
                     slot_seconds=plan.slot_seconds, failure_ratio=fr,

@@ -40,7 +40,7 @@ class Simulation:
             raise ValueError("slot_seconds must be > 0")
         self.cluster = ClusterState(vm_specs)
         self.slot_seconds = slot_seconds
-        if failure_rng is None:
+        if failure_rng is None and failure_ratio > 0:
             failure_rng = np.random.default_rng(0)
         # None at ratio 0, so every event completes without a draw
         self._outcome = failure_hook(failure_ratio, failure_rng, max_attempts)
@@ -65,20 +65,34 @@ class Simulation:
     # -- driving ------------------------------------------------------------
 
     def next_decision(self):
-        """Advance until a task is admittable; return it, or None when drained."""
+        """Advance until a task is admittable; return it, or None when drained.
+
+        A completion due no later than the next arrival slot comes first.
+        """
+        queue = self._queue
+        pending = self._pending
+        cluster = self.cluster
+        events = cluster.events
+        has_free_buffer = cluster.has_free_buffer
+        slot_seconds = self.slot_seconds
         while True:
-            if self._queue and self.cluster.has_free_buffer():
-                return self._queue[0]
-            t_event = self.cluster.next_event_time()
-            t_slot = (self._pending[0].arrival_slot * self.slot_seconds
-                      if self._pending else None)
-            if t_event is not None and (t_slot is None or t_event <= t_slot):
-                self._process_event()
-            elif t_slot is not None:
-                self._inject_arrivals(t_slot)
+            if queue and has_free_buffer():
+                return queue[0]
+            if events and (not pending
+                           or events[0][0] <= pending[0].arrival_slot * slot_seconds):
+                records, requeued = cluster.advance_to_next_event(self._outcome)
+                self.records.extend(records)
+                queue.extend(requeued)
+            elif pending:
+                slot = pending[0].arrival_slot
+                t_slot = slot * slot_seconds
+                assert t_slot >= cluster.clock - 1e-9
+                cluster.clock = max(cluster.clock, t_slot)
+                while pending and pending[0].arrival_slot == slot:
+                    queue.append(pending.popleft())
             else:
                 # no arrivals left, no events pending; queue must be empty
-                assert not self._queue
+                assert not queue
                 return None
 
     def apply(self, vm_index: int):
@@ -86,7 +100,7 @@ class Simulation:
         task = self._queue.popleft()
         n = self._attempts.get(task.id, 0) + 1
         self._attempts[task.id] = n
-        self.cluster.admit(task, vm_index, attempt=n)
+        self.cluster.admit(task, vm_index, n)
 
     def drain(self, policy, rng: np.random.Generator | None = None):
         """Run to completion, consulting policy(cluster, rng) per admission."""
@@ -97,20 +111,6 @@ class Simulation:
             vm = policy(self.cluster, rng)
             assert vm is not None, "policy deferred although a buffer had space"
             self.apply(vm)
-
-    # -- internals ------------------------------------------------------------
-
-    def _inject_arrivals(self, t_slot: float):
-        assert t_slot >= self.cluster.clock - 1e-9
-        self.cluster.clock = max(self.cluster.clock, t_slot)
-        slot = self._pending[0].arrival_slot
-        while self._pending and self._pending[0].arrival_slot == slot:
-            self._queue.append(self._pending.popleft())
-
-    def _process_event(self):
-        records, requeued = self.cluster.advance_to_next_event(self._outcome)
-        self.records.extend(records)
-        self._queue.extend(requeued)
 
 
 def run_policy_simulation(vm_specs, workload, policy,

@@ -93,6 +93,8 @@ class ArrivalModel:
     mode "markov": `matrix[prev]` is the distribution of the next count,
     rows indexed by the previous slot's count.
     `_cum` holds the cumulative rows as Python lists (one row for iid).
+    Each row's last entry is exactly 1.0, whatever the rounding of the
+    sum, so a bisect of a uniform in [0, 1) stays inside 0..d_max.
     """
 
     mode: str
@@ -107,7 +109,7 @@ class ArrivalModel:
                 raise ConfigError("iid arrival probs must be a 1-d vector")
             self._check_row(p)
             self.probs = p
-            self._cum = [np.cumsum(p).tolist()]
+            self._cum = [_cumulative(p)]
         elif self.mode == "markov":
             m = np.asarray(self.matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -115,7 +117,7 @@ class ArrivalModel:
             for row in m:
                 self._check_row(row)
             self.matrix = m
-            self._cum = np.cumsum(m, axis=1).tolist()
+            self._cum = [_cumulative(row) for row in m]
         else:
             raise ConfigError(f"arrival mode must be one of {ARRIVAL_MODES}")
 
@@ -157,6 +159,13 @@ class ArrivalModel:
         return cls(mode="markov", matrix=m)
 
 
+def _cumulative(row) -> list[float]:
+    """Cumulative sums of a checked probability row, ending at exactly 1.0."""
+    cum = np.cumsum(row).tolist()
+    cum[-1] = 1.0
+    return cum
+
+
 def _arrival_model(mode: str, d_max: int, mean: float) -> ArrivalModel:
     if mode == "iid":
         return ArrivalModel.iid_binomial(d_max, mean)
@@ -174,13 +183,11 @@ def _cum_rows(mode: str, d_max: int, mean: float) -> tuple[tuple[float, ...], ..
 
     Built once per (mode, d_max, mean) and kept as tuples, so no caller
     can change the rows another run draws from. An iid model repeats its
-    one row for every count bisect_right can return (len(row) included,
-    should rounding leave the last entry below 1), so one lookup serves
-    both modes.
+    one row for every count 0..d_max, so one lookup serves both modes.
     """
     cum = _arrival_model(mode, d_max, mean)._cum
     if mode == "iid":
-        cum = cum * (len(cum[0]) + 1)
+        cum = cum * len(cum[0])
     return tuple(tuple(row) for row in cum)
 
 

@@ -204,3 +204,43 @@ def test_maybe_fail_validation():
 
 def test_default_max_attempts():
     assert DEFAULT_MAX_ATTEMPTS == 10
+
+
+# -- the inline occupancy checks ---------------------------------------------
+
+def _busy_cluster():
+    # one VM, two PEs, buffer 4: tasks 0 and 1 in service, task 2 waiting
+    c = make_cluster(num_vms=1, capacity=4, pes=2)
+    for tid, length in enumerate([1000, 3000, 2000]):
+        c.admit(task(tid, length), 0)
+    assert len(c.vms[0].waiting) == 1 and None not in c.vms[0].pe_busy
+    return c
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda c: c._occupied.__setitem__(0, c._occupied[0] - 1),
+    lambda c: c._assigned.__setitem__(0, -10**9),
+    lambda c: setattr(c, "_free", -5),
+    lambda c: setattr(c, "_free", c._capacity + 5),
+    lambda c: c.vms[0].pe_busy.__setitem__(1, None),   # a PE idles while task 2 waits
+], ids=["occupied", "assigned", "free_low", "free_high", "idle_pe"])
+@pytest.mark.parametrize("op", ["admit", "advance"])
+def test_inline_checks_fire(corrupt, op):
+    c = _busy_cluster()
+    corrupt(c)
+    with pytest.raises(AssertionError):
+        if op == "admit":
+            c.admit(task(9, 500), 0)
+        else:
+            c.advance_to_next_event()
+
+
+def test_freed_pe_takes_the_waiting_head():
+    c = _busy_cluster()
+    records, _ = c.advance_to_next_event()
+    assert [r.task_id for r in records] == [0]
+    vm = c.vms[0]
+    assert not vm.waiting
+    assert [q.task.id for q in vm.pe_busy] == [2, 1]
+    assert vm.pe_busy[0].finish == 1.0 + 2.0
+    assert c.next_event_time() == 3.0

@@ -237,3 +237,43 @@ def test_aggregate_vector_fields_elementwise():
 def test_aggregate_empty_raises():
     with pytest.raises(MetricsError):
         aggregate([])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_build_report_equals_public_functions(seed):
+    # build_report filters the completed records once; every field must
+    # still equal, bit for bit, what the public per-metric functions give
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    vm_specs = [VmSpec(index=i, mips=float(rng.choice([500.0, 1000.0, 2500.0])),
+                       buffer_capacity=5, pes=int(rng.integers(1, 4)))
+                for i in range(k)]
+    records = []
+    for tid in range(int(rng.integers(1, 60))):
+        submit = float(rng.uniform(0, 50))
+        exec_time = float(rng.uniform(0.1, 20))
+        finish = submit + exec_time + float(rng.uniform(0, 10))
+        records.append(rec(tid, submit, finish, exec_time,
+                           vm=int(rng.integers(k)), aborted=bool(rng.random() < 0.2)))
+    records.append(rec(999, 1.0, 4.0, 2.5, vm=k - 1))
+    horizon = None if seed % 2 else makespan(records) + float(rng.uniform(0, 5))
+    report = build_report(records, vm_specs, horizon)
+    util, share = utilization_and_load(
+        records, makespan(records) if horizon is None else horizon, vm_specs)
+    assert report.avg_response_s == avg_response_time(records)
+    assert report.avg_wait_s == avg_waiting_time(records)
+    assert report.makespan_s == makespan(records)
+    assert report.utilization == util
+    assert report.load_share == share
+    assert report.task_count == sum(1 for r in records if not r.aborted)
+    assert report.abort_count == sum(1 for r in records if r.aborted)
+    # and equal to a reference that accumulates through numpy scalar updates
+    busy, length = np.zeros(k), np.zeros(k)
+    for r in records:
+        if not r.aborted:
+            busy[r.vm_index] += r.exec_time
+            length[r.vm_index] += r.exec_time * vm_specs[r.vm_index].mips
+    pes = np.array([s.pes for s in vm_specs], dtype=float)
+    span = report.makespan_s if horizon is None else horizon
+    assert util == (busy / (span * pes)).tolist()
+    assert share == (length / length.sum()).tolist()

@@ -403,3 +403,134 @@ class TestExportQtable:
         table.ensure((4,), (0,))
         update_q(table, (4,), 0, 0.123456789012, ("x",), [0], 0.9)
         assert "4,0,0.123456789,1" in export_qtable(table)
+
+
+# -- the learner against a reference copy --------------------------------------
+
+class _ReferenceLearner:
+    """The learner written plainly on its own dicts, as the reference:
+    q-values listed and zipped for the ties, the step size written out,
+    the bootstrap a max over the next row's feasible actions (0 when the
+    row is unseen), the greedy action the first maximum."""
+
+    def __init__(self, num_actions):
+        self.num_actions = num_actions
+        self.q, self.visits, self.feasible, self.greedy_map = {}, {}, {}, {}
+
+    def ensure(self, state, feasible):
+        if state not in self.q:
+            self.q[state] = [0.0] * self.num_actions
+            self.visits[state] = [0] * self.num_actions
+            self.feasible[state] = tuple(feasible)
+
+    def select(self, state, epsilon, rng, actions):
+        if len(actions) == 1:
+            return actions[0]
+        if epsilon > 0.0 and rng.random() < epsilon:
+            return actions[int(rng.integers(len(actions)))]
+        row = self.q.get(state)
+        if row is None:
+            return actions[int(rng.integers(len(actions)))]
+        values = [row[a] for a in actions]
+        best = max(values)
+        ties = [a for a, v in zip(actions, values) if v == best]
+        if len(ties) == 1:
+            return ties[0]
+        return ties[int(rng.integers(len(ties)))]
+
+    def update(self, state, action, reward_value, next_state, next_actions,
+               gamma, lr_exponent):
+        visits = self.visits[state]
+        beta = 1.0 / (1.0 + visits[action] ** lr_exponent)
+        next_row = self.q.get(next_state)
+        bootstrap = 0.0 if next_row is None else max([next_row[a] for a in next_actions])
+        row = self.q[state]
+        row[action] = (1.0 - beta) * row[action] + beta * (reward_value + gamma * bootstrap)
+        visits[action] += 1
+        self.greedy_map[state] = max(self.feasible[state], key=row.__getitem__)
+
+    def train(self, env, cfg, seed):
+        rng = np.random.default_rng(seed)
+        monitor = ConvergenceMonitor()
+        trace, stop_reason, cycles = [], "schedule", 0
+        for cycle in range(cfg.total_cycles):
+            epsilon = decay_epsilon(cfg.epsilon0, cycle, cfg.total_cycles)
+            state, actions = env.reset(rng)
+            while True:
+                self.ensure(state, actions)
+                action = self.select(state, epsilon, rng, actions)
+                reward_value, next_state, next_actions, terminal = env.step(action, rng)
+                self.update(state, action, reward_value, next_state, next_actions,
+                            cfg.gamma, cfg.lr_exponent)
+                state, actions = next_state, next_actions
+                if terminal:
+                    break
+            cycles = cycle + 1
+            row = {"cycle": cycle, "epsilon": epsilon, "states_seen": len(self.q)}
+            row.update(env.episode_metrics() or {})
+            trace.append(row)
+            if monitor.best_action_snapshot == self.greedy_map or monitor.repeater > cfg.repeater_threshold:
+                stop_reason = "budget" if monitor.repeater > cfg.repeater_threshold else "stable"
+                break
+            monitor.best_action_snapshot = dict(self.greedy_map)
+            monitor.repeater += 1
+        return cycles, stop_reason, trace
+
+
+@pytest.mark.parametrize("failure_ratio", [0.0, 0.2])
+@pytest.mark.parametrize("view_name", ["length_aware", "free_buffer"])
+def test_train_matches_reference_learner(view_name, failure_ratio):
+    from qlsched.cluster import VmSpec
+    from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
+    from qlsched.workload import ScenarioConfig
+
+    scenario = ScenarioConfig(num_tasks=30, length_min=500, length_max=8000,
+                              num_vms=3, vm_mips=1000, buffer_min=3, buffer_max=3,
+                              num_pes=2)
+    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2 + i, pes=2)
+                for i in range(3)]
+
+    def env():
+        view = (LengthAwareView(3000, 2) if view_name == "length_aware"
+                else FreeBufferView(0.5, 0.5))
+        return SimulationEnv(scenario, vm_specs, view, slot_seconds=2.0,
+                             failure_ratio=failure_ratio)
+
+    cfg = LearnerConfig(epsilon0=0.5, total_cycles=60, repeater_threshold=15)
+    seed = [5, view_name == "length_aware", int(failure_ratio * 10)]
+    result = train(env(), cfg, seed)
+    ref = _ReferenceLearner(len(vm_specs) + 1)
+    cycles, stop_reason, trace = ref.train(env(), cfg, seed)
+
+    table = result.table
+    assert table._q == ref.q
+    assert table._visits == ref.visits
+    assert table.greedy_map == ref.greedy_map
+    assert (result.cycles_run, result.stop_reason) == (cycles, stop_reason)
+    assert result.trace == trace
+    assert sum(map(sum, ref.visits.values())) >= 200
+
+
+class TestUpdateQEdges:
+    def test_unseen_next_state_bootstraps_zero(self):
+        table = QTable(2)
+        table.ensure(S, (0, 1))
+        assert update_q(table, S, 0, 1.0, ("unseen",), [0, 1], 0.9) == 1.0
+        # second visit: step 1/2, target 0.5 + 0.9 * 0
+        assert update_q(table, S, 0, 0.5, ("unseen",), [0, 1], 0.9) == 0.75
+        assert table.visits(S, 0) == 2
+        assert ("unseen",) not in table.states()
+
+    def test_single_action_state(self):
+        table = QTable(3)
+        table.ensure(NEXT, (0, 1))
+        set_q(table, NEXT, 1, 0.5)
+        table.ensure(S, (2,))
+        new = update_q(table, S, 2, -1.0, NEXT, [0, 1], 0.8)
+        assert new == -1.0 + 0.8 * 0.5
+        assert table.greedy_map[S] == 2
+        assert table.q(S, 0) == table.q(S, 1) == 0.0
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert select_action(S, table, 1.0, rng, [2]) == 2
+        assert rng.bit_generator.state == before

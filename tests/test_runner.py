@@ -332,3 +332,31 @@ def test_plan_accepts_learner_config_instance():
     plan = ExperimentPlan(scenario=scenario(),
                           learner=LearnerConfig(gamma=0.8))
     assert plan.learner.gamma == 0.8
+
+
+def test_failure_generators_only_above_ratio_zero(tmp_path, monkeypatch):
+    # A failure generator is built per evaluation run and per training
+    # episode only where the ratio is above 0; every training episode
+    # still draws its failure seed, so the training stream is unchanged.
+    import numpy as np
+
+    built = []
+    real = np.random.default_rng
+
+    def counting(seed=None):
+        built.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    plan = parse_config(learner_plan(tmp_path, failure_ratios=[0.0, 0.2]))
+    outputs = run_plan(plan)
+    eval_failure = [s for s in built if isinstance(s, list) and s[1] == 3001]
+    assert len(eval_failure) == 2 * 3          # 2 policies x 3 replications at 0.2
+    assert {s[4] for s in eval_failure} == {0, 1, 2}
+    cycles = {fr: sum(1 for r in outputs.convergence if r["failure_ratio"] == fr)
+              for fr in (0.0, 0.2)}
+    int_seeded = sum(1 for s in built if isinstance(s, int))
+    # one workload per evaluation run (2 policies x 3 reps x 2 ratios), one
+    # per episode, and one failure generator per episode at ratio 0.2 only
+    assert int_seeded == 12 + cycles[0.0] + 2 * cycles[0.2]
+    assert 0 not in built                      # no fallback generator either

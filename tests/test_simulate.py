@@ -210,3 +210,19 @@ def test_env_reuses_a_fresh_state(view):
         reward, state, actions, terminal = env.step(action, rng)
         assert reward == expect
     assert any(r.attempts > 1 for r in env.sim.records)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3])
+def test_env_reset_draws_two_seeds_at_every_ratio(ratio):
+    # the workload seed and the failure seed, even at ratio 0 where no
+    # failure generator is built, so the training stream does not depend
+    # on the ratio
+    scenario = ScenarioConfig(num_tasks=10, length_min=500, length_max=3000,
+                              num_vms=2, vm_mips=1000)
+    env = SimulationEnv(scenario, specs(), LengthAwareView(2000, 3),
+                        failure_ratio=ratio)
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    env.reset(rng)
+    twin.integers(2**63, size=2)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert (env.sim._outcome is None) == (ratio == 0.0)

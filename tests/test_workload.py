@@ -230,3 +230,35 @@ def test_markov_generation_runs():
     cfg = scenario(arrival_mode="markov", num_tasks=50)
     tasks = generate_workload(cfg, seed=5)
     assert len(tasks) == 50 and tasks[0].arrival_slot == 0
+
+
+class _TopUniform:
+    """Stub generator whose uniforms are all 1 - 2**-53, the largest
+    double below 1; integer draws go to a real generator."""
+
+    _default_rng = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed=0):
+        self._rng = self._default_rng(seed)
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("mode", ["iid", "markov"])
+def test_top_uniform_stays_inside_support(mode, monkeypatch):
+    # iid_binomial(10, 0.5) sums to 0.9999999999999998 and markov_sticky(10,
+    # 0.5) rows to 0.9999999999999999: unpinned, the largest uniform would
+    # give a count of 11, or an IndexError on the markov rows
+    model = (ArrivalModel.iid_binomial(10, 0.5) if mode == "iid"
+             else ArrivalModel.markov_sticky(10, 0.5))
+    assert all(row[-1] == 1.0 for row in model._cum)
+    for prev in range(11):
+        assert sample_arrivals(model, prev, _TopUniform()) == 10
+    monkeypatch.setattr(np.random, "default_rng", _TopUniform)
+    cfg = scenario(num_tasks=35, arrival_mode=mode, arrival_mean=0.5)
+    tasks = generate_workload(cfg, seed=3, d_max=10)
+    assert [t.arrival_slot for t in tasks] == [i // 10 for i in range(35)]
