@@ -51,6 +51,11 @@ class CompletionRecord(NamedTuple):
     aborted: bool = False
 
 
+# Records are built with tuple.__new__, which the NamedTuple's own
+# __new__ calls, less its Python-level frame: every field is passed.
+_new = tuple.__new__
+
+
 class FailureOutcome(enum.Enum):
     COMPLETE = "complete"
     REQUEUE = "requeue"
@@ -173,12 +178,6 @@ class ClusterState:
         """
         return self._occupied, self._assigned
 
-    def occupied_counts(self) -> list[int]:
-        return self._occupied.copy()
-
-    def assigned_lengths(self) -> list[int]:
-        return self._assigned.copy()
-
     def free_counts(self) -> list[int]:
         return [cap - n for cap, n in zip(self._capacities, self._occupied)]
 
@@ -195,21 +194,28 @@ class ClusterState:
     def is_idle(self) -> bool:
         return self._free == self._capacity
 
-    def backlog_seconds(self, vm_index: int) -> float:
-        """Work queued at a VM, in seconds of single-PE service remaining.
+    def backlogs(self) -> list[float]:
+        """Work queued at each VM, in seconds of single-PE service remaining.
 
         In-service tasks count their remaining time, waiting tasks their
-        full time; the total is divided by the PE count as an estimate of
-        the delay a new arrival would see.
+        full time, summed in admission order; each total is divided by
+        the VM's PE count as an estimate of the delay a new arrival
+        would see.
         """
-        vm = self.vms[vm_index]
-        secs = 0.0
-        for q in vm.queue:
-            if q.finish is not None:
-                secs += max(0.0, q.finish - self.clock)
-            else:
-                secs += q.task.length / vm.spec.mips
-        return secs / vm.spec.pes
+        clock = self.clock
+        out = []
+        for vm in self.vms:
+            mips = vm.spec.mips
+            secs = 0.0
+            for q in vm.queue:
+                finish = q.finish
+                if finish is not None:
+                    r = finish - clock
+                    secs += r if r > 0.0 else 0.0
+                else:
+                    secs += q.task.length / mips
+            out.append(secs / vm.spec.pes)
+        return out
 
     # -- mutation ----------------------------------------------------------
 
@@ -244,10 +250,6 @@ class ClusterState:
                 and self._assigned[vm_index] >= 0
                 and 0 <= self._free <= self._capacity), \
             f"occupancy counters of VM {vm_index} out of step with its buffer"
-
-    def next_event_time(self):
-        """Earliest pending completion instant, or None when all idle."""
-        return self.events[0][0] if self.events else None
 
     def advance_to_next_event(self, outcome=None):
         """Process the single earliest completion event.
@@ -288,11 +290,12 @@ class ClusterState:
             f"occupancy counters of VM {vi} out of step with its buffer"
 
         if outcome is None:
-            return [CompletionRecord(task.id, entry.admit_time, finish,
-                                     task.length / mips, vi, entry.attempt)], []
+            return [_new(CompletionRecord, (task.id, entry.admit_time, finish,
+                                            task.length / mips, vi,
+                                            entry.attempt, False))], []
         fate = outcome(task, vi, entry.attempt)
         if fate is FailureOutcome.REQUEUE:
             return [], [task]
-        return [CompletionRecord(task.id, entry.admit_time, finish,
-                                 task.length / mips, vi, entry.attempt,
-                                 fate is FailureOutcome.ABORT)], []
+        return [_new(CompletionRecord, (task.id, entry.admit_time, finish,
+                                        task.length / mips, vi, entry.attempt,
+                                        fate is FailureOutcome.ABORT))], []

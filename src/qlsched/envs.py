@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mdp
+from .metrics import _mean
 from .simulate import Simulation
 from .workload import DEFAULT_D_MAX, ScenarioConfig, generate_workload
 
@@ -75,7 +76,7 @@ class FreeBufferView:
     def reward(self, cluster, action, state):
         """Reward of `action`; `state` is this view's state of `cluster`."""
         free_frac = state[action] / cluster.capacities()[action]
-        backlogs = [cluster.backlog_seconds(i) for i in range(len(cluster.vms))]
+        backlogs = cluster.backlogs()
         top = max(backlogs)
         delay = backlogs[action] / top if top > 0 else 0.0
         return self.w_buffer * free_frac - self.w_wait * delay
@@ -143,8 +144,7 @@ class SimulationEnv:
             return None
         waits = [r.finish_time - r.submit_time - r.exec_time for r in done]
         resp = [r.finish_time - r.submit_time for r in done]
-        return {"avg_wait_s": float(np.mean(waits)),
-                "avg_response_s": float(np.mean(resp))}
+        return {"avg_wait_s": _mean(waits), "avg_response_s": _mean(resp)}
 
 
 class OracleEnv:

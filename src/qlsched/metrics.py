@@ -31,13 +31,18 @@ def _require_done(records, message: str):
     return done
 
 
+def _mean(values) -> float:
+    """np.mean of a non-empty list of floats, bit for bit: the same
+    pairwise sum and one division, without np.mean's wrappers."""
+    return float(np.add.reduce(values)) / len(values)
+
+
 def _mean_response(done) -> float:
-    return float(np.mean([r.finish_time - r.submit_time for r in done]))
+    return _mean([r.finish_time - r.submit_time for r in done])
 
 
 def _mean_wait(done) -> float:
-    return float(np.mean([r.finish_time - r.submit_time - r.exec_time
-                          for r in done]))
+    return _mean([r.finish_time - r.submit_time - r.exec_time for r in done])
 
 
 def _makespan(done) -> float:

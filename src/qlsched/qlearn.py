@@ -255,10 +255,9 @@ def export_qtable(table: QTable) -> str:
     """
     lines = ["state,action,q,visits"]
     for state in sorted(table.states()):
-        for action in range(table.num_actions):
-            v = table._visits[state][action]
-            if v == 0:
-                continue
-            key = "-".join(str(x) for x in state)
-            lines.append(f"{key},{action},{table._q[state][action]:.9g},{v}")
+        key = "-".join(map(str, state))
+        q = table._q[state]
+        for action, v in enumerate(table._visits[state]):
+            if v:
+                lines.append(f"{key},{action},{q[action]:.9g},{v}")
     return "\n".join(lines) + "\n"

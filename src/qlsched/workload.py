@@ -14,6 +14,7 @@ import io
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +27,9 @@ ARRIVAL_MODES = ("iid", "markov")
 # generate_workload gives up if the arrival model yields this many empty
 # slots in a row (e.g. a point mass on zero arrivals).
 _MAX_IDLE_SLOTS = 1_000_000
+
+# Most slot uniforms generate_workload takes per rng.random(k) call.
+_SLOT_BLOCK_MAX = 4096
 
 
 class TaskSpec(NamedTuple):
@@ -209,29 +213,45 @@ def generate_workload(cfg: ScenarioConfig, seed: int,
     span of actual work rather than an arbitrary idle lead-in. Each
     slot's count is one bisect of a uniform into the cumulative row of
     the previous count, the draw sample_arrivals makes.
+
+    The slot uniforms come in blocks of rng.random(k), which yields the
+    same doubles as k scalar rng.random() calls; the generator is then
+    put back where one scalar call per slot would have left it, so the
+    lengths that follow are drawn from the same position.
     """
     rng = np.random.default_rng(seed)
     rows = _cum_rows(cfg.arrival_mode, d_max, cfg.arrival_mean)
-    random = rng.random
     n = cfg.num_tasks
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    # about n / arrival_mean slots hold n arrivals, so one block with a
+    # margin usually serves the whole loop; a short one is followed by more
+    block = min(int(n / cfg.arrival_mean * 1.25) + 16, _SLOT_BLOCK_MAX)
     slots: list[int] = []
-    slot = 0
+    used = 0    # slot uniforms drawn so far; one more than the current slot
     d = 0
     idle = 0
     while len(slots) < n:
-        d = bisect_right(rows[d], random())
-        if d:
-            slots.extend([slot] * d)
-            idle = 0
-        else:
-            idle += 1
-            if idle > _MAX_IDLE_SLOTS:
-                raise ConfigError("arrival model produced no arrivals for too long")
-        slot += 1
+        for u in rng.random(block).tolist():
+            used += 1
+            d = bisect_right(rows[d], u)
+            if d:
+                slots.extend([used] * d)
+                if len(slots) >= n:
+                    break
+                idle = 0
+            else:
+                idle += 1
+                if idle > _MAX_IDLE_SLOTS:
+                    raise ConfigError("arrival model produced no arrivals for too long")
+    bitgen.state = start
+    bitgen.advance(used)
     first = slots[0]
     lengths = rng.integers(cfg.length_min, cfg.length_max + 1, size=n).tolist()
-    return [TaskSpec(i, s - first, length)
-            for i, s, length in zip(range(n), slots, lengths)]
+    # tuple.__new__ is what TaskSpec's own __new__ calls, less its
+    # Python-level frame
+    return list(map(tuple.__new__, repeat(TaskSpec, n),
+                    zip(range(n), [s - first for s in slots], lengths)))
 
 
 def serialize(tasks: list[TaskSpec]) -> str:

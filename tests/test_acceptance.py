@@ -246,7 +246,7 @@ def occupancy_suite(rng, cases=1000):
                 break
             cluster.admit(TaskSpec(tid, 0, int(rng.integers(100, 9000))),
                           free[int(rng.integers(len(free)))])
-            occupied = cluster.occupied_counts()
+            occupied = cluster.counters()[0]
             if not (all(0 <= b <= cap for b in occupied)
                     and sum(occupied) <= k * cap):
                 return False

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qlsched.cluster import (DEFAULT_MAX_ATTEMPTS, ClusterState,
-                             FailureOutcome, VmSpec, maybe_fail)
+                             CompletionRecord, FailureOutcome, VmSpec,
+                             failure_hook, maybe_fail)
 from qlsched.errors import BufferFullError
 from qlsched.workload import TaskSpec
 
@@ -24,8 +25,9 @@ def task(tid, length, slot=0):
 def test_first_admission_counts():
     c = make_cluster()
     c.admit(task(0, 5000), 1)
-    assert c.occupied_counts() == [0, 1, 0]
-    assert c.assigned_lengths() == [0, 5000, 0]
+    occupied, assigned = c.counters()
+    assert occupied == [0, 1, 0]
+    assert assigned == [0, 5000, 0]
 
 
 def test_admit_full_buffer_raises():
@@ -48,7 +50,7 @@ def test_occupancy_bound_random_admissions():
             if not free:
                 break
             c.admit(task(tid, int(rng.integers(1, 9999))), int(rng.choice(free)))
-            occ = c.occupied_counts()
+            occ = c.counters()[0]
             assert all(0 <= b <= n for b in occ)
             assert 0 <= sum(occ) <= k * n
 
@@ -80,7 +82,7 @@ def test_two_task_fifo_trace():
 
 def test_idle_cluster_event_is_noop():
     c = make_cluster()
-    assert c.next_event_time() is None
+    assert c.events == []
     records, requeued = c.advance_to_next_event()
     assert records == [] and requeued == []
     assert c.clock == 0.0
@@ -125,7 +127,8 @@ def test_assigned_length_matches_queue_and_clock_monotone():
             in_service = [(q.finish, vi, pe, q.task.id)
                           for vi, vm in enumerate(c.vms)
                           for pe, q in enumerate(vm.pe_busy) if q is not None]
-            assert c.next_event_time() == (min(in_service)[0] if in_service else None)
+            next_finish = c.events[0][0] if c.events else None
+            assert next_finish == (min(in_service)[0] if in_service else None)
             if rng.random() < 0.6 and c.has_free_buffer():
                 c.admit(task(tid, 1000 * int(rng.integers(1, 5))),
                         int(rng.choice(c.feasible_vms())))
@@ -144,9 +147,8 @@ def test_assigned_length_matches_queue_and_clock_monotone():
                 len(vm.queue) < vm.spec.buffer_capacity for vm in c.vms)
             assert c.is_idle() == all(not vm.queue for vm in c.vms)
             occupied = [len(vm.queue) for vm in c.vms]
-            assert c.occupied_counts() == occupied
-            assert c.assigned_lengths() == [sum(q.task.length for q in vm.queue)
-                                            for vm in c.vms]
+            assert c.counters() == (occupied, [sum(q.task.length for q in vm.queue)
+                                               for vm in c.vms])
             assert c.free_counts() == [vm.spec.buffer_capacity - n
                                        for vm, n in zip(c.vms, occupied)]
             assert c.feasible_vms() == [i for i, (vm, n) in enumerate(zip(c.vms, occupied))
@@ -167,7 +169,99 @@ def test_assigned_length_matches_queue_and_clock_monotone():
     assert [(r.vm_index, r.task_id) for r in popped] == [
         (0, 1), (0, 4), (1, 2), (1, 5), (2, 0), (2, 3)]
     assert all(r.finish_time == 1.0 for r in popped)
-    assert c.is_idle() and c.next_event_time() is None
+    assert c.is_idle() and c.events == []
+
+
+@pytest.mark.parametrize("failure_ratio", [0.0, 0.2])
+def test_records_are_completion_records(failure_ratio):
+    # every record equals the keyword-built CompletionRecord of the entry
+    # that finished, and keeps its type; at 0.2 with two attempts, tasks
+    # are requeued and aborted too
+    rng = np.random.default_rng(31)
+    hook = failure_hook(failure_ratio, np.random.default_rng(32), max_attempts=2)
+    fates = []
+
+    def outcome(t, vm_index, attempt):
+        fates.append(hook(t, vm_index, attempt))
+        return fates[-1]
+
+    c = make_cluster(num_vms=3, capacity=3, pes=2)
+    admitted = {}      # task id -> (admit instant, attempt)
+    retry = []         # (task, attempt) to admit again
+    seen = {fate: 0 for fate in FailureOutcome}
+    tid = 0
+    for _ in range(3000):
+        if c.has_free_buffer() and (retry or not c.events or rng.random() < 0.55):
+            if retry:
+                t, attempt = retry.pop(0)
+            else:
+                t, attempt = task(tid, int(rng.integers(1, 9000))), 1
+                tid += 1
+            c.admit(t, int(rng.choice(c.feasible_vms())), attempt)
+            admitted[t.id] = (c.clock, attempt)
+            continue
+        finish, vi, _, entry = c.events[0]
+        fates.clear()
+        records, requeued = c.advance_to_next_event(
+            outcome if hook is not None else None)
+        fate = fates[0] if fates else FailureOutcome.COMPLETE
+        seen[fate] += 1
+        submit, attempt = admitted[entry.task.id]
+        if fate is FailureOutcome.REQUEUE:
+            assert records == [] and requeued == [entry.task]
+            retry.append((entry.task, attempt + 1))
+            continue
+        (r,) = records
+        assert requeued == []
+        assert type(r) is CompletionRecord
+        assert r == CompletionRecord(
+            task_id=entry.task.id, submit_time=submit, finish_time=finish,
+            exec_time=entry.task.length / c.vms[vi].spec.mips, vm_index=vi,
+            attempts=attempt, aborted=fate is FailureOutcome.ABORT)
+        assert r.aborted is (fate is FailureOutcome.ABORT)
+    if failure_ratio:
+        assert seen[FailureOutcome.REQUEUE] and seen[FailureOutcome.ABORT]
+    else:
+        assert seen[FailureOutcome.COMPLETE] > 1000
+
+
+def _reference_backlog(c, vm_index):
+    # the per-VM loop backlogs() replaced
+    vm = c.vms[vm_index]
+    secs = 0.0
+    for q in vm.queue:
+        if q.finish is not None:
+            secs += max(0.0, q.finish - c.clock)
+        else:
+            secs += q.task.length / vm.spec.mips
+    return secs / vm.spec.pes
+
+
+def test_backlogs_match_per_vm_loop():
+    rng = np.random.default_rng(17)
+    for pes in (1, 3):
+        c = ClusterState([VmSpec(index=i, mips=mips, buffer_capacity=4, pes=pes)
+                          for i, mips in enumerate((1000.0, 733.0, 2500.0))])
+        for tid in range(400):
+            free = c.feasible_vms()
+            if free and rng.random() < 0.6:
+                c.admit(task(tid, int(rng.integers(1, 20000))),
+                        int(rng.choice(free)))
+            elif c.events and rng.random() < 0.3:
+                # move the clock toward the next completion, as an arrival
+                # slot does, sometimes exactly onto it
+                c.clock += (c.events[0][0] - c.clock) * float(rng.choice([0.5, 1.0]))
+            else:
+                c.advance_to_next_event()
+            expected = [_reference_backlog(c, i) for i in range(len(c.vms))]
+            assert [x.hex() for x in c.backlogs()] == [x.hex() for x in expected]
+            # a clock past a pending finish clamps that entry's share at 0
+            if c.events:
+                clock = c.clock
+                c.clock = c.events[0][0] + 0.5
+                expected = [_reference_backlog(c, i) for i in range(len(c.vms))]
+                assert [x.hex() for x in c.backlogs()] == [x.hex() for x in expected]
+                c.clock = clock
 
 
 # -- failure draws ---------------------------------------------------------------
@@ -243,4 +337,4 @@ def test_freed_pe_takes_the_waiting_head():
     assert not vm.waiting
     assert [q.task.id for q in vm.pe_busy] == [2, 1]
     assert vm.pe_busy[0].finish == 1.0 + 2.0
-    assert c.next_event_time() == 3.0
+    assert c.events[0][0] == 3.0

@@ -82,8 +82,9 @@ def test_encode_matches_discretize_over_random_runs():
             else:
                 c.advance_to_next_event()
             state = encode_state(c, range_mi, l_cap)
-            assert state == tuple(c.occupied_counts()) + tuple(
-                discretize_length(x, range_mi, l_cap) for x in c.assigned_lengths())
+            occupied, assigned = c.counters()
+            assert state == tuple(occupied) + tuple(
+                discretize_length(x, range_mi, l_cap) for x in assigned)
             assert all(type(x) is int for x in state)
     with pytest.raises(ValueError, match="range_mi"):
         LengthAwareView(0, 2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qlsched import metrics
 from qlsched.cluster import CompletionRecord, VmSpec
 from qlsched.errors import MetricsError
 from qlsched.metrics import (
@@ -64,6 +65,23 @@ def test_makespan_latest_completion():
                rec(2, 0.0, 7.0, 2.0)]
     assert makespan(records) == 9.0
     assert makespan(records[::-1]) == 9.0
+
+
+def test_mean_is_np_mean_bit_for_bit():
+    # lengths cross the pairwise-summation block edges (8, 128)
+    rng = np.random.default_rng(5)
+    lengths = [1, 2, 7, 8, 9, 127, 128, 129, 256, 257, 300]
+    lengths += [int(x) for x in rng.integers(1, 301, size=60)]
+    for n in lengths:
+        for scale in ("unit", "signed", "mixed"):
+            if scale == "unit":
+                values = rng.random(n)
+            elif scale == "signed":
+                values = rng.normal(0.0, 1.0, n)
+            else:
+                values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 13, n)
+            values = values.tolist()
+            assert metrics._mean(values).hex() == float(np.mean(values)).hex()
 
 
 def test_empty_records_raise():

@@ -404,6 +404,36 @@ class TestExportQtable:
         update_q(table, (4,), 0, 0.123456789012, ("x",), [0], 0.9)
         assert "4,0,0.123456789,1" in export_qtable(table)
 
+    @staticmethod
+    def _reference_export(table):
+        # the per-action export export_qtable replaced
+        lines = ["state,action,q,visits"]
+        for state in sorted(table.states()):
+            for action in range(table.num_actions):
+                v = table._visits[state][action]
+                if v == 0:
+                    continue
+                key = "-".join(str(x) for x in state)
+                lines.append(f"{key},{action},{table._q[state][action]:.9g},{v}")
+        return "\n".join(lines) + "\n"
+
+    def test_matches_per_action_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            k = int(rng.integers(1, 5))
+            table = QTable(k + 1)
+            for _ in range(int(rng.integers(0, 40))):
+                state = tuple(int(x) for x in rng.integers(0, 12, size=2 * k))
+                actions = tuple(range(k + 1))
+                table.ensure(state, actions)
+                # some actions of some states are never updated
+                for action in actions:
+                    updates = int(rng.integers(1, 3)) if rng.random() < 0.6 else 0
+                    for _ in range(updates):
+                        update_q(table, state, action, float(rng.uniform(-1.0, 1.0)),
+                                 state, actions, 0.9)
+            assert export_qtable(table) == self._reference_export(table)
+
 
 # -- the learner against a reference copy --------------------------------------
 

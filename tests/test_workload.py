@@ -182,7 +182,7 @@ def test_arrival_model_validation(kw):
 
 def _reference_workload(cfg, seed, d_max):
     # reference: one validated sample_arrivals draw per slot, on a fresh
-    # arrival model
+    # arrival model; returns the tasks and the generator's next uniform
     rng = np.random.default_rng(seed)
     model = arrival_model_for(cfg, d_max)
     slots = []
@@ -197,18 +197,55 @@ def _reference_workload(cfg, seed, d_max):
     first = slots[0]
     lengths = rng.integers(cfg.length_min, cfg.length_max + 1,
                            size=cfg.num_tasks).tolist()
-    return [TaskSpec(i, slots[i] - first, lengths[i]) for i in range(cfg.num_tasks)]
+    tasks = [TaskSpec(i, slots[i] - first, lengths[i]) for i in range(cfg.num_tasks)]
+    return tasks, rng.random()
+
+
+def _generate_and_next_uniform(monkeypatch, cfg, seed, d_max):
+    """generate_workload's tasks and the next uniform of the generator
+    it made, read after the call."""
+    real = np.random.default_rng
+    made = []
+
+    def default_rng(seed=None):
+        made.append(real(seed))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", default_rng)
+        tasks = generate_workload(cfg, seed, d_max)
+    (rng,) = made
+    return tasks, rng.random()
 
 
 @pytest.mark.parametrize("mode", ["iid", "markov"])
-def test_generate_matches_per_slot_reference(mode):
-    for d_max, mean in ((1, 0.5), (2, 1.0), (5, 1.0), (5, 2.5), (8, 3.0)):
-        for num_tasks in (1, 7, 60, 250):
-            cfg = scenario(num_tasks=num_tasks, arrival_mode=mode,
-                           arrival_mean=mean)
-            for seed in range(6):
-                assert generate_workload(cfg, seed, d_max) == \
-                    _reference_workload(cfg, seed, d_max)
+def test_generate_matches_per_slot_reference(mode, monkeypatch):
+    # the slot uniforms come in blocks and the generator is put back where
+    # the scalar loop leaves it, so the lengths and the next draw match
+    cases = [(d_max, mean, num_tasks)
+             for d_max, mean in ((1, 0.5), (2, 1.0), (5, 1.0), (5, 2.5), (8, 3.0))
+             for num_tasks in (1, 2, 7, 60, 250, 300)]
+    # sparse (about 20 empty slots per arrival, so several blocks) and dense
+    cases += [(5, mean, num_tasks) for mean in (0.05, 4.9)
+              for num_tasks in (1, 2, 300)]
+    for d_max, mean, num_tasks in cases:
+        cfg = scenario(num_tasks=num_tasks, arrival_mode=mode,
+                       arrival_mean=mean)
+        for seed in range(6):
+            assert _generate_and_next_uniform(monkeypatch, cfg, seed, d_max) \
+                == _reference_workload(cfg, seed, d_max)
+
+
+@pytest.mark.parametrize("mode", ["iid", "markov"])
+def test_generated_tasks_are_task_specs(mode):
+    cfg = scenario(num_tasks=120, arrival_mode=mode, arrival_mean=1.5)
+    for seed in range(5):
+        tasks = generate_workload(cfg, seed)
+        for i, t in enumerate(tasks):
+            assert type(t) is TaskSpec
+            assert t == TaskSpec(id=i, arrival_slot=t.arrival_slot, length=t.length)
+            assert all(type(x) is int for x in t)
+            assert (t.id, t.arrival_slot, t.length) == tuple(t)
 
 
 @pytest.mark.parametrize("mode", ["iid", "markov"])
@@ -226,6 +263,13 @@ def test_changed_arrival_model_leaves_generation_alone(mode):
     assert generate_workload(cfg, seed=9) == before
 
 
+def test_endless_empty_slots_raise():
+    # a count of 0 in every slot the loop can reach, across many blocks
+    cfg = scenario(num_tasks=5, arrival_mean=1e-300)
+    with pytest.raises(ConfigError, match="no arrivals for too long"):
+        generate_workload(cfg, seed=1)
+
+
 def test_markov_generation_runs():
     cfg = scenario(arrival_mode="markov", num_tasks=50)
     tasks = generate_workload(cfg, seed=5)
@@ -234,15 +278,19 @@ def test_markov_generation_runs():
 
 class _TopUniform:
     """Stub generator whose uniforms are all 1 - 2**-53, the largest
-    double below 1; integer draws go to a real generator."""
+    double below 1, one at a time or in a block; integer draws and the
+    bit generator's state save, restore and advance go to a real
+    generator."""
 
     _default_rng = staticmethod(np.random.default_rng)
 
     def __init__(self, seed=0):
         self._rng = self._default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
 
-    def random(self):
-        return 1.0 - 2.0**-53
+    def random(self, size=None):
+        top = 1.0 - 2.0**-53
+        return top if size is None else np.full(size, top)
 
     def integers(self, *args, **kwargs):
         return self._rng.integers(*args, **kwargs)
