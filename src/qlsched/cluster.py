@@ -30,8 +30,6 @@ class VmSpec:
     index: int
     mips: float
     buffer_capacity: int
-    ram_mb: float = 1740.0
-    bandwidth_mbps: float = 1000.0
     pes: int = 1
 
 

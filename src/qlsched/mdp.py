@@ -14,12 +14,10 @@ against exact value iteration. It is not a timing model.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import backends
 from .errors import CapacityError
 
 DEFAULT_RANGE_MI = 10_000
@@ -51,19 +49,6 @@ def encode_state(cluster, range_mi: int = DEFAULT_RANGE_MI,
             *[c if (c := x // range_mi) <= l_cap else l_cap for x in assigned])
 
 
-def split_state(state: tuple) -> tuple[tuple, tuple]:
-    k = len(state) // 2
-    return state[:k], state[k:]
-
-
-def feasible_vms_of_state(state: tuple, capacities) -> list[int]:
-    """VM indices whose buffer is below capacity in the given state."""
-    b, _ = split_state(state)
-    if np.isscalar(capacities):
-        capacities = [capacities] * len(b)
-    return [i for i, (bi, ni) in enumerate(zip(b, capacities)) if bi < ni]
-
-
 def reward(state: tuple, action: int, capacities) -> int:
     """Immediate reward for assigning the arriving task to `action`.
 
@@ -71,7 +56,8 @@ def reward(state: tuple, action: int, capacities) -> int:
     when it has the maximal length class, else 0. Raises on infeasible
     actions (buffer at capacity).
     """
-    b, l = split_state(state)
+    k = len(state) // 2
+    b, l = state[:k], state[k:]
     if not isinstance(capacities, (list, tuple)) and np.isscalar(capacities):
         capacities = [capacities] * len(b)
     if not (0 <= action < len(b)):
@@ -140,12 +126,6 @@ class OracleMdp:
                 return int(r)
         raise ValueError(f"action {action} infeasible in state {self.index_state(idx)}")
 
-    def kernel_row(self, state: tuple, action: int):
-        """Transition distribution of (state, action) as (columns, probs)."""
-        r = self.row_of(self.state_index(state), action)
-        sl = slice(self.csr_indptr[r], self.csr_indptr[r + 1])
-        return self.csr_cols[sl], self.csr_probs[sl]
-
     def reward_of(self, state: tuple, action: int) -> float:
         return float(self.row_reward[self.row_of(self.state_index(state), action)])
 
@@ -162,24 +142,6 @@ class OracleMdp:
         j = int(np.searchsorted(cum, rng.random(), side="right"))
         j = min(j, cum.size - 1)  # guard the 1.0-boundary draw
         return int(self.csr_cols[self.csr_indptr[r] + j])
-
-    def reachable_from_empty(self) -> np.ndarray:
-        """Bool mask of states reachable from all-zeros under any actions."""
-        mask = np.zeros(self.num_states, dtype=bool)
-        start = self.state_index((0,) * (2 * self.num_vms))
-        mask[start] = True
-        frontier = deque([start])
-        while frontier:
-            s = frontier.popleft()
-            for r in range(self.act_indptr[s], self.act_indptr[s + 1]):
-                for e in range(self.csr_indptr[r], self.csr_indptr[r + 1]):
-                    if self.csr_probs[e] <= 0.0:
-                        continue
-                    nxt = int(self.csr_cols[e])
-                    if not mask[nxt]:
-                        mask[nxt] = True
-                        frontier.append(nxt)
-        return mask
 
 
 def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
@@ -325,17 +287,27 @@ class ValueIterationResult:
     sweeps: int
 
 
+def action_values(mdp: OracleMdp, values: np.ndarray) -> np.ndarray:
+    """Per-row q(s,a) = r + gamma * E[v(s')] for the given value vector.
+
+    The one Bellman kernel: every sweep of value_iteration and its greedy
+    extraction read it.
+    """
+    ev = np.add.reduceat(mdp.csr_probs * values[mdp.csr_cols],
+                         mdp.csr_indptr[:-1])
+    return mdp.row_reward + mdp.gamma * ev
+
+
 def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
                     max_sweeps: int = 100_000) -> ValueIterationResult:
     """Solve the MDP to max-norm tolerance tol; ties go to the lowest action."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
+    starts = mdp.act_indptr[:-1]
     v = np.zeros(mdp.num_states, dtype=np.float64)
     deltas = []
-    args = (mdp.act_indptr, mdp.row_reward, mdp.csr_indptr, mdp.csr_cols,
-            mdp.csr_probs, mdp.gamma)
     for sweep in range(1, max_sweeps + 1):
-        v_new = backends.bellman_sweep(v, *args)
+        v_new = np.maximum.reduceat(action_values(mdp, v), starts)
         delta = float(np.max(np.abs(v_new - v)))
         deltas.append(delta)
         v = v_new
@@ -344,14 +316,10 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
     else:
         raise RuntimeError(f"value iteration did not reach tol={tol} "
                            f"in {max_sweeps} sweeps")
-    best_rows = backends.greedy_rows(v, *args)
-    policy = mdp.act_action[best_rows]
-    return ValueIterationResult(values=v, policy=policy, deltas=deltas,
-                                sweeps=len(deltas))
-
-
-def action_values(mdp: OracleMdp, values: np.ndarray) -> np.ndarray:
-    """Per-row q(s,a) = r + gamma * E[v(s')] for the given value vector."""
-    ev = np.add.reduceat(mdp.csr_probs * values[mdp.csr_cols],
-                         mdp.csr_indptr[:-1])
-    return mdp.row_reward + mdp.gamma * ev
+    # lowest row among each state's maxima; rows run in action order
+    q = action_values(mdp, v)
+    is_max = q >= np.repeat(np.maximum.reduceat(q, starts), np.diff(mdp.act_indptr))
+    best_rows = np.minimum.reduceat(np.where(is_max, np.arange(q.size), q.size),
+                                    starts)
+    return ValueIterationResult(values=v, policy=mdp.act_action[best_rows],
+                                deltas=deltas, sweeps=len(deltas))

@@ -4,18 +4,19 @@ the length-aware Q-learning scheduler's evaluation wrapper.
 Every select function takes the live cluster and returns a VM index, or
 None when every buffer is full (the defer signal; the driver then parks
 the task in the global queue and asks again at the next event).
+
+POLICIES is the one registry of policy names (see the end of the module).
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import mdp
 from .envs import FreeBufferView, LengthAwareView
 from .qlearn import QTable, select_action
-
-POLICY_NAMES = ("random", "fifo", "mixed", "greedy", "qsch", "qlearn")
-LEARNING_POLICIES = ("qsch", "qlearn")
 
 
 def random_select(cluster, rng: np.random.Generator):
@@ -72,19 +73,13 @@ class QschAgent:
         self.view = FreeBufferView(w_buffer, w_wait)
         self.table = table if table is not None else QTable(num_vms + 1)
 
-    def state_of(self, cluster):
-        return self.view.state(cluster)
-
-    def reward_of(self, cluster, action: int) -> float:
-        return self.view.reward(cluster, action, self.view.state(cluster))
-
     def select(self, cluster, rng: np.random.Generator, epsilon: float = 0.0):
         actions = cluster.feasible_vms()
         if not actions:
             return None
         if epsilon > 0.0 and rng.random() < epsilon:
             return actions[int(rng.integers(len(actions)))]
-        state = self.state_of(cluster)
+        state = self.view.state(cluster)
         best = None
         best_q = -np.inf
         for a in actions:
@@ -108,3 +103,45 @@ class QlearnPolicy:
             return None
         state = self.view.state(cluster)
         return select_action(state, self.table, 0.0, rng, actions)
+
+
+class Policy(NamedTuple):
+    """Registry entry: how to train a policy, if it learns, and how to run it.
+
+    view(plan) is the training view of a learning policy (None for the
+    fixed baselines). selector(plan, trained) returns the select function
+    for evaluation runs; trained is the TrainResult, or None when the
+    policy does not learn. The selectors look their functions up by name
+    when called, so a function patched on this module or on its class
+    is the one that runs.
+    """
+
+    view: Callable | None
+    selector: Callable
+
+    @property
+    def learns(self) -> bool:
+        return self.view is not None
+
+
+def _qsch_selector(plan, trained):
+    agent = QschAgent(plan.scenario.num_vms, plan.qsch_w_buffer,
+                      plan.qsch_w_wait, table=trained.table)
+    return lambda cluster, rng: agent.select(cluster, rng, epsilon=0.0)
+
+
+# Append only: a policy's index in POLICY_NAMES seeds its generators.
+POLICIES = {
+    "random": Policy(None, lambda plan, trained: random_select),
+    "fifo": Policy(None, lambda plan, trained: fifo_select),
+    "mixed": Policy(None, lambda plan, trained: mixed_select),
+    "greedy": Policy(None, lambda plan, trained: greedy_select),
+    "qsch": Policy(
+        lambda plan: FreeBufferView(plan.qsch_w_buffer, plan.qsch_w_wait),
+        _qsch_selector),
+    "qlearn": Policy(
+        lambda plan: LengthAwareView(plan.range_mi, plan.l_cap),
+        lambda plan, trained: QlearnPolicy(trained.table, plan.range_mi,
+                                           plan.l_cap)),
+}
+POLICY_NAMES = tuple(POLICIES)

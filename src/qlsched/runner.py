@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
@@ -23,11 +23,10 @@ import yaml
 
 from . import mdp
 from .cluster import DEFAULT_MAX_ATTEMPTS, VmSpec
-from .envs import FreeBufferView, LengthAwareView, SimulationEnv
+from .envs import SimulationEnv
 from .errors import ConfigError, require_int, require_real
 from .metrics import aggregate, build_report
-from .policies import (POLICY_NAMES, QlearnPolicy, QschAgent, fifo_select,
-                       greedy_select, mixed_select, random_select)
+from .policies import POLICIES, POLICY_NAMES
 from .qlearn import LearnerConfig, export_qtable, train
 from .simulate import run_policy_simulation
 from .workload import DEFAULT_D_MAX, ScenarioConfig, generate_workload
@@ -106,19 +105,9 @@ class ExperimentPlan:
             raise ConfigError("max_attempts must be >= 1")
 
 
-_SCENARIO_KEYS = {
-    "num_tasks", "length_min", "length_max", "num_vms", "vm_mips", "vm_ram_mb",
-    "vm_bandwidth_mbps", "buffer_min", "buffer_max", "num_pes",
-    "num_datacenters", "num_hosts", "arrival_mode", "arrival_mean",
-}
-_LEARNER_KEYS = {"gamma", "epsilon0", "total_cycles", "repeater_threshold",
-                 "lr_exponent"}
-_PLAN_KEYS = {
-    "scenario", "learner", "policies", "task_counts", "buffer_sizes",
-    "failure_ratios", "replications", "seed", "slot_seconds", "range_mi",
-    "l_cap", "arrival_dmax", "qsch_w_buffer", "qsch_w_wait", "max_attempts",
-    "out_dir",
-}
+_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
+_LEARNER_KEYS = {f.name for f in fields(LearnerConfig)}
+_PLAN_KEYS = {f.name for f in fields(ExperimentPlan)}
 
 
 def parse_config(path: str) -> ExperimentPlan:
@@ -186,19 +175,13 @@ class RunOutputs:
 
 def _vm_specs(scenario: ScenarioConfig, buffer_size: int):
     return [VmSpec(index=i, mips=scenario.vm_mips, buffer_capacity=buffer_size,
-                   ram_mb=scenario.vm_ram_mb,
-                   bandwidth_mbps=scenario.vm_bandwidth_mbps,
                    pes=scenario.num_pes)
             for i in range(scenario.num_vms)]
 
 
 def _train_policy(plan: ExperimentPlan, name: str, scenario_pt, vm_specs,
                   failure_ratio: float, point_idx: int):
-    if name == "qlearn":
-        view = LengthAwareView(plan.range_mi, plan.l_cap)
-    else:
-        view = FreeBufferView(plan.qsch_w_buffer, plan.qsch_w_wait)
-    env = SimulationEnv(scenario_pt, vm_specs, view,
+    env = SimulationEnv(scenario_pt, vm_specs, POLICIES[name].view(plan),
                         slot_seconds=plan.slot_seconds,
                         failure_ratio=failure_ratio,
                         max_attempts=plan.max_attempts,
@@ -209,24 +192,6 @@ def _train_policy(plan: ExperimentPlan, name: str, scenario_pt, vm_specs,
              name, point_idx, result.cycles_run, result.stop_reason,
              len(result.table))
     return result
-
-
-def _eval_policy_fn(plan: ExperimentPlan, name: str, trained):
-    if name == "random":
-        return random_select
-    if name == "fifo":
-        return fifo_select
-    if name == "mixed":
-        return mixed_select
-    if name == "greedy":
-        return greedy_select
-    if name == "qsch":
-        agent = QschAgent(plan.scenario.num_vms, plan.qsch_w_buffer,
-                          plan.qsch_w_wait, table=trained.table)
-        return lambda cluster, rng: agent.select(cluster, rng, epsilon=0.0)
-    if name == "qlearn":
-        return QlearnPolicy(trained.table, plan.range_mi, plan.l_cap)
-    raise ConfigError(f"unknown policy {name!r}")
 
 
 def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
@@ -242,8 +207,9 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
         scenario_pt = replace(plan.scenario, num_tasks=tasks)
         vm_specs = _vm_specs(scenario_pt, buf)
         for name in plan.policies:
+            policy = POLICIES[name]
             trained = None
-            if name in ("qlearn", "qsch"):
+            if policy.learns:
                 trained = _train_policy(plan, name, scenario_pt, vm_specs,
                                         fr, point_idx)
                 for row in trained.trace:
@@ -254,7 +220,7 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
                         "avg_wait_s": row.get("avg_wait_s"),
                     })
                 qtables[(name, tasks, buf, fr)] = trained.table
-            policy_fn = _eval_policy_fn(plan, name, trained)
+            policy_fn = policy.selector(plan, trained)
             reports = []
             for rep in range(plan.replications):
                 workload = generate_workload(scenario_pt, plan.seed + rep,

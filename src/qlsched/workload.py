@@ -42,33 +42,24 @@ class TaskSpec(NamedTuple):
 
 @dataclass
 class ScenarioConfig:
-    """Static description of one simulated scenario.
-
-    num_datacenters and num_hosts are carried for reporting only; the
-    simulator models VMs directly.
-    """
+    """Static description of one simulated scenario."""
 
     num_tasks: int
     length_min: int
     length_max: int
     num_vms: int
     vm_mips: float
-    vm_ram_mb: float = 1740.0
-    vm_bandwidth_mbps: float = 1000.0
     buffer_min: int = 5
     buffer_max: int = 15
     num_pes: int = 1
-    num_datacenters: int = 1
-    num_hosts: int = 1
     arrival_mode: str = "iid"
     arrival_mean: float = 1.0
 
     def __post_init__(self):
         for key in ("num_tasks", "length_min", "length_max", "num_vms",
-                    "buffer_min", "buffer_max", "num_pes", "num_datacenters",
-                    "num_hosts"):
+                    "buffer_min", "buffer_max", "num_pes"):
             require_int(key, getattr(self, key))
-        for key in ("vm_mips", "vm_ram_mb", "vm_bandwidth_mbps", "arrival_mean"):
+        for key in ("vm_mips", "arrival_mean"):
             require_real(key, getattr(self, key))
         # range checks are written so that NaN fails them
         if not self.num_tasks >= 1:

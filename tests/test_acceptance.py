@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from oracle_helpers import reachable_from_empty
 from qlsched.cluster import ClusterState, CompletionRecord, VmSpec
 from qlsched.envs import OracleEnv
 from qlsched.mdp import (
@@ -80,7 +81,7 @@ def test_criterion_1_oracle_optimality():
     cfg = LearnerConfig(gamma=0.9, epsilon0=1.0, total_cycles=4000,
                         repeater_threshold=400)
     result = train(OracleEnv(oracle, horizon=40), cfg, seed=2024)
-    reachable = np.flatnonzero(oracle.reachable_from_empty())
+    reachable = np.flatnonzero(reachable_from_empty(oracle))
     agree = 0
     for idx in reachable:
         state = oracle.index_state(int(idx))

@@ -1,22 +1,30 @@
 """State encoding, the reward rule and the enumerable oracle MDP."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracle_helpers import reachable_from_empty
 from qlsched.cluster import ClusterState, VmSpec
 from qlsched.envs import LengthAwareView
 from qlsched.errors import CapacityError
 from qlsched.mdp import (action_values, build_oracle_mdp, discretize_length,
-                         encode_state, feasible_vms_of_state, reward,
-                         split_state, value_iteration)
+                         encode_state, reward, value_iteration)
 from qlsched.workload import TaskSpec
 
 
 def cluster3():
     return ClusterState([VmSpec(index=i, mips=1000.0, buffer_capacity=10)
                          for i in range(3)])
+
+
+def kernel_row(m, state, action):
+    """Transition distribution of (state, action) as (columns, probs)."""
+    r = m.row_of(m.state_index(state), action)
+    sl = slice(m.csr_indptr[r], m.csr_indptr[r + 1])
+    return m.csr_cols[sl], m.csr_probs[sl]
 
 
 # -- discretize_length ---------------------------------------------------------
@@ -92,13 +100,6 @@ def test_encode_matches_discretize_over_random_runs():
         LengthAwareView(10, -1)
 
 
-def test_split_and_feasible_of_state():
-    state = (2, 5, 3, 4, 9, 1)
-    assert split_state(state) == ((2, 5, 3), (4, 9, 1))
-    assert feasible_vms_of_state(state, 5) == [0, 2]
-    assert feasible_vms_of_state(state, [3, 6, 3]) == [0, 1]
-
-
 # -- reward ------------------------------------------------------------------------
 
 def test_reward_three_cases():
@@ -132,7 +133,7 @@ def test_reward_total_on_small_instance():
             r = reward(state, a, m.buffer_capacity)
             assert r in (-1, 0, 1)
             assert m.row_reward[m.row_of(idx, a)] == r
-        if not feasible_vms_of_state(state, m.buffer_capacity):
+        if all(b >= m.buffer_capacity for b in state[:m.num_vms]):
             assert m.row_reward[m.row_of(idx, m.defer_action)] == 0.0
 
 
@@ -166,7 +167,7 @@ def test_busy_vm_occupancy_returns_after_assign_depart():
         b, l = m.index_state(idx)
         if not (1 <= b < 2):
             continue
-        cols, probs = m.kernel_row((b, l), 0)
+        cols, probs = kernel_row(m, (b, l), 0)
         for col, p in zip(cols, probs):
             if p > 0:
                 assert m.index_state(int(col))[0] == b
@@ -206,7 +207,7 @@ def test_builder_validation():
 def test_sample_next_matches_kernel():
     m = build_oracle_mdp(num_vms=2, buffer_capacity=2, num_classes=2, p_c=0.4)
     idx = m.state_index((1, 0, 1, 0))
-    cols, probs = m.kernel_row((1, 0, 1, 0), 1)
+    cols, probs = kernel_row(m, (1, 0, 1, 0), 1)
     rng = np.random.default_rng(17)
     counts = {int(c): 0 for c in cols}
     n = 20000
@@ -278,6 +279,108 @@ def test_vi_reward_shift_invariance():
 
 def test_reachable_from_empty():
     m = build_oracle_mdp(num_vms=2, buffer_capacity=2, num_classes=2)
-    mask = m.reachable_from_empty()
+    mask = reachable_from_empty(m)
     assert mask[m.state_index((0, 0, 0, 0))]
     assert 0 < mask.sum() <= m.num_states
+
+
+# -- Bellman kernel against a loop reference ----------------------------------------
+
+def loop_action_values(m, v):
+    """q per row by explicit loops over the row's transition entries."""
+    q = np.empty(m.row_reward.size)
+    for r in range(q.size):
+        ev = 0.0
+        for e in range(m.csr_indptr[r], m.csr_indptr[r + 1]):
+            ev += m.csr_probs[e] * v[m.csr_cols[e]]
+        q[r] = m.row_reward[r] + m.gamma * ev
+    return q
+
+
+def loop_backup(m, v):
+    """One Bellman backup: per state, the best q and the lowest row with it."""
+    q = loop_action_values(m, v)
+    rows = np.array([max(range(lo, hi), key=q.__getitem__)
+                     for lo, hi in zip(m.act_indptr[:-1], m.act_indptr[1:])])
+    return q[rows], rows
+
+
+def assert_vi_matches_loop(m, tol):
+    v, sweeps = np.zeros(m.num_states), 0
+    while True:
+        v_new, _ = loop_backup(m, v)
+        sweeps += 1
+        delta = np.max(np.abs(v_new - v))
+        v = v_new
+        if delta <= tol:
+            break
+    res = value_iteration(m, tol=tol)
+    assert res.sweeps == sweeps
+    np.testing.assert_allclose(res.values, v, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(res.policy, m.act_action[loop_backup(m, v)[1]])
+
+
+def csr_mdp(act_indptr, row_reward, csr_indptr, csr_cols, csr_probs, gamma):
+    """An MDP in the oracle's row/CSR layout; row j of a state is action j."""
+    act_indptr = np.asarray(act_indptr, dtype=np.int64)
+    return SimpleNamespace(
+        num_states=act_indptr.size - 1, gamma=gamma, act_indptr=act_indptr,
+        act_action=np.arange(int(act_indptr[-1])) - np.repeat(
+            act_indptr[:-1], np.diff(act_indptr)),
+        row_reward=np.asarray(row_reward, dtype=np.float64),
+        csr_indptr=np.asarray(csr_indptr, dtype=np.int64),
+        csr_cols=np.asarray(csr_cols, dtype=np.int64),
+        csr_probs=np.asarray(csr_probs, dtype=np.float64))
+
+
+def random_instance(rng, gamma):
+    """Random MDP: 2-29 states, 1-4 rows each, 1-5 entries per row."""
+    s = int(rng.integers(2, 30))
+    act_indptr = np.zeros(s + 1, dtype=np.int64)
+    np.cumsum(rng.integers(1, 5, size=s), out=act_indptr[1:])
+    rows = int(act_indptr[-1])
+    csr_indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(rng.integers(1, 6, size=rows), out=csr_indptr[1:])
+    nnz = int(csr_indptr[-1])
+    probs = rng.uniform(0.05, 1.0, size=nnz)
+    probs /= np.repeat(np.add.reduceat(probs, csr_indptr[:-1]),
+                       np.diff(csr_indptr))
+    return csr_mdp(act_indptr, rng.uniform(-1.0, 1.0, size=rows), csr_indptr,
+                   rng.integers(0, s, size=nnz), probs, gamma)
+
+
+def test_numpy_matches_loop_on_random_instances():
+    rng = np.random.default_rng(0)
+    for _ in range(25):
+        m = random_instance(rng, float(rng.uniform(0.0, 0.9)))
+        v = rng.normal(size=m.num_states)
+        np.testing.assert_allclose(action_values(m, v), loop_action_values(m, v),
+                                   rtol=1e-12, atol=1e-12)
+        assert_vi_matches_loop(m, tol=1e-6)
+
+
+def test_numpy_matches_loop_on_real_mdp():
+    rng = np.random.default_rng(1)
+    m = build_oracle_mdp(num_vms=2, buffer_capacity=3, num_classes=2)
+    for _ in range(5):
+        v = rng.normal(size=m.num_states)
+        np.testing.assert_allclose(action_values(m, v), loop_action_values(m, v),
+                                   rtol=1e-12, atol=1e-12)
+    assert_vi_matches_loop(m, tol=1e-8)
+
+
+def test_duplicate_transition_columns_sum():
+    # two entries landing on the same column must both contribute
+    m = csr_mdp([0, 1], [1.0], [0, 2], [0, 0], [0.6, 0.4], 0.9)
+    v = np.array([2.0])
+    expected = 1.0 + 0.9 * 2.0
+    assert action_values(m, v)[0] == pytest.approx(expected)
+    assert loop_backup(m, v)[0][0] == pytest.approx(expected)
+    assert value_iteration(m).values[0] == pytest.approx(1.0 / (1.0 - 0.9))
+
+
+def test_greedy_ties_pick_lowest_row():
+    # two identical rows for one state
+    m = csr_mdp([0, 2], [0.5, 0.5], [0, 1, 2], [0, 0], [1.0, 1.0], 0.9)
+    assert loop_backup(m, np.array([1.0]))[1][0] == 0
+    assert value_iteration(m).policy[0] == 0

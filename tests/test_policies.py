@@ -7,7 +7,7 @@ from scipy import stats
 from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
 from qlsched.policies import (
-    LEARNING_POLICIES,
+    POLICIES,
     POLICY_NAMES,
     QlearnPolicy,
     QschAgent,
@@ -206,29 +206,30 @@ def test_every_policy_returns_a_feasible_vm():
 def test_qsch_state_is_free_buffer_vector():
     c = fill(make_cluster([2, 2, 2]), [0, 2, 1])
     agent = QschAgent(3)
-    assert agent.state_of(c) == (2, 0, 1)
+    assert agent.view.state(c) == (2, 0, 1)
 
 
 def test_qsch_state_ignores_task_lengths():
     a = fill(make_cluster([2, 2, 2]), [1, 0, 0], length=1000)
     b = fill(make_cluster([2, 2, 2]), [1, 0, 0], length=90_000)
     agent = QschAgent(3)
-    assert agent.state_of(a) == agent.state_of(b)
+    assert agent.view.state(a) == agent.view.state(b)
 
 
 def test_qsch_reward_free_vm_no_backlog():
     # full free buffer and zero queueing delay: 0.5*1 - 0.5*0
     c = make_cluster([3, 3, 3])
     agent = QschAgent(3)
-    assert agent.reward_of(c, 0) == 0.5
+    assert agent.view.reward(c, 0, agent.view.state(c)) == 0.5
 
 
 def test_qsch_reward_penalizes_backlog():
     c = make_cluster([2, 2, 2])
     c.admit(TaskSpec(0, 0, 4000), 0)  # VM 0 carries all the backlog
     agent = QschAgent(3)
-    assert agent.reward_of(c, 0) == pytest.approx(0.5 * 0.5 - 0.5 * 1.0)
-    assert agent.reward_of(c, 1) == pytest.approx(0.5 * 1.0 - 0.5 * 0.0)
+    state = agent.view.state(c)
+    assert agent.view.reward(c, 0, state) == pytest.approx(0.5 * 0.5 - 0.5 * 1.0)
+    assert agent.view.reward(c, 1, state) == pytest.approx(0.5 * 1.0 - 0.5 * 0.0)
 
 
 def test_qsch_zero_table_picks_lowest_index():
@@ -240,7 +241,7 @@ def test_qsch_zero_table_picks_lowest_index():
 def test_qsch_exploits_learned_values():
     c = make_cluster([3, 3, 3])
     agent = QschAgent(3)
-    state = agent.state_of(c)
+    state = agent.view.state(c)
     agent.table.ensure(state, (0, 1, 2))
     update_q(agent.table, state, 2, 1.0, ("void",), [0], 0.9)
     rng = np.random.default_rng(7)
@@ -300,5 +301,7 @@ def test_qlearn_policy_state_tracks_cluster_changes():
 
 
 def test_policy_name_registry():
+    # append only: a policy's index seeds its training and evaluation draws
     assert POLICY_NAMES == ("random", "fifo", "mixed", "greedy", "qsch", "qlearn")
-    assert set(LEARNING_POLICIES) <= set(POLICY_NAMES)
+    assert tuple(POLICIES) == POLICY_NAMES
+    assert {name for name, p in POLICIES.items() if p.learns} == {"qsch", "qlearn"}

@@ -56,7 +56,7 @@ def test_parse_small_scenario_preset():
 def test_parse_large_scenario_preset():
     plan = parse_config(os.path.join(CONFIG_DIR, "scenario2.yaml"))
     sc = plan.scenario
-    assert (sc.num_tasks, sc.num_pes, sc.num_hosts) == (100, 5, 2)
+    assert (sc.num_tasks, sc.num_pes) == (100, 5)
     assert (sc.length_min, sc.length_max) == (100, 400_000)
     assert (sc.buffer_min, sc.buffer_max) == (5, 50)
     assert plan.task_counts == [20, 40, 60, 80, 100]
@@ -188,6 +188,30 @@ def learner_plan(tmp_path, **extra):
     return write_config(tmp_path, **overrides)
 
 
+def test_registry_selectors_call_patched_functions(tmp_path, monkeypatch):
+    # Evaluation must call the selectors as they are at run time, so that a
+    # wrapper set on the policies module or on a policy class sees every
+    # decision.
+    from qlsched import policies
+
+    calls = {"greedy": 0, "qlearn": 0}
+    greedy, qlearn_call = policies.greedy_select, policies.QlearnPolicy.__call__
+
+    def counting_greedy(cluster, rng=None):
+        calls["greedy"] += 1
+        return greedy(cluster, rng)
+
+    def counting_qlearn(self, cluster, rng):
+        calls["qlearn"] += 1
+        return qlearn_call(self, cluster, rng)
+
+    monkeypatch.setattr(policies, "greedy_select", counting_greedy)
+    monkeypatch.setattr(policies.QlearnPolicy, "__call__", counting_qlearn)
+    plan = parse_config(learner_plan(tmp_path, policies=["greedy", "qlearn"]))
+    run_plan(plan)
+    assert calls["greedy"] > 0 and calls["qlearn"] > 0
+
+
 def test_learning_policy_emits_convergence_and_qtable(tmp_path):
     out_dir = tmp_path / "results"
     plan = parse_config(learner_plan(tmp_path))
@@ -296,8 +320,6 @@ def test_cli_runtime_failure_exit_2(tmp_path, capsys):
     ("scenario", "buffer_min", 5.5),
     ("scenario", "buffer_max", 12.5),
     ("scenario", "num_pes", 1.0),
-    ("scenario", "num_datacenters", "1"),
-    ("scenario", "num_hosts", 1.5),
     ("scenario", "vm_mips", "fast"),
     ("scenario", "arrival_mean", True),
     (None, "slot_seconds", "30"),
@@ -319,6 +341,20 @@ def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value
     assert code == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("key", ["vm_ram_mb", "vm_bandwidth_mbps",
+                                 "num_datacenters", "num_hosts"])
+def test_cli_dropped_scenario_key_exit_1(tmp_path, capsys, key):
+    # reporting-only fields that reached no output were dropped from the schema
+    with open(os.path.join(CONFIG_DIR, "scenario1.yaml"), encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    cfg["scenario"][key] = 1
+    config = tmp_path / "plan.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    code = main(["run", "--config", str(config)])
+    assert code == 1
+    assert f"unknown config key: scenario.{key}" in capsys.readouterr().err
 
 
 def test_cli_unknown_policy_exit_1(tmp_path, capsys):
