@@ -155,6 +155,12 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     departure at VM k removes the state-average length share
     floor(l_k / b_k). Kernel rows are exact products of those independent
     events and sum to 1.
+
+    A row's size follows from its state's busy set alone, through the
+    departure-mask weights of that set, so csr_indptr is known before any
+    entry is made. Each entry is then written straight into its final CSR
+    slot, in (departure mask, arrival class) order within its row: the
+    build holds no copy of the transition entries besides the model's own.
     """
     k, n, c = num_vms, buffer_capacity, num_classes
     if k < 1 or n < 1 or c < 1:
@@ -206,31 +212,60 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
                        np.where(l[feas[:, a], a] == l_max[feas[:, a]], -1.0, 0.0))
         row_reward[rows] = r_a
 
-    # transition entries: per (action, departure mask, arrival class), all
-    # states at once; impossible outcomes (departure at an idle VM) get
-    # probability 0 and are filtered out below.
-    ent_rows, ent_cols, ent_probs = [], [], []
+    # A departure mask's weight depends only on which VMs are busy, so it
+    # is computed per busy set (VM j busy iff bit j is set), with the float
+    # products a per-state weight would take. Every VM row of a state has
+    # one entry per (mask, class) with weight * arrival_prob > 0, its defer
+    # row one per mask with weight > 0: those counts size the CSR rows.
     masks = [np.array([(m >> j) & 1 for j in range(k)], dtype=np.int64)
              for m in range(2**k)]
+    busy_sets = np.array(masks, dtype=bool)    # (2^K, K)
+    busy_code = busy @ (1 << np.arange(k))     # (S,) busy set of each state
 
     def mask_prob(depart):
-        w = np.ones(num_states)
+        w = np.ones(2**k)
         for j in range(k):
             if depart[j]:
-                w = w * np.where(busy[:, j], p_c, 0.0)
+                w = w * np.where(busy_sets[:, j], p_c, 0.0)
             else:
-                w = w * np.where(busy[:, j], 1.0 - p_c, 1.0)
+                w = w * np.where(busy_sets[:, j], 1.0 - p_c, 1.0)
         return w
 
-    for a in range(k):
-        sel = feas[:, a]
-        if not np.any(sel):
-            continue
-        rows_a = act_indptr[:-1][sel] + rank[sel, a]
-        for depart in masks:
-            w = mask_prob(depart)[sel]
+    vm_len = np.zeros(2**k, dtype=np.int64)
+    defer_len = np.zeros(2**k, dtype=np.int64)
+    for depart in masks:
+        w = mask_prob(depart)
+        vm_len += np.count_nonzero(np.multiply.outer(w, arrival_probs) > 0, axis=1)
+        defer_len += w > 0
+    row_set = busy_code.repeat(n_rows_per_state)
+    row_len = np.where(act_action == k, defer_len[row_set], vm_len[row_set])
+    assert np.all(row_len > 0), "every row needs transition mass"
+    csr_indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(row_len, out=csr_indptr[1:])
+    csr_cols = np.empty(int(csr_indptr[-1]), dtype=np.int64)
+    csr_probs = np.empty(int(csr_indptr[-1]), dtype=np.float64)
+    cursor = csr_indptr[:-1].copy()            # next free slot of each row
+
+    def put(rows, b2, l2, probs):
+        at = cursor[rows]
+        csr_cols[at] = np.ravel_multi_index(tuple(b2.T) + tuple(l2.T), shape)
+        csr_probs[at] = probs
+        cursor[rows] = at + 1
+
+    # Entries per (departure mask, action, arrival class), all states at
+    # once, each written to its row's next free slot: a row's entries land
+    # in (mask, class) order. Outcomes of probability 0 (a departure at an
+    # idle VM, or an underflow) are skipped. Defer rows admit no arrival.
+    full = ~feas.any(axis=1)
+    rows_d = act_indptr[:-1][full]
+    for depart in masks:
+        w_set = mask_prob(depart)
+        for a in range(k):
+            sel = feas[:, a]
+            w = w_set[busy_code[sel]]
             if not np.any(w > 0):
                 continue
+            rows_a = act_indptr[:-1][sel] + rank[sel, a]
             b2 = b[sel] + np.eye(k, dtype=np.int64)[a][None, :] - depart[None, :] * busy[sel]
             for ci in range(c):
                 p = w * arrival_probs[ci]
@@ -240,43 +275,19 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
                 l_arr = l[sel].copy()
                 l_arr[:, a] = np.minimum(l_arr[:, a] + ci, c - 1)
                 l2 = np.maximum(l_arr - avg[sel] * depart[None, :], 0)
-                cols = np.ravel_multi_index(
-                    tuple(b2[keep].T) + tuple(l2[keep].T), shape)
-                ent_rows.append(rows_a[keep])
-                ent_cols.append(cols)
-                ent_probs.append(p[keep])
-
-    # defer rows: no arrival, departures only
-    full = ~feas.any(axis=1)
-    if np.any(full):
-        rows_d = act_indptr[:-1][full]
-        for depart in masks:
-            w = mask_prob(depart)[full]
-            keep = w > 0
-            if not np.any(keep):
-                continue
-            b2 = b[full] - depart[None, :] * busy[full]
-            l2 = np.maximum(l[full] - avg[full] * depart[None, :], 0)
-            cols = np.ravel_multi_index(
-                tuple(b2[keep].T) + tuple(l2[keep].T), shape)
-            ent_rows.append(rows_d[keep])
-            ent_cols.append(cols)
-            ent_probs.append(w[keep])
-
-    rows = np.concatenate(ent_rows)
-    cols = np.concatenate(ent_cols)
-    probs = np.concatenate(ent_probs)
-    order = np.argsort(rows, kind="stable")
-    rows, cols, probs = rows[order], cols[order], probs[order]
-    csr_indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_rows), out=csr_indptr[1:])
-    assert np.all(np.diff(csr_indptr) > 0), "every row needs transition mass"
+                put(rows_a[keep], b2[keep], l2[keep], p[keep])
+        w = w_set[busy_code[full]]
+        keep = w > 0
+        b2 = b[full] - depart[None, :] * busy[full]
+        l2 = np.maximum(l[full] - avg[full] * depart[None, :], 0)
+        put(rows_d[keep], b2[keep], l2[keep], w[keep])
+    assert np.array_equal(cursor, csr_indptr[1:]), "every slot is written once"
 
     return OracleMdp(
         num_vms=k, buffer_capacity=n, num_classes=c, p_c=p_c, gamma=gamma,
         arrival_probs=arrival_probs, act_indptr=act_indptr,
         act_action=act_action, row_reward=row_reward, csr_indptr=csr_indptr,
-        csr_cols=cols.astype(np.int64), csr_probs=probs.astype(np.float64))
+        csr_cols=csr_cols, csr_probs=csr_probs)
 
 
 @dataclass
@@ -287,27 +298,42 @@ class ValueIterationResult:
     sweeps: int
 
 
-def action_values(mdp: OracleMdp, values: np.ndarray) -> np.ndarray:
+def action_values(mdp: OracleMdp, values: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Per-row q(s,a) = r + gamma * E[v(s')] for the given value vector.
 
     The one Bellman kernel: every sweep of value_iteration and its greedy
-    extraction read it.
+    extraction read it. `out`, a float64 buffer of csr_cols' size, takes
+    the gathered successor values in place of a fresh array per call;
+    its gather clips column indices, so whoever passes it checks the
+    columns first (value_iteration does, once per solve). Without `out`
+    a column past the end of `values` raises IndexError.
     """
-    ev = np.add.reduceat(mdp.csr_probs * values[mdp.csr_cols],
-                         mdp.csr_indptr[:-1])
-    return mdp.row_reward + mdp.gamma * ev
+    if out is None:
+        out = values[mdp.csr_cols]
+    else:
+        np.take(values, mdp.csr_cols, out=out, mode="clip")
+    out *= mdp.csr_probs
+    return mdp.row_reward + mdp.gamma * np.add.reduceat(out, mdp.csr_indptr[:-1])
 
 
 def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
                     max_sweeps: int = 100_000) -> ValueIterationResult:
-    """Solve the MDP to max-norm tolerance tol; ties go to the lowest action."""
+    """Solve the MDP to max-norm tolerance tol; ties go to the lowest action.
+
+    One gather buffer serves every sweep and the greedy extraction.
+    """
     if tol <= 0:
         raise ValueError("tol must be > 0")
+    cols = mdp.csr_cols
+    if cols.size and (cols.min() < 0 or cols.max() >= mdp.num_states):
+        raise IndexError(f"transition columns must lie in [0, {mdp.num_states})")
+    buf = np.empty(cols.size, dtype=np.float64)
     starts = mdp.act_indptr[:-1]
     v = np.zeros(mdp.num_states, dtype=np.float64)
     deltas = []
     for sweep in range(1, max_sweeps + 1):
-        v_new = np.maximum.reduceat(action_values(mdp, v), starts)
+        v_new = np.maximum.reduceat(action_values(mdp, v, buf), starts)
         delta = float(np.max(np.abs(v_new - v)))
         deltas.append(delta)
         v = v_new
@@ -317,7 +343,7 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
         raise RuntimeError(f"value iteration did not reach tol={tol} "
                            f"in {max_sweeps} sweeps")
     # lowest row among each state's maxima; rows run in action order
-    q = action_values(mdp, v)
+    q = action_values(mdp, v, buf)
     is_max = q >= np.repeat(np.maximum.reduceat(q, starts), np.diff(mdp.act_indptr))
     best_rows = np.minimum.reduceat(np.where(is_max, np.arange(q.size), q.size),
                                     starts)

@@ -46,7 +46,7 @@ class Simulation:
         self._outcome = failure_hook(failure_ratio, failure_rng, max_attempts)
         self._pending = deque(sorted(workload, key=attrgetter("arrival_slot", "id")))
         self._queue: deque[TaskSpec] = deque()
-        self._attempts: dict[int, int] = {}
+        self._attempts: dict[int, int] = {}  # task id -> attempts; above ratio 0
         self.records = []
 
     # -- state checks -------------------------------------------------------
@@ -98,6 +98,9 @@ class Simulation:
     def apply(self, vm_index: int):
         """Admit the pending decision task to vm_index at the current clock."""
         task = self._queue.popleft()
+        if self._outcome is None:  # ratio 0: every attempt is the first
+            self.cluster.admit(task, vm_index, 1)
+            return
         n = self._attempts.get(task.id, 0) + 1
         self._attempts[task.id] = n
         self.cluster.admit(task, vm_index, n)

@@ -1,6 +1,7 @@
 """Reference computations on the oracle MDP that only the tests need."""
 
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,3 +23,88 @@ def reachable_from_empty(m):
                     mask[nxt] = True
                     frontier.append(nxt)
     return mask
+
+
+def reference_build(num_vms, buffer_capacity, num_classes, arrival_probs=None,
+                    p_c=0.5, gamma=0.9):
+    """The oracle MDP built by concatenating per-(action, mask, class)
+    entry lists and stable-sorting them by row: build_oracle_mdp must
+    give the same arrays, value for value and dtype for dtype."""
+    k, n, c = num_vms, buffer_capacity, num_classes
+    if arrival_probs is None:
+        arrival_probs = np.full(c, 1.0 / c)
+    arrival_probs = np.asarray(arrival_probs, dtype=float)
+    num_states = (n + 1) ** k * c**k
+    shape = (n + 1,) * k + (c,) * k
+    digits = np.array(np.unravel_index(np.arange(num_states), shape))
+    b = digits[:k].T.astype(np.int64)
+    l = digits[k:].T.astype(np.int64)
+    busy = b >= 1
+    avg = np.where(busy, l // np.maximum(b, 1), 0)
+
+    feas = b < n
+    n_actions = feas.sum(axis=1)
+    act_indptr = np.zeros(num_states + 1, dtype=np.int64)
+    np.cumsum(np.where(n_actions > 0, n_actions, 1), out=act_indptr[1:])
+    num_rows = int(act_indptr[-1])
+    rank = np.cumsum(feas, axis=1) - feas
+    act_action = np.full(num_rows, k, dtype=np.int64)
+    row_reward = np.zeros(num_rows, dtype=np.float64)
+    b_min = b.min(axis=1)
+    l_max = l.max(axis=1)
+    for a in range(k):
+        sel = feas[:, a]
+        rows = act_indptr[:-1][sel] + rank[sel, a]
+        act_action[rows] = a
+        row_reward[rows] = np.where(b[sel, a] == b_min[sel], 1.0,
+                                    np.where(l[sel, a] == l_max[sel], -1.0, 0.0))
+
+    masks = [np.array([(m >> j) & 1 for j in range(k)], dtype=np.int64)
+             for m in range(2**k)]
+
+    def mask_prob(depart):
+        w = np.ones(num_states)
+        for j in range(k):
+            if depart[j]:
+                w = w * np.where(busy[:, j], p_c, 0.0)
+            else:
+                w = w * np.where(busy[:, j], 1.0 - p_c, 1.0)
+        return w
+
+    ent_rows, ent_cols, ent_probs = [], [], []
+    for a in range(k):
+        sel = feas[:, a]
+        rows_a = act_indptr[:-1][sel] + rank[sel, a]
+        for depart in masks:
+            w = mask_prob(depart)[sel]
+            b2 = b[sel] + np.eye(k, dtype=np.int64)[a][None, :] - depart[None, :] * busy[sel]
+            for ci in range(c):
+                p = w * arrival_probs[ci]
+                keep = p > 0
+                l_arr = l[sel].copy()
+                l_arr[:, a] = np.minimum(l_arr[:, a] + ci, c - 1)
+                l2 = np.maximum(l_arr - avg[sel] * depart[None, :], 0)
+                ent_rows.append(rows_a[keep])
+                ent_cols.append(np.ravel_multi_index(
+                    tuple(b2[keep].T) + tuple(l2[keep].T), shape))
+                ent_probs.append(p[keep])
+    full = ~feas.any(axis=1)
+    rows_d = act_indptr[:-1][full]
+    for depart in masks:
+        w = mask_prob(depart)[full]
+        keep = w > 0
+        b2 = b[full] - depart[None, :] * busy[full]
+        l2 = np.maximum(l[full] - avg[full] * depart[None, :], 0)
+        ent_rows.append(rows_d[keep])
+        ent_cols.append(np.ravel_multi_index(tuple(b2[keep].T) + tuple(l2[keep].T), shape))
+        ent_probs.append(w[keep])
+
+    rows = np.concatenate(ent_rows)
+    order = np.argsort(rows, kind="stable")
+    csr_indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=csr_indptr[1:])
+    return SimpleNamespace(
+        act_indptr=act_indptr, act_action=act_action, row_reward=row_reward,
+        csr_indptr=csr_indptr,
+        csr_cols=np.concatenate(ent_cols)[order].astype(np.int64),
+        csr_probs=np.concatenate(ent_probs)[order].astype(np.float64))

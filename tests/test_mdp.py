@@ -1,12 +1,14 @@
 """State encoding, the reward rule and the enumerable oracle MDP."""
 
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracle_helpers import reachable_from_empty
+from oracle_helpers import reachable_from_empty, reference_build
+from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
 from qlsched.envs import LengthAwareView
 from qlsched.errors import CapacityError
@@ -284,6 +286,43 @@ def test_reachable_from_empty():
     assert 0 < mask.sum() <= m.num_states
 
 
+MODEL_ARRAYS = ("act_indptr", "act_action", "row_reward", "csr_indptr",
+                "csr_cols", "csr_probs")
+
+
+@pytest.mark.parametrize("k,n,c,arrival_probs,p_c", [
+    (1, 3, 3, None, 0.5),
+    (2, 2, 2, None, 0.0),
+    (2, 2, 3, None, 0.3),
+    (2, 2, 2, None, 1.0),
+    (3, 2, 2, None, 0.3),
+    (3, 2, 2, None, 1.0),
+    (3, 2, 3, [0.5, 0.0, 0.5], 0.3),     # a class that never arrives
+    (2, 1, 2, None, 0.5),                 # most states all-full: defer rows
+    (3, 1, 2, [0.25, 0.75], 0.0),
+    (2, 2, 2, [1e-200, 1.0], 1e-200),     # w * arrival_prob underflows to 0
+    (3, 1, 2, [1e-200, 1.0], 1e-200),     # and so do multi-departure weights
+])
+def test_build_matches_concat_and_sort_reference(k, n, c, arrival_probs, p_c):
+    m = build_oracle_mdp(k, n, c, arrival_probs=arrival_probs, p_c=p_c)
+    ref = reference_build(k, n, c, arrival_probs=arrival_probs, p_c=p_c)
+    for name in MODEL_ARRAYS:
+        got, want = getattr(m, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def test_build_peak_memory_stays_near_the_model():
+    tracemalloc.start()
+    try:
+        m = build_oracle_mdp(3, 5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(m, name).nbytes for name in MODEL_ARRAYS)
+    assert peak <= 2 * kept
+
+
 # -- Bellman kernel against a loop reference ----------------------------------------
 
 def loop_action_values(m, v):
@@ -384,3 +423,43 @@ def test_greedy_ties_pick_lowest_row():
     m = csr_mdp([0, 2], [0.5, 0.5], [0, 1, 2], [0, 0], [1.0, 1.0], 0.9)
     assert loop_backup(m, np.array([1.0]))[1][0] == 0
     assert value_iteration(m).policy[0] == 0
+
+
+def test_out_buffer_gives_the_same_bits_and_allocates_little():
+    m = build_oracle_mdp(3, 3, 3)
+    v = np.random.default_rng(2).normal(size=m.num_states)
+    buf = np.empty(m.csr_cols.size)
+    want = action_values(m, v)
+    got = action_values(m, v, out=buf)
+    assert got.tobytes() == want.tobytes()
+    tracemalloc.start()
+    try:
+        action_values(m, v, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.csr_probs.nbytes / 2
+
+
+def test_bad_transition_column_raises():
+    m = build_oracle_mdp(2, 2, 2)
+    m.csr_cols[5] = m.num_states
+    with pytest.raises(IndexError):
+        value_iteration(m)
+    with pytest.raises(IndexError):
+        action_values(m, np.zeros(m.num_states))
+
+
+def test_value_iteration_reuses_one_buffer(monkeypatch):
+    m = build_oracle_mdp(2, 2, 2)
+    buffers = []
+
+    def spy(mdp_, values, out=None):
+        buffers.append(out)
+        return action_values(mdp_, values, out)
+
+    monkeypatch.setattr(mdp, "action_values", spy)
+    res = value_iteration(m)
+    assert len(buffers) == res.sweeps + 1      # every sweep and the extraction
+    assert all(out is buffers[0] for out in buffers)
+    assert buffers[0].size == m.csr_probs.size

@@ -167,6 +167,33 @@ def test_same_seed_same_records():
     assert run() == run()
 
 
+class _CountingSimulation(Simulation):
+    """Numbers every admission through the attempts dict, at any ratio."""
+
+    def apply(self, vm_index):
+        task = self._queue.popleft()
+        n = self._attempts.get(task.id, 0) + 1
+        self._attempts[task.id] = n
+        self.cluster.admit(task, vm_index, n)
+
+
+def test_ratio_zero_admits_first_attempts_without_the_dict():
+    wl = [TaskSpec(i, i // 3, 2000 + 131 * i) for i in range(30)]
+
+    def run(cls):
+        sim = cls(specs(num_vms=3, capacity=2), wl, slot_seconds=1.0)
+        records = sim.drain(random_select, np.random.default_rng(4))
+        return sim, records
+
+    sim, records = run(Simulation)
+    twin, twin_records = run(_CountingSimulation)
+    assert len(records) == len(wl)
+    assert all(r.attempts == 1 for r in records)
+    assert not sim._attempts
+    assert records == twin_records
+    assert len(twin._attempts) == len(wl)
+
+
 def test_fifo_order_preserved_for_global_queue():
     # with one VM and capacity 1, service order equals arrival order
     wl = [TaskSpec(i, 0, 1000) for i in range(5)]
