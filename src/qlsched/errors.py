@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the config type checks."""
 
+from math import isfinite
 from numbers import Real
 
 
@@ -34,7 +35,7 @@ def require_int(key: str, value):
 
 
 def require_real(key: str, value):
-    """Raise ConfigError naming `key` unless value is a real number
-    (bools and strings are not)."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+    """Raise ConfigError naming `key` unless value is a finite real number
+    (bools, strings, infinities and NaN are not)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")

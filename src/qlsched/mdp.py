@@ -156,11 +156,13 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     floor(l_k / b_k). Kernel rows are exact products of those independent
     events and sum to 1.
 
-    A row's size follows from its state's busy set alone, through the
+    A row's size, and the offset of each (departure mask, arrival class)
+    entry within it, follow from its state's busy set alone, through the
     departure-mask weights of that set, so csr_indptr is known before any
     entry is made. Each entry is then written straight into its final CSR
-    slot, in (departure mask, arrival class) order within its row: the
-    build holds no copy of the transition entries besides the model's own.
+    slot, csr_indptr[row] + offset, with its successor's index computed
+    from the state's own index by row-major strides: the build holds no
+    copy of the transition entries besides the model's own.
     """
     k, n, c = num_vms, buffer_capacity, num_classes
     if k < 1 or n < 1 or c < 1:
@@ -199,27 +201,23 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     # rank of action a among the feasible actions of each state
     rank = np.cumsum(feas, axis=1) - feas
     act_action = np.full(num_rows, k, dtype=np.int64)  # defer unless overwritten
-    for a in range(k):
-        rows = act_indptr[:-1][feas[:, a]] + rank[feas[:, a], a]
-        act_action[rows] = a
-
     row_reward = np.zeros(num_rows, dtype=np.float64)
     b_min = b.min(axis=1)
     l_max = l.max(axis=1)
     for a in range(k):
-        rows = act_indptr[:-1][feas[:, a]] + rank[feas[:, a], a]
-        r_a = np.where(b[feas[:, a], a] == b_min[feas[:, a]], 1.0,
-                       np.where(l[feas[:, a], a] == l_max[feas[:, a]], -1.0, 0.0))
-        row_reward[rows] = r_a
+        sel = feas[:, a]
+        rows = act_indptr[:-1][sel] + rank[sel, a]
+        act_action[rows] = a
+        row_reward[rows] = np.where(b[sel, a] == b_min[sel], 1.0,
+                                    np.where(l[sel, a] == l_max[sel], -1.0, 0.0))
 
     # A departure mask's weight depends only on which VMs are busy, so it
     # is computed per busy set (VM j busy iff bit j is set), with the float
     # products a per-state weight would take. Every VM row of a state has
     # one entry per (mask, class) with weight * arrival_prob > 0, its defer
     # row one per mask with weight > 0: those counts size the CSR rows.
-    masks = [np.array([(m >> j) & 1 for j in range(k)], dtype=np.int64)
-             for m in range(2**k)]
-    busy_sets = np.array(masks, dtype=bool)    # (2^K, K)
+    masks = (np.arange(2**k)[:, None] >> np.arange(k)) & 1   # (2^K, K)
+    busy_sets = masks.astype(bool)
     busy_code = busy @ (1 << np.arange(k))     # (S,) busy set of each state
 
     def mask_prob(depart):
@@ -242,46 +240,57 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     assert np.all(row_len > 0), "every row needs transition mass"
     csr_indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(row_len, out=csr_indptr[1:])
-    csr_cols = np.empty(int(csr_indptr[-1]), dtype=np.int64)
+    csr_cols = np.full(int(csr_indptr[-1]), -1, dtype=np.int64)
     csr_probs = np.empty(int(csr_indptr[-1]), dtype=np.float64)
-    cursor = csr_indptr[:-1].copy()            # next free slot of each row
 
-    def put(rows, b2, l2, probs):
-        at = cursor[rows]
-        csr_cols[at] = np.ravel_multi_index(tuple(b2.T) + tuple(l2.T), shape)
-        csr_probs[at] = probs
-        cursor[rows] = at + 1
+    # Successor columns by row-major strides. Only departures of busy VMs
+    # have weight, and a departure at VM j removes one buffer and the
+    # average share avg_j <= l_j, so no digit leaves its range: a mask
+    # moves state s's index by -(leave[s] @ depart). An arrival of class
+    # ci at VM a adds one buffer at a and raises a's length class, capped.
+    stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+    leave = stride[:k] + avg * stride[k:]      # (S, K)
 
-    # Entries per (departure mask, action, arrival class), all states at
-    # once, each written to its row's next free slot: a row's entries land
-    # in (mask, class) order. Outcomes of probability 0 (a departure at an
-    # idle VM, or an underflow) are skipped. Defer rows admit no arrival.
-    full = ~feas.any(axis=1)
-    rows_d = act_indptr[:-1][full]
-    for depart in masks:
-        w_set = mask_prob(depart)
-        for a in range(k):
-            sel = feas[:, a]
-            w = w_set[busy_code[sel]]
-            if not np.any(w > 0):
-                continue
-            rows_a = act_indptr[:-1][sel] + rank[sel, a]
-            b2 = b[sel] + np.eye(k, dtype=np.int64)[a][None, :] - depart[None, :] * busy[sel]
-            for ci in range(c):
-                p = w * arrival_probs[ci]
-                keep = p > 0
-                if not np.any(keep):
-                    continue
-                l_arr = l[sel].copy()
-                l_arr[:, a] = np.minimum(l_arr[:, a] + ci, c - 1)
-                l2 = np.maximum(l_arr - avg[sel] * depart[None, :], 0)
-                put(rows_a[keep], b2[keep], l2[keep], p[keep])
-        w = w_set[busy_code[full]]
-        keep = w > 0
-        b2 = b[full] - depart[None, :] * busy[full]
-        l2 = np.maximum(l[full] - avg[full] * depart[None, :], 0)
-        put(rows_d[keep], b2[keep], l2[keep], w[keep])
-    assert np.array_equal(cursor, csr_indptr[1:]), "every slot is written once"
+    # Entries per (action, departure mask), all states and arrival classes
+    # at once as a (rows, classes) block: only the assigned VM's length
+    # digit depends on the class. The defer action admits no arrival: one
+    # class of probability 1 (w * 1.0 == w) that moves no digit. A row's
+    # entries run in (mask, class) order, so an entry's slot is its row's
+    # start plus its offset: the kept entries of the row's busy set under
+    # earlier masks (`before`), plus its rank among this mask's kept
+    # classes. Outcomes of probability 0 (a departure at an idle VM, or an
+    # underflow) are skipped.
+    written = 0
+    for a in range(k + 1):
+        if a < k:
+            s = np.flatnonzero(feas[:, a])
+            start = csr_indptr[act_indptr[s] + rank[s, a]][:, None]
+            l_a = l[s, a][:, None]
+            grown = np.minimum(l_a + np.arange(c), c - 1) - l_a
+            arrive = (s + stride[a])[:, None] + grown * stride[k + a]
+            class_probs = arrival_probs
+        else:
+            s = np.flatnonzero(~feas.any(axis=1))
+            start = csr_indptr[act_indptr[s]][:, None]
+            arrive = s[:, None]
+            class_probs = np.ones(1)
+        sets = busy_code[s]
+        leave_a = leave[s]
+        before = np.zeros(2**k, dtype=np.int64)
+        for depart in masks:
+            p_set = np.multiply.outer(mask_prob(depart), class_probs)  # (set, class)
+            keep_set = p_set > 0
+            offset = before[:, None] + np.cumsum(keep_set, axis=1) - keep_set
+            before += keep_set.sum(axis=1)
+            keep = keep_set[sets]              # (rows, classes)
+            slot = (start + offset[sets])[keep]
+            csr_cols[slot] = (arrive - (leave_a @ depart)[:, None])[keep]
+            csr_probs[slot] = p_set[sets][keep]
+            written += slot.size
+    # csr_cols was filled with -1: as many writes as slots, none left at
+    # -1, means each slot was written exactly once.
+    assert written == csr_cols.size and csr_cols.min() >= 0, \
+        "every slot is written exactly once"
 
     return OracleMdp(
         num_vms=k, buffer_capacity=n, num_classes=c, p_c=p_c, gamma=gamma,

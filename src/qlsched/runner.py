@@ -73,11 +73,18 @@ class ExperimentPlan:
                 check(key, value)
         for key in ("slot_seconds", "qsch_w_buffer", "qsch_w_wait"):
             require_real(key, getattr(self, key))
-        for name in self.policies:
-            if name not in POLICY_NAMES:
-                raise ConfigError(f"unknown policy {name!r} (choose from {POLICY_NAMES})")
+        if not isinstance(self.policies, (list, tuple)):
+            raise ConfigError(f"policies must be a list, got {self.policies!r}")
         if not self.policies:
             raise ConfigError("policies must be non-empty")
+        for name in self.policies:
+            if name not in POLICY_NAMES:
+                raise ConfigError(f"unknown policy {name!r} in policies "
+                                  f"(choose from {POLICY_NAMES})")
+        if len(set(self.policies)) != len(self.policies):
+            raise ConfigError(f"policies must not repeat a name, got {self.policies!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         # range checks are written so that NaN fails them
         if not all(t >= 1 for t in self.task_counts):
             raise ConfigError("task_counts entries must be >= 1")

@@ -51,10 +51,6 @@ class Simulation:
 
     # -- state checks -------------------------------------------------------
 
-    @property
-    def global_queue_length(self) -> int:
-        return len(self._queue)
-
     def all_assigned(self) -> bool:
         """True once every submitted task sits in some VM buffer (or is done)."""
         return not self._pending and not self._queue

@@ -1,5 +1,6 @@
 """State encoding, the reward rule and the enumerable oracle MDP."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -302,6 +303,8 @@ MODEL_ARRAYS = ("act_indptr", "act_action", "row_reward", "csr_indptr",
     (3, 1, 2, [0.25, 0.75], 0.0),
     (2, 2, 2, [1e-200, 1.0], 1e-200),     # w * arrival_prob underflows to 0
     (3, 1, 2, [1e-200, 1.0], 1e-200),     # and so do multi-departure weights
+    (4, 2, 2, None, 0.3),                 # 16 departure masks per busy set
+    (4, 1, 3, None, 0.3),
 ])
 def test_build_matches_concat_and_sort_reference(k, n, c, arrival_probs, p_c):
     m = build_oracle_mdp(k, n, c, arrival_probs=arrival_probs, p_c=p_c)
@@ -310,6 +313,28 @@ def test_build_matches_concat_and_sort_reference(k, n, c, arrival_probs, p_c):
         got, want = getattr(m, name), getattr(ref, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+# sha256 of each array of the model the benchmark's oracle_vi workload
+# solves: a change to the builder must leave every byte of it as it is.
+BENCH_MODEL_SHA256 = {
+    "act_indptr": "d18c4c639ff9e039fe3eed22f7d4b57adcb201f8923f1f5faf55e411631eb6e4",
+    "act_action": "a242cf53d8e93717a3c865b27ba500d864799be3622ab992ad96c5ee7cbc5c68",
+    "row_reward": "3da9a01fa6c993cce3d278e53de8d5d07b010f9d9d399447d3bfc310e1155425",
+    "csr_indptr": "fa4e75adf79e1515e552047018a8588d6295b5cf7faf2b9dfe8e682bd02af69a",
+    "csr_cols": "4a0e7d3298317632205d025bf915f67ef635dab5139c7ca010c424270b8d1a9c",
+    "csr_probs": "6dd5135d09afda860a20d0e6bac73c4fce73382480bcc56ad5e07c604715c959",
+}
+
+
+def test_benchmark_model_digests_are_pinned():
+    m = build_oracle_mdp(3, 9, 4)
+    assert m.num_states == 64_000 and m.csr_cols.size == 4_713_728
+    for name in MODEL_ARRAYS:
+        arr = getattr(m, name)
+        assert arr.dtype == (np.float64 if name.endswith(("reward", "probs"))
+                             else np.int64), name
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == BENCH_MODEL_SHA256[name], name
 
 
 def test_build_peak_memory_stays_near_the_model():

@@ -325,13 +325,21 @@ def test_cli_runtime_failure_exit_2(tmp_path, capsys):
     (None, "slot_seconds", "30"),
     ("learner", "gamma", "0.9"),
     ("learner", "total_cycles", 600.5),
+    (None, "policies", "qlearn"),
+    (None, "policies", ["greedy", "greedy"]),
+    ("scenario", "vm_mips", float("inf")),
+    ("scenario", "arrival_mean", float("inf")),
+    (None, "out_dir", 5),
 ])
 def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value):
     # values that once slipped past validation: NaN compares false with
     # every bound, a string replication count raised a TypeError, the
     # qsch weights were only checked when training started, sweep entries
-    # and scenario ints were not type-checked, and a string where a number
-    # belongs raised a TypeError past the CLI's config-error handler
+    # and scenario ints were not type-checked, a string where a number
+    # belongs raised a TypeError past the CLI's config-error handler, a
+    # string of policies was read letter by letter, a repeated policy wrote
+    # duplicate summary rows, an infinite speed or arrival mean ran (or
+    # failed at run time), and a numeric out_dir failed at write time
     with open(os.path.join(CONFIG_DIR, "scenario1.yaml"), encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     (cfg[section] if section else cfg)[key] = value

@@ -47,8 +47,8 @@ def test_full_buffers_defer_until_completion_frees_space():
     sim = Simulation(specs(num_vms=1, capacity=2), wl, slot_seconds=100.0)
     sim.next_decision(); sim.apply(0)
     sim.next_decision(); sim.apply(0)
-    # buffer now full; third task parks in the global queue
-    assert sim.global_queue_length == 1
+    # buffer now full; the third task has arrived but waits unassigned
+    assert sim.cluster.free_counts()[0] == 0 and not sim.all_assigned()
     t = sim.next_decision()
     assert t.id == 2
     # it became admittable exactly when the first completion freed a slot
