@@ -5,9 +5,9 @@ FCFS queue, and compares learned schedulers against random, FIFO,
 load-mixing and greedy baselines.
 """
 
-from .cluster import ClusterState, CompletionRecord, VmSpec, maybe_fail
+from .cluster import ClusterState, CompletionRecord, VmSpec
 from .errors import (BufferFullError, CapacityError, ConfigError,
-                     MetricsError, NoFeasibleActionError, TraceParseError)
+                     MetricsError, NoFeasibleActionError)
 from .mdp import (OracleMdp, build_oracle_mdp, discretize_length,
                   encode_state, reward, value_iteration)
 from .metrics import MetricsReport, aggregate, build_report
@@ -17,8 +17,7 @@ from .qlearn import (LearnerConfig, QTable, TrainResult, export_qtable,
                      select_action, train, update_q)
 from .runner import ExperimentPlan, RunOutputs, parse_config, run_plan
 from .simulate import Simulation, run_policy_simulation
-from .workload import (ScenarioConfig, TaskSpec, generate_workload,
-                       parse_trace, serialize)
+from .workload import ScenarioConfig, TaskSpec, generate_workload
 
 __version__ = "0.1.0"
 
@@ -27,11 +26,10 @@ __all__ = [
     "ConfigError", "ExperimentPlan", "LearnerConfig", "MetricsError",
     "MetricsReport", "NoFeasibleActionError", "OracleMdp", "POLICY_NAMES",
     "QTable", "QlearnPolicy", "QschAgent", "RunOutputs", "ScenarioConfig",
-    "Simulation", "TaskSpec", "TraceParseError", "TrainResult", "VmSpec",
-    "aggregate", "build_oracle_mdp", "build_report", "discretize_length",
-    "encode_state", "export_qtable", "fifo_select", "generate_workload",
-    "greedy_select", "maybe_fail", "mixed_select", "parse_config",
-    "parse_trace", "random_select", "reward", "run_plan",
-    "run_policy_simulation", "select_action", "serialize", "train",
-    "update_q", "value_iteration",
+    "Simulation", "TaskSpec", "TrainResult", "VmSpec", "aggregate",
+    "build_oracle_mdp", "build_report", "discretize_length", "encode_state",
+    "export_qtable", "fifo_select", "generate_workload", "greedy_select",
+    "mixed_select", "parse_config", "random_select", "reward", "run_plan",
+    "run_policy_simulation", "select_action", "train", "update_q",
+    "value_iteration",
 ]

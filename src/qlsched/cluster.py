@@ -74,32 +74,16 @@ def _check_ratio(failure_ratio: float):
         raise ValueError("failure_ratio must be in [0, 1]")
 
 
-def maybe_fail(task: TaskSpec, failure_ratio: float, attempts: int,
-               rng: np.random.Generator,
-               max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> FailureOutcome:
-    """Draw the fate of a finishing service attempt.
-
-    One Bernoulli(failure_ratio) draw per attempt: a single rng.random()
-    call, made at every ratio, 0 included. A failed attempt is requeued
-    while attempts < max_attempts and aborted once the budget is
-    exhausted. The simulator reaches the same fates through
-    failure_hook, which draws nothing at ratio 0.
-    """
-    _check_ratio(failure_ratio)
-    if attempts < 1:
-        raise ValueError("attempts counts the current attempt, so >= 1")
-    return _fate(rng.random(), failure_ratio, attempts, max_attempts)
-
-
 def failure_hook(failure_ratio: float, rng: np.random.Generator,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS):
     """Outcome hook for advance_to_next_event, or None at ratio 0.
 
-    Above 0 the hook gives the k-th event it sees the fate maybe_fail
-    would give it with the k-th scalar rng.random() draw. It takes the
-    uniforms in blocks of FAILURE_DRAW_BLOCK via rng.random(n), which
-    yields the same doubles as n scalar calls, so rng must belong to the
-    run alone: after the run its state is up to one block further on.
+    Above 0 the hook gives the k-th event it sees the fate _fate gives
+    the k-th scalar rng.random() draw: one Bernoulli(failure_ratio) draw
+    per finishing attempt. It takes the uniforms in blocks of
+    FAILURE_DRAW_BLOCK via rng.random(n), which yields the same doubles
+    as n scalar calls, so rng must belong to the run alone: after the
+    run its state is up to one block further on.
     At ratio 0 every attempt completes and rng is never read.
     """
     _check_ratio(failure_ratio)
@@ -188,9 +172,6 @@ class ClusterState:
 
     def has_free_buffer(self) -> bool:
         return self._free > 0
-
-    def is_idle(self) -> bool:
-        return self._free == self._capacity
 
     def backlogs(self) -> list[float]:
         """Work queued at each VM, in seconds of single-PE service remaining.

@@ -38,9 +38,6 @@ class LengthAwareView:
     def state(self, cluster):
         return mdp.encode_state(cluster, self.range_mi, self.l_cap)
 
-    def feasible(self, cluster):
-        return cluster.feasible_vms()
-
     def reward(self, cluster, action, state):
         """Reward of `action`; `state` is this view's state of `cluster`.
 
@@ -69,9 +66,6 @@ class FreeBufferView:
 
     def state(self, cluster):
         return tuple(cluster.free_counts())
-
-    def feasible(self, cluster):
-        return cluster.feasible_vms()
 
     def reward(self, cluster, action, state):
         """Reward of `action`; `state` is this view's state of `cluster`."""
@@ -123,7 +117,7 @@ class SimulationEnv:
         assert task is not None
         cluster = self.sim.cluster
         self.state = self.view.state(cluster)
-        return self.state, self.view.feasible(cluster)
+        return self.state, cluster.feasible_vms()
 
     def step(self, action: int, rng: np.random.Generator):
         sim = self.sim
@@ -136,7 +130,7 @@ class SimulationEnv:
         # next_decision only pauses when some buffer has space (or the run
         # drained, leaving everything free), so the action set is never empty
         self.state = state = view.state(cluster)
-        return reward_value, state, view.feasible(cluster), terminal
+        return reward_value, state, cluster.feasible_vms(), terminal
 
     def episode_metrics(self):
         done = [r for r in self.sim.records if not r.aborted]

@@ -8,10 +8,6 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, out-of-range value)."""
 
 
-class TraceParseError(ValueError):
-    """Malformed workload trace line."""
-
-
 class BufferFullError(RuntimeError):
     """Admission attempted on a VM whose buffer is at capacity."""
 

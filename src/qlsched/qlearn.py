@@ -89,9 +89,6 @@ class QTable:
             self._visits[state] = [0] * self.num_actions
             self._feasible[state] = tuple(feasible)
 
-    def feasible(self, state):
-        return self._feasible.get(state)
-
     def q(self, state, action) -> float:
         row = self._q.get(state)
         return 0.0 if row is None else row[action]
@@ -99,13 +96,6 @@ class QTable:
     def visits(self, state, action) -> int:
         row = self._visits.get(state)
         return 0 if row is None else row[action]
-
-    def max_q(self, state, actions) -> float:
-        """max over the given actions; unseen states read as all zeros."""
-        row = self._q.get(state)
-        if row is None:
-            return 0.0
-        return max([row[a] for a in actions])
 
     def greedy(self, state, actions=None) -> int:
         """Lowest-index argmax over the state's feasible actions."""
@@ -150,8 +140,8 @@ def update_q(table: QTable, state, action, reward_value: float, next_state,
     The step size comes from the pair's visit count before this update,
     the bootstrap is the max over the next state's feasible actions, and
     the visit count then increments. The state must have been ensure()d.
-    The rows are read directly, with QTable.max_q's and QTable.greedy's
-    rules: an unseen next state bootstraps 0, the first maximum wins.
+    The rows are read directly: an unseen next state bootstraps 0, and
+    the greedy action is QTable.greedy's, the first maximum.
     """
     q_rows = table._q
     visits = table._visits[state]

@@ -108,6 +108,10 @@ class ExperimentPlan:
             raise ConfigError("l_cap must be >= 0")
         if self.arrival_dmax < 1:
             raise ConfigError("arrival_dmax must be >= 1")
+        if not self.scenario.arrival_mean <= self.arrival_dmax:
+            raise ConfigError(f"arrival_mean must be <= arrival_dmax "
+                              f"({self.arrival_dmax}): the per-slot count is "
+                              f"Binomial(arrival_dmax, mean / arrival_dmax)")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
 

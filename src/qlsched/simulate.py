@@ -27,7 +27,7 @@ class Simulation:
     drained (returning None); apply(vm_index) admits the pending task.
 
     failure_ratio is checked here, once. At ratio 0 no uniform is drawn.
-    Above 0 the fates are those of one maybe_fail draw per event, but a
+    Above 0 the fates are those of one scalar draw per event, but a
     caller-supplied failure_rng is read in blocks of FAILURE_DRAW_BLOCK
     uniforms (rng.random(n)), so it should serve this run alone.
     """
@@ -48,17 +48,6 @@ class Simulation:
         self._queue: deque[TaskSpec] = deque()
         self._attempts: dict[int, int] = {}  # task id -> attempts; above ratio 0
         self.records = []
-
-    # -- state checks -------------------------------------------------------
-
-    def all_assigned(self) -> bool:
-        """True once every submitted task sits in some VM buffer (or is done)."""
-        return not self._pending and not self._queue
-
-    def finished(self) -> bool:
-        return self.all_assigned() and self.cluster.is_idle()
-
-    # -- driving ------------------------------------------------------------
 
     def next_decision(self):
         """Advance until a task is admittable; return it, or None when drained.

@@ -5,7 +5,7 @@ import pytest
 
 from qlsched.cluster import (DEFAULT_MAX_ATTEMPTS, ClusterState,
                              CompletionRecord, FailureOutcome, VmSpec,
-                             failure_hook, maybe_fail)
+                             _fate, failure_hook)
 from qlsched.errors import BufferFullError
 from qlsched.workload import TaskSpec
 
@@ -145,7 +145,6 @@ def test_assigned_length_matches_queue_and_clock_monotone():
             last_clock = c.clock
             assert c.has_free_buffer() == any(
                 len(vm.queue) < vm.spec.buffer_capacity for vm in c.vms)
-            assert c.is_idle() == all(not vm.queue for vm in c.vms)
             occupied = [len(vm.queue) for vm in c.vms]
             assert c.counters() == (occupied, [sum(q.task.length for q in vm.queue)
                                                for vm in c.vms])
@@ -169,7 +168,8 @@ def test_assigned_length_matches_queue_and_clock_monotone():
     assert [(r.vm_index, r.task_id) for r in popped] == [
         (0, 1), (0, 4), (1, 2), (1, 5), (2, 0), (2, 3)]
     assert all(r.finish_time == 1.0 for r in popped)
-    assert c.is_idle() and c.events == []
+    assert c.events == [] and not any(vm.queue for vm in c.vms)
+    assert c.free_counts() == [4, 4, 4]
 
 
 @pytest.mark.parametrize("failure_ratio", [0.0, 0.2])
@@ -267,33 +267,37 @@ def test_backlogs_match_per_vm_loop():
 # -- failure draws ---------------------------------------------------------------
 
 def test_failure_ratio_zero_always_completes():
+    # no hook at ratio 0, so every event completes and rng is never read;
+    # the fate rule itself completes every uniform in [0, 1) too
     rng = np.random.default_rng(0)
-    out = {maybe_fail(task(0, 10), 0.0, 1, rng) for _ in range(500)}
-    assert out == {FailureOutcome.COMPLETE}
+    assert failure_hook(0.0, rng) is None
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    us = np.random.default_rng(1).random(500).tolist() + [0.0, 1.0 - 2.0**-53]
+    assert {_fate(u, 0.0, 1, DEFAULT_MAX_ATTEMPTS) for u in us} == {FailureOutcome.COMPLETE}
 
 
 def test_failure_ratio_one_requeues_then_aborts():
-    rng = np.random.default_rng(0)
-    fates = [maybe_fail(task(0, 10), 1.0, attempts, rng, max_attempts=3)
-             for attempts in (1, 2, 3)]
+    hook = failure_hook(1.0, np.random.default_rng(0), max_attempts=3)
+    fates = [hook(task(0, 10), 0, attempts) for attempts in (1, 2, 3)]
     assert fates == [FailureOutcome.REQUEUE, FailureOutcome.REQUEUE,
                      FailureOutcome.ABORT]
+    # the boundary: u < ratio fails, u == ratio completes
+    assert _fate(0.25, 0.25, 1, 3) is FailureOutcome.COMPLETE
+    assert _fate(np.nextafter(0.25, 0.0), 0.25, 3, 3) is FailureOutcome.ABORT
 
 
 def test_failure_frequency_matches_ratio():
-    rng = np.random.default_rng(123)
+    hook = failure_hook(0.2, np.random.default_rng(123))
     n = 100_000
-    fails = sum(maybe_fail(task(0, 10), 0.2, 1, rng) is not FailureOutcome.COMPLETE
+    fails = sum(hook(task(0, 10), 0, 1) is not FailureOutcome.COMPLETE
                 for _ in range(n))
     assert abs(fails / n - 0.2) <= 0.01
 
 
-def test_maybe_fail_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        maybe_fail(task(0, 1), 1.5, 1, rng)
-    with pytest.raises(ValueError):
-        maybe_fail(task(0, 1), 0.5, 0, rng)
+@pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
+def test_failure_hook_validation(ratio):
+    with pytest.raises(ValueError, match="failure_ratio"):
+        failure_hook(ratio, np.random.default_rng(0))
 
 
 def test_default_max_attempts():

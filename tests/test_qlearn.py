@@ -187,7 +187,7 @@ class TestUpdateQ:
         table.ensure(NEXT, (0, 1))
         set_q(table, NEXT, 0, 0.5)
         set_q(table, S, 0, 0.5)
-        # q(S,0) already equals r + gamma * max_q(NEXT) = 0.1 + 0.8 * 0.5
+        # q(S,0) already equals r + gamma * max_a q(NEXT, a) = 0.1 + 0.8 * 0.5
         for _ in range(5):
             assert update_q(table, S, 0, 0.1, NEXT, [0, 1], 0.8) == 0.5
 
@@ -238,15 +238,14 @@ class TestQTable:
         table = QTable(3)
         assert table.q(S, 1) == 0.0
         assert table.visits(S, 1) == 0
-        assert table.max_q(S, [0, 1, 2]) == 0.0
-        assert table.feasible(S) is None
+        assert table.greedy(S, (0, 1, 2)) == 0
         assert len(table) == 0
 
     def test_ensure_registers_state_once(self):
         table = QTable(3)
         table.ensure(S, [1, 2])
         table.ensure(S, [0])  # second call must not clobber
-        assert table.feasible(S) == (1, 2)
+        assert table.greedy(S) == 1   # over the first call's actions
         assert len(table) == 1
         assert list(table.states()) == [S]
 

@@ -330,6 +330,7 @@ def test_cli_runtime_failure_exit_2(tmp_path, capsys):
     ("scenario", "vm_mips", float("inf")),
     ("scenario", "arrival_mean", float("inf")),
     (None, "out_dir", 5),
+    ("scenario", "arrival_mean", 6.0),
 ])
 def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value):
     # values that once slipped past validation: NaN compares false with
@@ -339,7 +340,8 @@ def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value
     # belongs raised a TypeError past the CLI's config-error handler, a
     # string of policies was read letter by letter, a repeated policy wrote
     # duplicate summary rows, an infinite speed or arrival mean ran (or
-    # failed at run time), and a numeric out_dir failed at write time
+    # failed at run time), a numeric out_dir failed at write time, and an
+    # arrival mean above arrival_dmax failed at run time with exit 2
     with open(os.path.join(CONFIG_DIR, "scenario1.yaml"), encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh)
     (cfg[section] if section else cfg)[key] = value

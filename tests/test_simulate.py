@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qlsched import simulate
-from qlsched.cluster import FAILURE_DRAW_BLOCK, VmSpec, maybe_fail
+from qlsched.cluster import FAILURE_DRAW_BLOCK, VmSpec, _fate
 from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
 from qlsched.policies import fifo_select, greedy_select, random_select
 from qlsched.simulate import Simulation, run_policy_simulation
@@ -39,7 +39,7 @@ def test_all_same_slot_admitted_at_zero():
         assert sim.next_decision() is not None
         assert sim.cluster.clock == 0.0
         sim.apply(0 if sim.cluster.free_counts()[0] else 1)
-    assert sim.all_assigned()
+    assert sorted(q.task.id for vm in sim.cluster.vms for q in vm.queue) == [0, 1, 2, 3]
 
 
 def test_full_buffers_defer_until_completion_frees_space():
@@ -48,7 +48,8 @@ def test_full_buffers_defer_until_completion_frees_space():
     sim.next_decision(); sim.apply(0)
     sim.next_decision(); sim.apply(0)
     # buffer now full; the third task has arrived but waits unassigned
-    assert sim.cluster.free_counts()[0] == 0 and not sim.all_assigned()
+    assert sim.cluster.free_counts()[0] == 0
+    assert [q.task.id for q in sim.cluster.vms[0].queue] == [0, 1]
     t = sim.next_decision()
     assert t.id == 2
     # it became admittable exactly when the first completion freed a slot
@@ -108,6 +109,12 @@ def _failure_run(ratio, seed, max_attempts=2):
     return records, failure_rng
 
 
+def maybe_fail(failure_ratio, attempt, rng, max_attempts):
+    """The scalar reference for the block-drawing failure hook: one
+    rng.random() draw per finishing attempt, at every ratio."""
+    return _fate(rng.random(), failure_ratio, attempt, max_attempts)
+
+
 @pytest.mark.parametrize("ratio", [0.0, 0.2, 1.0])
 def test_block_failure_draws_match_one_maybe_fail_per_event(monkeypatch, ratio):
     # Reference: one maybe_fail call (one scalar draw) per event on a twin
@@ -119,7 +126,7 @@ def test_block_failure_draws_match_one_maybe_fail_per_event(monkeypatch, ratio):
         def scalar_hook(failure_ratio, rng, max_attempts):
             def outcome(task, vm_index, attempt):
                 draws.append(task.id)
-                return maybe_fail(task, failure_ratio, attempt, rng, max_attempts)
+                return maybe_fail(failure_ratio, attempt, rng, max_attempts)
             return outcome
 
         with monkeypatch.context() as m:
@@ -231,7 +238,7 @@ def test_env_reuses_a_fresh_state(view):
     while not terminal:
         cluster = env.sim.cluster
         assert env.state == state == view.state(cluster)
-        assert actions == view.feasible(cluster)
+        assert actions == cluster.feasible_vms()
         action = actions[int(rng.integers(len(actions)))]
         expect = view.reward(cluster, action, view.state(cluster))
         reward, state, actions, terminal = env.step(action, rng)

@@ -1,12 +1,13 @@
-"""Trace parsing, synthetic generation and the slotted arrival models."""
+"""Synthetic generation and the slotted arrival rows."""
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from qlsched.errors import ConfigError, TraceParseError
-from qlsched.workload import (ArrivalModel, ScenarioConfig, TaskSpec,
-                              arrival_model_for, generate_workload,
-                              parse_trace, sample_arrivals, serialize)
+from qlsched.errors import ConfigError
+from qlsched.workload import ScenarioConfig, TaskSpec, _cum_rows, generate_workload
 
 
 def scenario(**over):
@@ -14,50 +15,6 @@ def scenario(**over):
                 num_vms=3, vm_mips=1000.0)
     base.update(over)
     return ScenarioConfig(**base)
-
-
-# -- parse_trace ------------------------------------------------------------
-
-def test_parse_single_line():
-    assert parse_trace("1,0,5000") == [TaskSpec(id=1, arrival_slot=0, length=5000)]
-
-
-def test_parse_empty_stream():
-    assert parse_trace("") == []
-
-
-def test_parse_header_skipped():
-    tasks = parse_trace("id,arrival_slot,length_mi\n0,0,100\n1,2,50\n")
-    assert [t.id for t in tasks] == [0, 1]
-    assert tasks[1].arrival_slot == 2
-
-
-@pytest.mark.parametrize("raw,msg", [
-    ("2,0,-7", "non-positive length at line 1"),
-    ("2,0,0", "non-positive length at line 1"),
-    ("0,0,5\n0,1,5", "duplicate id 0 at line 2"),
-    ("0,0,5\n1,2", r"expected 3 fields\) at line 2"),
-    ("0,0,5\n1,x,5", r"non-integer field\) at line 2"),
-    ("0,-1,5", "negative arrival slot at line 1"),
-    ("-1,0,5", "negative id at line 1"),
-])
-def test_parse_errors_carry_line_numbers(raw, msg):
-    with pytest.raises(TraceParseError, match=msg):
-        parse_trace(raw)
-
-
-def test_parse_accepts_iterable_of_lines():
-    tasks = parse_trace(["5, 1, 30\n", "\n", "6, 1, 40\n"])
-    assert [(t.id, t.arrival_slot, t.length) for t in tasks] == [(5, 1, 30), (6, 1, 40)]
-
-
-def test_roundtrip_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        tasks = [TaskSpec(i, int(rng.integers(0, 100)), int(rng.integers(1, 10**6)))
-                 for i in range(n)]
-        assert parse_trace(serialize(tasks)) == tasks
 
 
 # -- generate_workload -------------------------------------------------------
@@ -117,79 +74,91 @@ def test_scenario_validation(kw):
         scenario(**kw)
 
 
-# -- arrival models -----------------------------------------------------------
+# -- arrival rows --------------------------------------------------------------
+
+def _pmf(rows):
+    """The law each cumulative row encodes, one per row."""
+    return np.diff(np.asarray(rows, dtype=float), axis=1, prepend=0.0)
+
 
 def test_iid_point_mass_always_zero():
-    model = ArrivalModel(mode="iid", probs=[1.0, 0.0, 0.0])
+    # a mean this small leaves the binomial's mass on zero, to the last
+    # bit: every row reaches 1.0 at count 0, so every uniform bisects to 0
+    rows = _cum_rows("iid", 5, 1e-300)
+    assert all(row[0] == 1.0 for row in rows)
     rng = np.random.default_rng(0)
-    assert all(sample_arrivals(model, 0, rng) == 0 for _ in range(200))
+    assert all(bisect_right(rows[0], u) == 0 for u in rng.random(200))
 
 
 def test_markov_identity_matrix_absorbs():
-    model = ArrivalModel(mode="markov", matrix=np.eye(4))
+    # at mean = d_max the pmf is a point mass on d_max, so the row of
+    # d_max is the identity matrix's: once there, the chain stays
+    rows = _cum_rows("markov", 3, 3.0)
+    assert rows[3] == (0.0, 0.0, 0.0, 1.0)
     rng = np.random.default_rng(1)
-    assert all(sample_arrivals(model, 3, rng) == 3 for _ in range(200))
+    assert all(bisect_right(rows[3], u) == 3 for u in rng.random(200))
 
 
-def test_iid_uniform_mean():
-    model = ArrivalModel(mode="iid", probs=[1 / 3] * 3)
-    rng = np.random.default_rng(7)
-    draws = [sample_arrivals(model, 0, rng) for _ in range(100_000)]
-    assert abs(np.mean(draws) - 1.0) <= 0.02
-
-
-def test_iid_empirical_total_variation():
-    model = arrival_model_for(scenario())
-    rng = np.random.default_rng(11)
-    counts = np.zeros(model.d_max + 1)
-    n = 1_000_000
-    for _ in range(n):
-        counts[sample_arrivals(model, 0, rng)] += 1
-    tv = 0.5 * np.abs(counts / n - model.probs).sum()
-    assert tv < 0.01
+@pytest.mark.parametrize("mode", ["iid", "markov"])
+def test_rows_match_scipy_binomial(mode):
+    # exact check of the law the generator samples: every iid row, and
+    # the Markov chain's stationary law, is Binomial(d_max, mean/d_max)
+    for d_max in (1, 2, 5, 8, 12):
+        for mean in (0.05, 0.5, 1.0, d_max / 2, float(d_max)):
+            if mean > d_max:
+                continue
+            pmf = stats.binom.pmf(np.arange(d_max + 1), d_max, mean / d_max)
+            law = _pmf(_cum_rows(mode, d_max, mean))
+            if mode == "iid":
+                assert np.abs(law - pmf[None, :]).max() < 1e-12
+            else:
+                assert np.abs(pmf @ law - pmf).max() < 1e-12
+                # the sticky chain keeps the previous count with weight 0.5
+                assert np.abs(law - (0.5 * np.eye(d_max + 1) + 0.5 * pmf)).max() < 1e-12
 
 
 def test_binomial_model_mean_matches():
-    model = ArrivalModel.iid_binomial(d_max=5, mean=1.0)
-    assert abs(float(np.arange(6) @ model.probs) - 1.0) < 1e-12
+    pmf = _pmf(_cum_rows("iid", 5, 1.0))[0]
+    assert abs(float(np.arange(6) @ pmf) - 1.0) < 1e-12
 
 
 def test_markov_sticky_rows_sum_to_one():
-    model = ArrivalModel.markov_sticky(d_max=5, mean=2.0, stickiness=0.7)
-    assert np.allclose(model.matrix.sum(axis=1), 1.0)
+    rows = _cum_rows("markov", 5, 2.0)
+    pmf = stats.binom.pmf(np.arange(6), 5, 0.4)
+    for prev, row in enumerate(rows):
+        # non-negative masses, and the pinned 1.0 only absorbs rounding:
+        # the entries before it leave the sticky row's last mass
+        assert row[-1] == 1.0 and list(row) == sorted(row)
+        last = 0.5 * (prev == 5) + 0.5 * pmf[5]
+        assert abs((1.0 - row[-2]) - last) < 1e-12
     # stationary law is the binomial itself, so the mean is preserved
-    pi = ArrivalModel.iid_binomial(d_max=5, mean=2.0).probs
-    assert np.allclose(pi @ model.matrix, pi)
-
-
-def test_sample_arrivals_rejects_bad_prev():
-    model = ArrivalModel.markov_sticky()
-    with pytest.raises(ValueError, match="outside support"):
-        sample_arrivals(model, 9, np.random.default_rng(0))
+    law = _pmf(rows)
+    assert np.allclose(pmf @ law, pmf)
+    assert abs(float(np.arange(6) @ pmf) - 2.0) < 1e-12
 
 
 @pytest.mark.parametrize("kw", [
-    dict(mode="iid", probs=[0.5, 0.6]),
-    dict(mode="iid", probs=[-0.1, 1.1]),
-    dict(mode="markov", matrix=[[0.5, 0.5], [0.9, 0.2]]),
-    dict(mode="markov", matrix=[[1.0, 0.0]]),
-    dict(mode="weird", probs=[1.0]),
+    dict(mode="iid", d_max=5, mean=0.0),
+    dict(mode="iid", d_max=5, mean=-1.0),
+    dict(mode="iid", d_max=5, mean=5.5),
+    dict(mode="markov", d_max=2, mean=3.0),
+    dict(mode="markov", d_max=5, mean=float("nan")),
 ])
 def test_arrival_model_validation(kw):
-    with pytest.raises(ConfigError):
-        ArrivalModel(**kw)
+    with pytest.raises(ConfigError, match="arrival_mean"):
+        _cum_rows(**kw)
 
 
 def _reference_workload(cfg, seed, d_max):
-    # reference: one validated sample_arrivals draw per slot, on a fresh
-    # arrival model; returns the tasks and the generator's next uniform
+    # reference: one scalar draw per slot, bisected into the row of the
+    # previous count; returns the tasks and the generator's next uniform
     rng = np.random.default_rng(seed)
-    model = arrival_model_for(cfg, d_max)
+    rows = _cum_rows(cfg.arrival_mode, d_max, cfg.arrival_mean)
     slots = []
     slot = 0
     prev = 0
     while len(slots) < cfg.num_tasks:
-        d = sample_arrivals(model, prev, rng)
+        d = bisect_right(rows[prev], rng.random())
         prev = d
         slots.extend([slot] * d)
         slot += 1
@@ -252,14 +221,14 @@ def test_generated_tasks_are_task_specs(mode):
 def test_changed_arrival_model_leaves_generation_alone(mode):
     cfg = scenario(num_tasks=80, arrival_mode=mode, arrival_mean=1.5)
     before = generate_workload(cfg, seed=9)
-    model = arrival_model_for(cfg)
-    if mode == "iid":
-        model.probs[:] = 0.0
-        model.probs[-1] = 1.0
-    else:
-        model.matrix[:] = 0.0
-        model.matrix[:, -1] = 1.0
-    model._cum[0][:] = [0.0] * len(model._cum[0])
+    # the cached rows generation reads are tuples: no caller can change them
+    rows = _cum_rows(mode, 5, 1.5)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    with pytest.raises(TypeError):
+        rows[0][0] = 1.0
+    with pytest.raises(TypeError):
+        rows[0] = (0.0,) * 6
+    assert _cum_rows(mode, 5, 1.5) is rows
     assert generate_workload(cfg, seed=9) == before
 
 
@@ -298,14 +267,13 @@ class _TopUniform:
 
 @pytest.mark.parametrize("mode", ["iid", "markov"])
 def test_top_uniform_stays_inside_support(mode, monkeypatch):
-    # iid_binomial(10, 0.5) sums to 0.9999999999999998 and markov_sticky(10,
-    # 0.5) rows to 0.9999999999999999: unpinned, the largest uniform would
-    # give a count of 11, or an IndexError on the markov rows
-    model = (ArrivalModel.iid_binomial(10, 0.5) if mode == "iid"
-             else ArrivalModel.markov_sticky(10, 0.5))
-    assert all(row[-1] == 1.0 for row in model._cum)
+    # the iid pmf at (10, 0.5) sums to 0.9999999999999998 and the markov
+    # rows to 0.9999999999999999: unpinned, the largest uniform would give
+    # a count of 11, or an IndexError on the next slot's row
+    rows = _cum_rows(mode, 10, 0.5)
+    assert len(rows) == 11 and all(row[-1] == 1.0 for row in rows)
     for prev in range(11):
-        assert sample_arrivals(model, prev, _TopUniform()) == 10
+        assert bisect_right(rows[prev], _TopUniform().random()) == 10
     monkeypatch.setattr(np.random, "default_rng", _TopUniform)
     cfg = scenario(num_tasks=35, arrival_mode=mode, arrival_mean=0.5)
     tasks = generate_workload(cfg, seed=3, d_max=10)
