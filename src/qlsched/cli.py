@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
+import traceback
+from dataclasses import fields, replace
 
 from .errors import ConfigError
 from .runner import parse_config, run_plan
@@ -22,46 +23,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute an experiment plan")
     run.add_argument("--config", required=True, help="YAML plan file")
-    run.add_argument("--policy", action="append", default=None,
+    run.add_argument("--policy", action="append", dest="policies", metavar="POLICY",
                      help="restrict to a policy (repeatable)")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--replications", type=int, default=None)
-    run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--failure-ratio", type=float, default=None,
+    run.add_argument("--out", default=None, dest="out_dir", help="output directory")
+    run.add_argument("--failure-ratio", type=float, nargs=1, default=None,
+                     dest="failure_ratios", metavar="RATIO",
                      help="override failure ratios with a single value")
     run.add_argument("--range", type=int, default=None, dest="range_mi",
                      help="task length class width in MI")
     run.add_argument("--gamma", type=float, default=None)
     run.add_argument("--epsilon0", type=float, default=None)
     run.add_argument("--repeater-max", type=int, default=None,
+                     dest="repeater_threshold",
                      help="stable-cycle threshold for stopping training")
     run.add_argument("-v", "--verbose", action="store_true")
     return parser
 
 
 def plan_from_args(args) -> "ExperimentPlan":
+    """The config file's plan with every given flag applied; each flag's
+    dest is the name of the plan or learner field it overrides."""
     plan = parse_config(args.config)
-    learner = plan.learner
-    if args.gamma is not None:
-        learner = replace(learner, gamma=args.gamma)
-    if args.epsilon0 is not None:
-        learner = replace(learner, epsilon0=args.epsilon0)
-    if args.repeater_max is not None:
-        learner = replace(learner, repeater_threshold=args.repeater_max)
-    updates = {"learner": learner}
-    if args.policy:
-        updates["policies"] = args.policy
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.replications is not None:
-        updates["replications"] = args.replications
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.failure_ratio is not None:
-        updates["failure_ratios"] = [args.failure_ratio]
-    if args.range_mi is not None:
-        updates["range_mi"] = args.range_mi
-    return replace(plan, **updates)
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    learner = {f.name: given[f.name] for f in fields(plan.learner) if f.name in given}
+    updates = {f.name: given[f.name] for f in fields(plan) if f.name in given}
+    return replace(plan, learner=replace(plan.learner, **learner), **updates)
 
 
 def main(argv=None) -> int:
@@ -76,6 +64,8 @@ def main(argv=None) -> int:
     try:
         outputs = run_plan(plan)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        if args.verbose:
+            traceback.print_exc()
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
     dest = plan.out_dir or "(not written, no --out)"

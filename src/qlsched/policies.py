@@ -63,9 +63,10 @@ def greedy_select(cluster, rng=None):
 class QschAgent:
     """Buffer-state-only Q-learning baseline.
 
-    The table is keyed by the free-buffer vector alone. Exploration is
-    epsilon-greedy; exploitation breaks ties by lowest index (unlike the
-    length-aware scheduler, whose ties are resolved at random).
+    The table is keyed by the free-buffer vector alone. Training explores
+    through SimulationEnv; select is the greedy evaluation choice and
+    breaks ties by lowest index (unlike the length-aware scheduler, whose
+    ties are resolved at random).
     """
 
     def __init__(self, num_vms: int, w_buffer: float = 0.5, w_wait: float = 0.5,
@@ -73,20 +74,11 @@ class QschAgent:
         self.view = FreeBufferView(w_buffer, w_wait)
         self.table = table if table is not None else QTable(num_vms + 1)
 
-    def select(self, cluster, rng: np.random.Generator, epsilon: float = 0.0):
+    def select(self, cluster, rng: np.random.Generator):
         actions = cluster.feasible_vms()
         if not actions:
             return None
-        if epsilon > 0.0 and rng.random() < epsilon:
-            return actions[int(rng.integers(len(actions)))]
-        state = self.view.state(cluster)
-        best = None
-        best_q = -np.inf
-        for a in actions:
-            q = self.table.q(state, a)
-            if q > best_q:
-                best, best_q = a, q
-        return best
+        return self.table.greedy(self.view.state(cluster), actions)
 
 
 class QlearnPolicy:
@@ -127,7 +119,7 @@ class Policy(NamedTuple):
 def _qsch_selector(plan, trained):
     agent = QschAgent(plan.scenario.num_vms, plan.qsch_w_buffer,
                       plan.qsch_w_wait, table=trained.table)
-    return lambda cluster, rng: agent.select(cluster, rng, epsilon=0.0)
+    return lambda cluster, rng: agent.select(cluster, rng)
 
 
 # Append only: a policy's index in POLICY_NAMES seeds its generators.

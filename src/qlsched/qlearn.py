@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NoFeasibleActionError, require_int, require_real
+from .errors import ConfigError, NoFeasibleActionError, check_fields
 
 DEFAULT_LR_EXPONENT = 0.65
 
@@ -27,10 +27,7 @@ class LearnerConfig:
     lr_exponent: float = DEFAULT_LR_EXPONENT
 
     def __post_init__(self):
-        for key in ("gamma", "epsilon0", "lr_exponent"):
-            require_real(key, getattr(self, key))
-        for key in ("total_cycles", "repeater_threshold"):
-            require_int(key, getattr(self, key))
+        check_fields(self)
         # range checks are written so that NaN fails them
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError("gamma must be in (0, 1)")

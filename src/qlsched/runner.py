@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from itertools import product
+from typing import get_type_hints
 
 import numpy as np
 import yaml
@@ -24,7 +25,7 @@ import yaml
 from . import mdp
 from .cluster import DEFAULT_MAX_ATTEMPTS, VmSpec
 from .envs import SimulationEnv
-from .errors import ConfigError, require_int, require_real
+from .errors import ConfigError, check_fields
 from .metrics import aggregate, build_report
 from .policies import POLICIES, POLICY_NAMES
 from .qlearn import LearnerConfig, export_qtable, train
@@ -37,10 +38,10 @@ log = logging.getLogger(__name__)
 @dataclass
 class ExperimentPlan:
     scenario: ScenarioConfig
-    policies: list = field(default_factory=lambda: list(POLICY_NAMES))
-    task_counts: list = None
-    buffer_sizes: list = None
-    failure_ratios: list = field(default_factory=lambda: [0.0])
+    policies: list[str] = field(default_factory=lambda: list(POLICY_NAMES))
+    task_counts: list[int] | None = None
+    buffer_sizes: list[int] | None = None
+    failure_ratios: list[float] = field(default_factory=lambda: [0.0])
     replications: int = 20
     seed: int = 1
     learner: LearnerConfig = field(default_factory=LearnerConfig)
@@ -54,37 +55,15 @@ class ExperimentPlan:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for key in ("replications", "seed", "range_mi", "l_cap",
-                    "arrival_dmax", "max_attempts"):
-            require_int(key, getattr(self, key))
+        check_fields(self)
         if self.task_counts is None:
             self.task_counts = [self.scenario.num_tasks]
         if self.buffer_sizes is None:
             self.buffer_sizes = [self.scenario.buffer_max]
-        for key, check in (("task_counts", require_int),
-                           ("buffer_sizes", require_int),
-                           ("failure_ratios", require_real)):
-            entries = getattr(self, key)
-            if not isinstance(entries, (list, tuple)):
-                raise ConfigError(f"{key} must be a list, got {entries!r}")
-            if not entries:
-                raise ConfigError(f"sweep lists must be non-empty: {key}")
-            for value in entries:
-                check(key, value)
-        for key in ("slot_seconds", "qsch_w_buffer", "qsch_w_wait"):
-            require_real(key, getattr(self, key))
-        if not isinstance(self.policies, (list, tuple)):
-            raise ConfigError(f"policies must be a list, got {self.policies!r}")
-        if not self.policies:
-            raise ConfigError("policies must be non-empty")
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {name!r} in policies "
                                   f"(choose from {POLICY_NAMES})")
-        if len(set(self.policies)) != len(self.policies):
-            raise ConfigError(f"policies must not repeat a name, got {self.policies!r}")
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
         # range checks are written so that NaN fails them
         if not all(t >= 1 for t in self.task_counts):
             raise ConfigError("task_counts entries must be >= 1")
@@ -116,13 +95,9 @@ class ExperimentPlan:
             raise ConfigError("max_attempts must be >= 1")
 
 
-_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)}
-_LEARNER_KEYS = {f.name for f in fields(LearnerConfig)}
-_PLAN_KEYS = {f.name for f in fields(ExperimentPlan)}
-
-
 def parse_config(path: str) -> ExperimentPlan:
-    """Load a YAML plan file; unknown keys raise ConfigError naming them."""
+    """Load a YAML plan file; unknown and missing keys raise ConfigError
+    naming them by dotted path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -130,27 +105,27 @@ def parse_config(path: str) -> ExperimentPlan:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a mapping of keys to values")
-    for key in raw:
-        if key not in _PLAN_KEYS:
-            raise ConfigError(f"unknown config key: {key}")
-    if "scenario" not in raw or not isinstance(raw["scenario"], dict):
-        raise ConfigError("config needs a 'scenario' mapping")
-    for key in raw["scenario"]:
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"unknown config key: scenario.{key}")
-    learner_raw = raw.get("learner", {})
-    if not isinstance(learner_raw, dict):
-        raise ConfigError("'learner' must be a mapping")
-    for key in learner_raw:
-        if key not in _LEARNER_KEYS:
-            raise ConfigError(f"unknown config key: learner.{key}")
+    return _build(ExperimentPlan, raw, "")
 
-    scenario = ScenarioConfig(**raw["scenario"])
-    learner = LearnerConfig(**learner_raw)
-    plan_kwargs = {k: v for k, v in raw.items() if k not in ("scenario", "learner")}
-    return ExperimentPlan(scenario=scenario, learner=learner, **plan_kwargs)
+
+def _build(cls, raw, prefix: str):
+    """Construct dataclass `cls` from mapping `raw`, building each field
+    typed as a dataclass from its own sub-mapping."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a mapping "
+                          f"of keys to values, got {raw!r}")
+    hints = get_type_hints(cls)
+    for key in raw:
+        if key not in hints:
+            raise ConfigError(f"unknown config key: {prefix}{key}")
+    kwargs = dict(raw)
+    for f in fields(cls):
+        if f.name not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing config key: {prefix}{f.name}")
+        elif is_dataclass(hints[f.name]):
+            kwargs[f.name] = _build(hints[f.name], raw[f.name], f"{prefix}{f.name}.")
+    return cls(**kwargs)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, require_int, require_real
+from .errors import ConfigError, check_fields
 
 DEFAULT_D_MAX = 5
 ARRIVAL_MODES = ("iid", "markov")
@@ -54,11 +54,7 @@ class ScenarioConfig:
     arrival_mean: float = 1.0
 
     def __post_init__(self):
-        for key in ("num_tasks", "length_min", "length_max", "num_vms",
-                    "buffer_min", "buffer_max", "num_pes"):
-            require_int(key, getattr(self, key))
-        for key in ("vm_mips", "arrival_mean"):
-            require_real(key, getattr(self, key))
+        check_fields(self)
         # range checks are written so that NaN fails them
         if not self.num_tasks >= 1:
             raise ConfigError("num_tasks must be >= 1")

@@ -235,7 +235,7 @@ def test_qsch_reward_penalizes_backlog():
 def test_qsch_zero_table_picks_lowest_index():
     agent = QschAgent(3)
     rng = np.random.default_rng(6)
-    assert agent.select(make_cluster([3, 3, 3]), rng, epsilon=0.0) == 0
+    assert agent.select(make_cluster([3, 3, 3]), rng) == 0
 
 
 def test_qsch_exploits_learned_values():
@@ -245,18 +245,7 @@ def test_qsch_exploits_learned_values():
     agent.table.ensure(state, (0, 1, 2))
     update_q(agent.table, state, 2, 1.0, ("void",), [0], 0.9)
     rng = np.random.default_rng(7)
-    assert agent.select(c, rng, epsilon=0.0) == 2
-
-
-def test_qsch_explores_under_epsilon_one():
-    c = make_cluster([2, 2, 2])
-    agent = QschAgent(3)
-    rng = np.random.default_rng(8)
-    n = 30_000
-    counts = np.zeros(3)
-    for _ in range(n):
-        counts[agent.select(c, rng, epsilon=1.0)] += 1
-    assert np.all(np.abs(counts / n - 1 / 3) < 0.02)
+    assert agent.select(c, rng) == 2
 
 
 def test_qsch_full_cluster_defers():

@@ -1,6 +1,8 @@
 """Plan parsing, sweep execution, CSV layout and the CLI wrapper."""
 
 import os
+from dataclasses import MISSING, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
@@ -298,6 +300,15 @@ def test_cli_runtime_failure_exit_2(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verbose", [False, True])
+def test_cli_runtime_failure_traceback_only_verbose(tmp_path, capsys, verbose):
+    config = write_config(tmp_path, task_counts=[4], replications=1)
+    code = main(["run", "--config", config, "--failure-ratio", "1.0"]
+                + ["-v"] * verbose)
+    assert code == 2
+    assert ("Traceback" in capsys.readouterr().err) == verbose
+
+
 @pytest.mark.parametrize("section, key, value", [
     (None, "slot_seconds", float("nan")),
     ("scenario", "arrival_mean", float("nan")),
@@ -331,6 +342,10 @@ def test_cli_runtime_failure_exit_2(tmp_path, capsys):
     ("scenario", "arrival_mean", float("inf")),
     (None, "out_dir", 5),
     ("scenario", "arrival_mean", 6.0),
+    pytest.param("scenario", "vm_mips", 10**400, id="scenario-vm_mips-10**400"),
+    (None, "task_counts", [10, 10]),
+    (None, "buffer_sizes", [10, 10]),
+    (None, "failure_ratios", [0.0, 0.0]),
 ])
 def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value):
     # values that once slipped past validation: NaN compares false with
@@ -340,29 +355,97 @@ def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value
     # belongs raised a TypeError past the CLI's config-error handler, a
     # string of policies was read letter by letter, a repeated policy wrote
     # duplicate summary rows, an infinite speed or arrival mean ran (or
-    # failed at run time), a numeric out_dir failed at write time, and an
-    # arrival mean above arrival_dmax failed at run time with exit 2
-    with open(os.path.join(CONFIG_DIR, "scenario1.yaml"), encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
-    (cfg[section] if section else cfg)[key] = value
-    config = tmp_path / "plan.yaml"
-    config.write_text(yaml.safe_dump(cfg))
-    code = main(["run", "--config", str(config)])
+    # failed at run time), a numeric out_dir failed at write time, an
+    # arrival mean above arrival_dmax failed at run time with exit 2, an
+    # int too large for a float raised an uncaught OverflowError, and a
+    # repeated sweep entry wrote rows that cannot be told apart
+    config = edited_preset(tmp_path, "scenario1.yaml", section, key, value)
+    code = main(["run", "--config", config])
     assert code == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+DELETE = object()
+
+
+def edited_preset(tmp_path, preset, section, key, value):
+    """Write `preset` with `section.key` (a top-level key when section is
+    None) set to `value`, or removed when value is DELETE; return its path."""
+    with open(os.path.join(CONFIG_DIR, preset), encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    table = cfg[section] if section else cfg
+    if value is DELETE:
+        del table[key]
+    else:
+        table[key] = value
+    config = tmp_path / "plan.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    return str(config)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("scenario", "num_tasks", DELETE, "missing config key: scenario.num_tasks"),
+    (None, "scenario", None, "scenario must be a mapping"),
+    (None, "learner", None, "learner must be a mapping"),
+])
+def test_cli_missing_or_null_key_exit_1(tmp_path, capsys, section, key, value,
+                                        message):
+    # a missing required key once died with a TypeError traceback
+    config = edited_preset(tmp_path, "scenario1.yaml", section, key, value)
+    assert main(["run", "--config", config]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def wrong_values(hint, good):
+    """Values a field annotated `hint` must reject; `good` is a valid value."""
+    if type(None) in get_args(hint):
+        hint = get_args(hint)[0]
+    if get_origin(hint) is list:
+        return [good[0], [True], ["x"], [good[0], good[0]]]
+    return {int: ["x", True], float: ["x", float("inf")], str: [5]}[hint]
+
+
+@pytest.mark.parametrize("preset", sorted(os.listdir(CONFIG_DIR)))
+def test_cli_schema_table_exit_1(tmp_path, capsys, monkeypatch, preset):
+    # every key the preset sets, given each value its annotation rules out,
+    # and every required key deleted in turn; run_plan fails fast so a
+    # case that slips past parsing exits 2 instead of running the preset
+    def accepted(plan):
+        raise RuntimeError("config accepted")
+
+    monkeypatch.setattr("qlsched.cli.run_plan", accepted)
+    with open(os.path.join(CONFIG_DIR, preset), encoding="utf-8") as fh:
+        base = yaml.safe_load(fh)
+    cases = []
+    for section, cls in ((None, ExperimentPlan), ("scenario", ScenarioConfig),
+                         ("learner", LearnerConfig)):
+        table = base[section] if section else base
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name not in table:
+                continue
+            if not is_dataclass(hints[f.name]):
+                cases += [(section, f.name, value, f.name)
+                          for value in wrong_values(hints[f.name], table[f.name])]
+            if f.default is MISSING and f.default_factory is MISSING:
+                path = f"{section}.{f.name}" if section else f.name
+                cases.append((section, f.name, DELETE, path))
+    assert len(cases) > 40
+    for section, key, value, needle in cases:
+        config = edited_preset(tmp_path, preset, section, key, value)
+        code = main(["run", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1 and "config error" in err and needle in err, \
+            (section, key, value, err)
 
 
 @pytest.mark.parametrize("key", ["vm_ram_mb", "vm_bandwidth_mbps",
                                  "num_datacenters", "num_hosts"])
 def test_cli_dropped_scenario_key_exit_1(tmp_path, capsys, key):
     # reporting-only fields that reached no output were dropped from the schema
-    with open(os.path.join(CONFIG_DIR, "scenario1.yaml"), encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
-    cfg["scenario"][key] = 1
-    config = tmp_path / "plan.yaml"
-    config.write_text(yaml.safe_dump(cfg))
-    code = main(["run", "--config", str(config)])
+    config = edited_preset(tmp_path, "scenario1.yaml", "scenario", key, 1)
+    code = main(["run", "--config", config])
     assert code == 1
     assert f"unknown config key: scenario.{key}" in capsys.readouterr().err
 
