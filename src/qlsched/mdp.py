@@ -23,6 +23,11 @@ from .errors import CapacityError
 DEFAULT_RANGE_MI = 10_000
 DEFAULT_L_CAP = 40
 MAX_ORACLE_STATES = 100_000
+# Transition entries per block of the Bellman kernel: 256 KiB of float64
+# gather buffer, which stays in L2 across the block's gather, multiply and
+# reduce. 2^15 and 2^16 timed best; at 2^12 the per-block Python
+# overhead made a sweep slower.
+KERNEL_BLOCK = 1 << 15
 
 
 def discretize_length(total_mi: int, range_mi: int = DEFAULT_RANGE_MI,
@@ -174,8 +179,11 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     if arrival_probs is None:
         arrival_probs = np.full(c, 1.0 / c)
     arrival_probs = np.asarray(arrival_probs, dtype=float)
-    if arrival_probs.shape != (c,) or np.any(arrival_probs < 0):
-        raise ValueError("arrival_probs must be a non-negative vector of len num_classes")
+    # NaN passes both `< 0` and the sum check below, so test finiteness
+    if (arrival_probs.shape != (c,) or not np.all(np.isfinite(arrival_probs))
+            or np.any(arrival_probs < 0)):
+        raise ValueError("arrival_probs must be a finite non-negative vector "
+                         "of len num_classes")
     if abs(float(arrival_probs.sum()) - 1.0) > 1e-9:
         raise ValueError("arrival_probs must sum to 1 within 1e-9")
 
@@ -250,6 +258,10 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     # ci at VM a adds one buffer at a and raises a's length class, capped.
     stride = np.cumprod((1,) + shape[:0:-1])[::-1]
     leave = stride[:k] + avg * stride[k:]      # (S, K)
+    # The entry loop's transients, on top of the model's arrays, set the
+    # build's peak: free the per-state and per-row tables it does not read.
+    del (digits, b, busy, avg, n_actions, n_rows_per_state, b_min, l_max,
+         row_set, row_len, sel, rows)
 
     # Entries per (action, departure mask), all states and arrival classes
     # at once as a (rows, classes) block: only the assigned VM's length
@@ -307,37 +319,68 @@ class ValueIterationResult:
     sweeps: int
 
 
+def _row_blocks(csr_indptr: np.ndarray) -> list[int]:
+    """Row bounds of the kernel's blocks, from 0 to the number of rows.
+
+    Each block is the longest run of whole rows with at most KERNEL_BLOCK
+    transition entries, or a single row when that row alone is longer.
+    """
+    num_rows = csr_indptr.size - 1
+    bounds = [0]
+    while bounds[-1] < num_rows:
+        r0 = bounds[-1]
+        r1 = int(np.searchsorted(csr_indptr, csr_indptr[r0] + KERNEL_BLOCK,
+                                 side="right")) - 1
+        bounds.append(max(r1, r0 + 1))
+    return bounds
+
+
 def action_values(mdp: OracleMdp, values: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Per-row q(s,a) = r + gamma * E[v(s')] for the given value vector.
 
     The one Bellman kernel: every sweep of value_iteration and its greedy
-    extraction read it. `out`, a float64 buffer of csr_cols' size, takes
-    the gathered successor values in place of a fresh array per call;
-    its gather clips column indices, so whoever passes it checks the
-    columns first (value_iteration does, once per solve). Without `out`
-    a column past the end of `values` raises IndexError.
+    extraction read it. It runs over blocks of whole rows (_row_blocks),
+    so its gather buffer is block-sized and stays in cache. Each row's
+    expectation is the same reduceat over the same products, in the same
+    order, as over the whole kernel at once, so q does not depend on
+    KERNEL_BLOCK to the last bit. `out`, a float64 buffer at least as
+    long as the largest block, takes the gathered successor values in
+    place of a fresh array per block; its gather clips column indices,
+    so whoever passes it checks the columns first (value_iteration does,
+    once per solve). Without `out` a column past the end of `values`
+    raises IndexError.
     """
-    if out is None:
-        out = values[mdp.csr_cols]
-    else:
-        np.take(values, mdp.csr_cols, out=out, mode="clip")
-    out *= mdp.csr_probs
-    return mdp.row_reward + mdp.gamma * np.add.reduceat(out, mdp.csr_indptr[:-1])
+    indptr, cols, probs = mdp.csr_indptr, mdp.csr_cols, mdp.csr_probs
+    q = np.empty(indptr.size - 1, dtype=np.float64)
+    bounds = _row_blocks(indptr)
+    for r0, r1 in zip(bounds, bounds[1:]):
+        e0, e1 = indptr[r0], indptr[r1]
+        if out is None:
+            buf = values[cols[e0:e1]]
+        else:
+            buf = np.take(values, cols[e0:e1], out=out[:e1 - e0], mode="clip")
+        buf *= probs[e0:e1]
+        np.add.reduceat(buf, indptr[r0:r1] - e0, out=q[r0:r1])
+    q *= mdp.gamma
+    q += mdp.row_reward      # gamma*x + r is r + gamma*x: float addition commutes
+    return q
 
 
 def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
                     max_sweeps: int = 100_000) -> ValueIterationResult:
     """Solve the MDP to max-norm tolerance tol; ties go to the lowest action.
 
-    One gather buffer serves every sweep and the greedy extraction.
+    One gather buffer, the size of action_values' largest block, serves
+    every sweep and the greedy extraction.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     cols = mdp.csr_cols
     if cols.size and (cols.min() < 0 or cols.max() >= mdp.num_states):
         raise IndexError(f"transition columns must lie in [0, {mdp.num_states})")
-    buf = np.empty(cols.size, dtype=np.float64)
+    block_sizes = np.diff(mdp.csr_indptr[_row_blocks(mdp.csr_indptr)])
+    buf = np.empty(int(block_sizes.max(initial=0)), dtype=np.float64)
     starts = mdp.act_indptr[:-1]
     v = np.zeros(mdp.num_states, dtype=np.float64)
     deltas = []

@@ -205,6 +205,11 @@ def test_builder_validation():
     with pytest.raises(ValueError):
         build_oracle_mdp(num_vms=1, buffer_capacity=1, num_classes=2,
                          arrival_probs=[0.7, 0.7])
+    # NaN passes `< 0` and the sum check; an infinite entry fails the sum
+    for probs in ([float("nan"), 1.0], [float("inf"), 0.0]):
+        with pytest.raises(ValueError, match="arrival_probs"):
+            build_oracle_mdp(num_vms=1, buffer_capacity=1, num_classes=2,
+                             arrival_probs=probs)
 
 
 def test_sample_next_matches_kernel():
@@ -337,6 +342,25 @@ def test_benchmark_model_digests_are_pinned():
         assert hashlib.sha256(arr.tobytes()).hexdigest() == BENCH_MODEL_SHA256[name], name
 
 
+# sha256 of value_iteration's values, policy and deltas on (3, 5, 4),
+# 836,864 entries over 26 kernel blocks, recorded from the solver that
+# reduced the whole kernel at once: blocking the kernel must leave every
+# bit of the solution as it is.
+SOLVE_354_SHA256 = {
+    "values": "c45725ef7554eedf2ea172204cd7913a72fcadcaea2e2e1ee00bf897536edac7",
+    "policy": "cc56c7315b6f50f445b56ed955f1b57473e6fbff4ad175020d2343690856b588",
+    "deltas": "a55ea8e0c9d1a31b55d1a154092f2445a3a804f4ad0f76f6fb5d0ac3f8e215bf",
+}
+
+
+def test_solve_digests_are_pinned():
+    res = value_iteration(build_oracle_mdp(3, 5, 4))
+    assert res.sweeps == 176
+    got = {"values": res.values, "policy": res.policy, "deltas": np.array(res.deltas)}
+    for name, arr in got.items():
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == SOLVE_354_SHA256[name], name
+
+
 def test_build_peak_memory_stays_near_the_model():
     tracemalloc.start()
     try:
@@ -345,7 +369,18 @@ def test_build_peak_memory_stays_near_the_model():
     finally:
         tracemalloc.stop()
     kept = sum(getattr(m, name).nbytes for name in MODEL_ARRAYS)
-    assert peak <= 2 * kept
+    assert peak <= 1.35 * kept
+
+
+def test_solve_peak_memory_is_a_fraction_of_the_kernel():
+    m = build_oracle_mdp(3, 5, 4)
+    tracemalloc.start()
+    try:
+        value_iteration(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.csr_probs.nbytes / 2
 
 
 # -- Bellman kernel against a loop reference ----------------------------------------
@@ -475,16 +510,83 @@ def test_bad_transition_column_raises():
         action_values(m, np.zeros(m.num_states))
 
 
-def test_value_iteration_reuses_one_buffer(monkeypatch):
+def test_bad_column_in_a_later_block_raises(monkeypatch):
+    monkeypatch.setattr(mdp, "KERNEL_BLOCK", 1)
     m = build_oracle_mdp(2, 2, 2)
-    buffers = []
+    m.csr_cols[-1] = m.num_states
+    with pytest.raises(IndexError):
+        value_iteration(m)
+    with pytest.raises(IndexError):
+        action_values(m, np.zeros(m.num_states))
 
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+def test_value_iteration_rejects_a_tolerance_not_above_zero(tol):
+    with pytest.raises(ValueError, match="tol"):
+        value_iteration(build_oracle_mdp(2, 2, 2), tol=tol)
+
+
+def solve_bytes(m):
+    res = value_iteration(m)
+    return res.values.tobytes(), res.policy.tobytes(), np.array(res.deltas).tobytes()
+
+
+def test_kernel_bits_do_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(3)
+    large = build_oracle_mdp(3, 4, 3)
+    models = [large, build_oracle_mdp(2, 2, 3)] + [
+        random_instance(rng, 0.5) for _ in range(6)]
+    values = [rng.normal(size=m.num_states) for m in models]
+    want_q = [action_values(m, v).tobytes() for m, v in zip(models, values)]
+    # a full solve at block size 1 on the large model would take seconds
+    solved = models[1:]
+    want_solve = [solve_bytes(m) for m in solved]
+    # 1: every row its own block, and most rows longer than one;
+    # 3 and 100: blocks of several rows; the last: one block for the whole kernel
+    for block in (1, 3, 100, large.csr_cols.size):
+        monkeypatch.setattr(mdp, "KERNEL_BLOCK", block)
+        for m, v, q in zip(models, values, want_q):
+            assert action_values(m, v).tobytes() == q, block
+            buf = np.empty(m.csr_cols.size)
+            assert action_values(m, v, out=buf).tobytes() == q, block
+        for m, want in zip(solved, want_solve):
+            assert solve_bytes(m) == want, block
+
+
+def test_row_blocks_cover_the_rows_in_order(monkeypatch):
+    m = build_oracle_mdp(3, 4, 3)
+    for block in (1, 30, 1000, mdp.KERNEL_BLOCK):
+        monkeypatch.setattr(mdp, "KERNEL_BLOCK", block)
+        bounds = mdp._row_blocks(m.csr_indptr)
+        assert bounds[0] == 0 and bounds[-1] == m.row_reward.size
+        sizes = np.diff(m.csr_indptr[bounds])
+        rows = np.diff(bounds)
+        assert np.all(rows >= 1)
+        # a block over KERNEL_BLOCK entries holds one row, and no block
+        # could take its next row without passing KERNEL_BLOCK
+        assert np.all((sizes <= block) | (rows == 1))
+        next_row = np.diff(m.csr_indptr)[bounds[1:-1]]
+        assert np.all(sizes[:-1] + next_row > block)
+
+
+def test_value_iteration_reuses_one_buffer(monkeypatch):
     def spy(mdp_, values, out=None):
         buffers.append(out)
         return action_values(mdp_, values, out)
 
     monkeypatch.setattr(mdp, "action_values", spy)
+    m = build_oracle_mdp(2, 2, 2)             # one block
+    buffers = []
     res = value_iteration(m)
     assert len(buffers) == res.sweeps + 1      # every sweep and the extraction
     assert all(out is buffers[0] for out in buffers)
     assert buffers[0].size == m.csr_probs.size
+
+    m = build_oracle_mdp(3, 4, 3)             # several blocks
+    assert m.csr_probs.size > mdp.KERNEL_BLOCK
+    buffers = []
+    res = value_iteration(m)
+    assert len(buffers) == res.sweeps + 1
+    assert all(out is buffers[0] for out in buffers)
+    largest = np.diff(m.csr_indptr[mdp._row_blocks(m.csr_indptr)]).max()
+    assert buffers[0].size == largest <= mdp.KERNEL_BLOCK
