@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mdp
-from .metrics import _mean
+from .metrics import _mean_wait
 from .simulate import Simulation
 from .workload import DEFAULT_D_MAX, ScenarioConfig, generate_workload
 
@@ -134,11 +134,7 @@ class SimulationEnv:
 
     def episode_metrics(self):
         done = [r for r in self.sim.records if not r.aborted]
-        if not done:
-            return None
-        waits = [r.finish_time - r.submit_time - r.exec_time for r in done]
-        resp = [r.finish_time - r.submit_time for r in done]
-        return {"avg_wait_s": _mean(waits), "avg_response_s": _mean(resp)}
+        return {"avg_wait_s": _mean_wait(done)} if done else None
 
 
 class OracleEnv:

@@ -336,7 +336,8 @@ def _row_blocks(csr_indptr: np.ndarray) -> list[int]:
 
 
 def action_values(mdp: OracleMdp, values: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  bounds: list[int] | None = None) -> np.ndarray:
     """Per-row q(s,a) = r + gamma * E[v(s')] for the given value vector.
 
     The one Bellman kernel: every sweep of value_iteration and its greedy
@@ -349,11 +350,12 @@ def action_values(mdp: OracleMdp, values: np.ndarray,
     place of a fresh array per block; its gather clips column indices,
     so whoever passes it checks the columns first (value_iteration does,
     once per solve). Without `out` a column past the end of `values`
-    raises IndexError.
+    raises IndexError. `bounds`, the kernel's _row_blocks, is computed
+    when not given.
     """
     indptr, cols, probs = mdp.csr_indptr, mdp.csr_cols, mdp.csr_probs
     q = np.empty(indptr.size - 1, dtype=np.float64)
-    bounds = _row_blocks(indptr)
+    bounds = _row_blocks(indptr) if bounds is None else bounds
     for r0, r1 in zip(bounds, bounds[1:]):
         e0, e1 = indptr[r0], indptr[r1]
         if out is None:
@@ -371,21 +373,22 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
                     max_sweeps: int = 100_000) -> ValueIterationResult:
     """Solve the MDP to max-norm tolerance tol; ties go to the lowest action.
 
-    One gather buffer, the size of action_values' largest block, serves
-    every sweep and the greedy extraction.
+    One gather buffer, the size of action_values' largest block, and one
+    set of block bounds serve every sweep and the greedy extraction.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     cols = mdp.csr_cols
     if cols.size and (cols.min() < 0 or cols.max() >= mdp.num_states):
         raise IndexError(f"transition columns must lie in [0, {mdp.num_states})")
-    block_sizes = np.diff(mdp.csr_indptr[_row_blocks(mdp.csr_indptr)])
-    buf = np.empty(int(block_sizes.max(initial=0)), dtype=np.float64)
+    bounds = _row_blocks(mdp.csr_indptr)
+    buf = np.empty(int(np.diff(mdp.csr_indptr[bounds]).max(initial=0)),
+                   dtype=np.float64)
     starts = mdp.act_indptr[:-1]
     v = np.zeros(mdp.num_states, dtype=np.float64)
     deltas = []
     for sweep in range(1, max_sweeps + 1):
-        v_new = np.maximum.reduceat(action_values(mdp, v, buf), starts)
+        v_new = np.maximum.reduceat(action_values(mdp, v, buf, bounds), starts)
         delta = float(np.max(np.abs(v_new - v)))
         deltas.append(delta)
         v = v_new
@@ -395,7 +398,7 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
         raise RuntimeError(f"value iteration did not reach tol={tol} "
                            f"in {max_sweeps} sweeps")
     # lowest row among each state's maxima; rows run in action order
-    q = action_values(mdp, v, buf)
+    q = action_values(mdp, v, buf, bounds)
     is_max = q >= np.repeat(np.maximum.reduceat(q, starts), np.diff(mdp.act_indptr))
     best_rows = np.minimum.reduceat(np.where(is_max, np.arange(q.size), q.size),
                                     starts)

@@ -4,10 +4,11 @@ A plan crosses task counts, buffer sizes and failure ratios over a set
 of policies. Learning policies are trained once per sweep point on
 fresh workloads from the same generator, then evaluated greedily on the
 replication workloads (seed = base seed + replication index, shared by
-every policy so comparisons are paired). Outputs: runs.csv (one row per
-policy and replication), summary.csv (per-point aggregates),
-convergence.csv (per-training-cycle trace) and one q-table dump per
-trained policy and point.
+every policy so comparisons are paired). run_point does one sweep point;
+run_plan runs every point in order and writes once. Outputs: runs.csv
+(one row per policy and replication), summary.csv (per-point
+aggregates), convergence.csv (per-training-cycle trace) and one q-table
+dump per trained policy and point.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ class ExperimentPlan:
             raise ConfigError("buffer_sizes entries must be >= 1")
         if any(not (0.0 <= f <= 1.0) for f in self.failure_ratios):
             raise ConfigError("failure_ratios entries must lie in [0, 1]")
+        # a point's ratio reaches its CSV rows and its q-table file names
+        for spelled in ({_fmt(float(f)) for f in self.failure_ratios},
+                        {f"{f:g}" for f in self.failure_ratios}):
+            if len(spelled) < len(self.failure_ratios):
+                raise ConfigError(f"failure_ratios entries must print apart in "
+                                  f"the outputs, got {self.failure_ratios!r}")
         if not (0.0 <= self.qsch_w_buffer <= 1.0):
             raise ConfigError("qsch_w_buffer must lie in [0, 1]")
         if not (0.0 <= self.qsch_w_wait <= 1.0):
@@ -128,19 +135,45 @@ def _build(cls, raw, prefix: str):
     return cls(**kwargs)
 
 
+SUMMARY_COLS = ("policy", "tasks", "buffer", "failure_ratio", "replications",
+                "mean_response_s", "sd_response_s", "mean_wait_s", "sd_wait_s",
+                "mean_makespan_s", "sd_makespan_s", "mean_aborts")
+CONVERGENCE_COLS = ("policy", "tasks", "buffer", "failure_ratio", "cycle",
+                    "epsilon", "avg_wait_s")
+
+
+def run_cols(num_vms: int) -> tuple:
+    """Columns of runs.csv: one utilization and one load share per VM."""
+    return (("policy", "seed", "tasks", "buffer", "failure_ratio",
+             "avg_response_s", "avg_wait_s", "makespan_s")
+            + tuple(f"util_vm{i}" for i in range(num_vms))
+            + tuple(f"load_vm{i}" for i in range(num_vms)) + ("aborts",))
+
+
 @dataclass
 class RunOutputs:
-    runs: list
-    summary: list
-    convergence: list
-    num_vms: int
+    """Rows keyed by their CSV columns, and q-tables keyed by file name."""
+    runs: list = field(default_factory=list)
+    summary: list = field(default_factory=list)
+    convergence: list = field(default_factory=list)
+    qtables: dict = field(default_factory=dict)
 
-    def summary_row(self, policy: str, tasks=None, buffer=None, failure=None):
-        rows = [r for r in self.summary
+    def extend(self, other: RunOutputs):
+        self.runs += other.runs
+        self.summary += other.summary
+        self.convergence += other.convergence
+        self.qtables.update(other.qtables)
+
+    @staticmethod
+    def _match(rows, policy, tasks, buffer, failure):
+        return [r for r in rows
                 if r["policy"] == policy
                 and (tasks is None or r["tasks"] == tasks)
                 and (buffer is None or r["buffer"] == buffer)
                 and (failure is None or r["failure_ratio"] == failure)]
+
+    def summary_row(self, policy: str, tasks=None, buffer=None, failure=None):
+        rows = self._match(self.summary, policy, tasks, buffer, failure)
         if len(rows) != 1:
             raise KeyError(f"{len(rows)} summary rows match "
                            f"({policy}, {tasks}, {buffer}, {failure})")
@@ -149,20 +182,11 @@ class RunOutputs:
     def run_values(self, policy: str, metric: str, tasks=None, buffer=None,
                    failure=None):
         """Per-replication metric values, ordered by (sweep point, seed)."""
-        out = [r[metric] for r in self.runs
-               if r["policy"] == policy
-               and (tasks is None or r["tasks"] == tasks)
-               and (buffer is None or r["buffer"] == buffer)
-               and (failure is None or r["failure_ratio"] == failure)]
+        out = [r[metric] for r in self._match(self.runs, policy, tasks, buffer,
+                                              failure)]
         if not out:
             raise KeyError(f"no runs match ({policy}, {tasks}, {buffer}, {failure})")
         return out
-
-
-def _vm_specs(scenario: ScenarioConfig, buffer_size: int):
-    return [VmSpec(index=i, mips=scenario.vm_mips, buffer_capacity=buffer_size,
-                   pes=scenario.num_pes)
-            for i in range(scenario.num_vms)]
 
 
 def _train_policy(plan: ExperimentPlan, name: str, scenario_pt, vm_specs,
@@ -180,77 +204,79 @@ def _train_policy(plan: ExperimentPlan, name: str, scenario_pt, vm_specs,
     return result
 
 
+def sweep_points(plan: ExperimentPlan) -> list:
+    """(point index, task index, buffer index, tasks, buffer, failure ratio)
+    for every sweep point, numbered in row-major order."""
+    grid = product(enumerate(plan.task_counts), enumerate(plan.buffer_sizes),
+                   plan.failure_ratios)
+    return [(idx, ti, bi, tasks, buf, fr)
+            for idx, ((ti, tasks), (bi, buf), fr) in enumerate(grid)]
+
+
+def run_point(plan: ExperimentPlan, point) -> RunOutputs:
+    """Train and evaluate every policy at one sweep point.
+
+    A pure function of (plan, point): every generator is seeded from the
+    plan seed and the point's indices, so points may run in any order.
+    """
+    point_idx, ti, bi, tasks, buf, fr = point
+    scenario_pt = replace(plan.scenario, num_tasks=tasks)
+    vm_specs = [VmSpec(index=i, mips=scenario_pt.vm_mips, buffer_capacity=buf,
+                       pes=scenario_pt.num_pes) for i in range(scenario_pt.num_vms)]
+    cols = run_cols(len(vm_specs))
+    out = RunOutputs()
+    at = (tasks, buf, float(fr))    # every row's (tasks, buffer, failure_ratio)
+    for name in plan.policies:
+        policy = POLICIES[name]
+        trained = None
+        if policy.learns:
+            trained = _train_policy(plan, name, scenario_pt, vm_specs,
+                                    fr, point_idx)
+            out.convergence += [
+                dict(zip(CONVERGENCE_COLS, (name, *at, row["cycle"], row["epsilon"],
+                                            row.get("avg_wait_s")), strict=True))
+                for row in trained.trace]
+            out.qtables[f"qtable_{name}_t{tasks}_b{buf}_f{fr:g}.csv"] = trained.table
+        policy_fn = policy.selector(plan, trained)
+        reports = []
+        for rep in range(plan.replications):
+            workload = generate_workload(scenario_pt, plan.seed + rep,
+                                         plan.arrival_dmax)
+            policy_rng = np.random.default_rng(
+                [plan.seed, 2003, point_idx, POLICY_NAMES.index(name), rep])
+            # at ratio 0 the simulator reads no failure generator
+            failure_rng = (np.random.default_rng([plan.seed, 3001, ti, bi, rep])
+                           if fr > 0 else None)
+            records = run_policy_simulation(
+                vm_specs, workload, policy_fn,
+                slot_seconds=plan.slot_seconds, failure_ratio=fr,
+                max_attempts=plan.max_attempts, policy_rng=policy_rng,
+                failure_rng=failure_rng)
+            report = build_report(records, vm_specs)
+            reports.append(report)
+            out.runs.append(dict(zip(cols, (
+                name, plan.seed + rep, *at, report.avg_response_s,
+                report.avg_wait_s, report.makespan_s, *report.utilization,
+                *report.load_share, report.abort_count), strict=True)))
+        mean, sd = aggregate(reports)
+        out.summary.append(dict(zip(SUMMARY_COLS, (
+            name, *at, plan.replications, mean.avg_response_s, sd.avg_response_s,
+            mean.avg_wait_s, sd.avg_wait_s, mean.makespan_s, sd.makespan_s,
+            mean.abort_count), strict=True)))
+        log.info("point t=%d b=%d f=%.2f %-6s mean response %.2f s, "
+                 "makespan %.2f s", tasks, buf, fr, name,
+                 mean.avg_response_s, mean.makespan_s)
+    return out
+
+
 def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
     """Execute the full sweep; write CSVs when an output directory is set."""
     out_dir = out_dir if out_dir is not None else plan.out_dir
-    runs, summary, convergence = [], [], []
-    qtables = {}
-    points = list(product(enumerate(plan.task_counts),
-                          enumerate(plan.buffer_sizes),
-                          enumerate(plan.failure_ratios)))
-    for (ti, tasks), (bi, buf), (fi, fr) in points:
-        point_idx = ((ti * len(plan.buffer_sizes)) + bi) * len(plan.failure_ratios) + fi
-        scenario_pt = replace(plan.scenario, num_tasks=tasks)
-        vm_specs = _vm_specs(scenario_pt, buf)
-        for name in plan.policies:
-            policy = POLICIES[name]
-            trained = None
-            if policy.learns:
-                trained = _train_policy(plan, name, scenario_pt, vm_specs,
-                                        fr, point_idx)
-                for row in trained.trace:
-                    convergence.append({
-                        "policy": name, "tasks": tasks, "buffer": buf,
-                        "failure_ratio": fr, "cycle": row["cycle"],
-                        "epsilon": row["epsilon"],
-                        "avg_wait_s": row.get("avg_wait_s"),
-                    })
-                qtables[(name, tasks, buf, fr)] = trained.table
-            policy_fn = policy.selector(plan, trained)
-            reports = []
-            for rep in range(plan.replications):
-                workload = generate_workload(scenario_pt, plan.seed + rep,
-                                             plan.arrival_dmax)
-                policy_rng = np.random.default_rng(
-                    [plan.seed, 2003, point_idx, POLICY_NAMES.index(name), rep])
-                # at ratio 0 the simulator reads no failure generator
-                failure_rng = (np.random.default_rng([plan.seed, 3001, ti, bi, rep])
-                               if fr > 0 else None)
-                records = run_policy_simulation(
-                    vm_specs, workload, policy_fn,
-                    slot_seconds=plan.slot_seconds, failure_ratio=fr,
-                    max_attempts=plan.max_attempts, policy_rng=policy_rng,
-                    failure_rng=failure_rng)
-                report = build_report(records, vm_specs)
-                reports.append(report)
-                runs.append({
-                    "policy": name, "seed": plan.seed + rep, "tasks": tasks,
-                    "buffer": buf, "failure_ratio": fr,
-                    "avg_response_s": report.avg_response_s,
-                    "avg_wait_s": report.avg_wait_s,
-                    "makespan_s": report.makespan_s,
-                    "utilization": report.utilization,
-                    "load_share": report.load_share,
-                    "aborts": report.abort_count,
-                })
-            mean, sd = aggregate(reports)
-            summary.append({
-                "policy": name, "tasks": tasks, "buffer": buf,
-                "failure_ratio": fr, "replications": plan.replications,
-                "mean_response_s": mean.avg_response_s,
-                "sd_response_s": sd.avg_response_s,
-                "mean_wait_s": mean.avg_wait_s, "sd_wait_s": sd.avg_wait_s,
-                "mean_makespan_s": mean.makespan_s,
-                "sd_makespan_s": sd.makespan_s,
-                "mean_aborts": mean.abort_count,
-            })
-            log.info("point t=%d b=%d f=%.2f %-6s mean response %.2f s, "
-                     "makespan %.2f s", tasks, buf, fr, name,
-                     mean.avg_response_s, mean.makespan_s)
-    outputs = RunOutputs(runs=runs, summary=summary, convergence=convergence,
-                         num_vms=plan.scenario.num_vms)
+    outputs = RunOutputs()
+    for point in sweep_points(plan):
+        outputs.extend(run_point(plan, point))
     if out_dir:
-        _write_outputs(outputs, qtables, out_dir)
+        _write_outputs(outputs, plan.scenario.num_vms, out_dir)
     return outputs
 
 
@@ -262,45 +288,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_outputs(outputs: RunOutputs, qtables: dict, out_dir: str):
+def _write_outputs(outputs: RunOutputs, num_vms: int, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
-    k = outputs.num_vms
-    run_cols = (["policy", "seed", "tasks", "buffer", "failure_ratio",
-                 "avg_response_s", "avg_wait_s", "makespan_s"]
-                + [f"util_vm{i}" for i in range(k)]
-                + [f"load_vm{i}" for i in range(k)] + ["aborts"])
-    with open(os.path.join(out_dir, "runs.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(run_cols)
-        for r in outputs.runs:
-            w.writerow([_fmt(r["policy"]), r["seed"], r["tasks"], r["buffer"],
-                        _fmt(float(r["failure_ratio"])),
-                        _fmt(r["avg_response_s"]), _fmt(r["avg_wait_s"]),
-                        _fmt(r["makespan_s"])]
-                       + [_fmt(u) for u in r["utilization"]]
-                       + [_fmt(s) for s in r["load_share"]] + [r["aborts"]])
-    sum_cols = ["policy", "tasks", "buffer", "failure_ratio", "replications",
-                "mean_response_s", "sd_response_s", "mean_wait_s", "sd_wait_s",
-                "mean_makespan_s", "sd_makespan_s", "mean_aborts"]
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(sum_cols)
-        for r in outputs.summary:
-            w.writerow([r["policy"], r["tasks"], r["buffer"],
-                        _fmt(float(r["failure_ratio"])), r["replications"]]
-                       + [_fmt(r[c]) for c in sum_cols[5:]])
-    with open(os.path.join(out_dir, "convergence.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["policy", "tasks", "buffer", "failure_ratio", "cycle",
-                    "epsilon", "avg_wait_s"])
-        for r in outputs.convergence:
-            w.writerow([r["policy"], r["tasks"], r["buffer"],
-                        _fmt(float(r["failure_ratio"])), r["cycle"],
-                        _fmt(r["epsilon"]), _fmt(r["avg_wait_s"])])
-    for (name, tasks, buf, fr), table in qtables.items():
-        fname = f"qtable_{name}_t{tasks}_b{buf}_f{fr:g}.csv"
+    for fname, cols, rows in (("runs.csv", run_cols(num_vms), outputs.runs),
+                              ("summary.csv", SUMMARY_COLS, outputs.summary),
+                              ("convergence.csv", CONVERGENCE_COLS,
+                               outputs.convergence)):
+        with open(os.path.join(out_dir, fname), "w", newline="",
+                  encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(cols)
+            w.writerows([_fmt(r[c]) for c in cols] for r in rows)
+    for fname, table in outputs.qtables.items():
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
             fh.write(export_qtable(table))

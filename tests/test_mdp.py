@@ -570,13 +570,14 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch):
 
 
 def test_value_iteration_reuses_one_buffer(monkeypatch):
-    def spy(mdp_, values, out=None):
+    def spy(mdp_, values, out=None, bounds=None):
         buffers.append(out)
-        return action_values(mdp_, values, out)
+        bound_lists.append(bounds)
+        return action_values(mdp_, values, out, bounds)
 
     monkeypatch.setattr(mdp, "action_values", spy)
     m = build_oracle_mdp(2, 2, 2)             # one block
-    buffers = []
+    buffers, bound_lists = [], []
     res = value_iteration(m)
     assert len(buffers) == res.sweeps + 1      # every sweep and the extraction
     assert all(out is buffers[0] for out in buffers)
@@ -584,9 +585,12 @@ def test_value_iteration_reuses_one_buffer(monkeypatch):
 
     m = build_oracle_mdp(3, 4, 3)             # several blocks
     assert m.csr_probs.size > mdp.KERNEL_BLOCK
-    buffers = []
+    buffers, bound_lists = [], []
     res = value_iteration(m)
     assert len(buffers) == res.sweeps + 1
     assert all(out is buffers[0] for out in buffers)
+    # the block bounds are computed once per solve, not once per sweep
+    assert all(b is bound_lists[0] for b in bound_lists)
+    assert bound_lists[0] == mdp._row_blocks(m.csr_indptr)
     largest = np.diff(m.csr_indptr[mdp._row_blocks(m.csr_indptr)]).max()
     assert buffers[0].size == largest <= mdp.KERNEL_BLOCK

@@ -1,5 +1,6 @@
 """Plan parsing, sweep execution, CSV layout and the CLI wrapper."""
 
+import csv
 import os
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
@@ -9,8 +10,9 @@ import yaml
 
 from qlsched.cli import main
 from qlsched.errors import ConfigError
-from qlsched.qlearn import LearnerConfig
-from qlsched.runner import ExperimentPlan, parse_config, run_plan
+from qlsched.qlearn import LearnerConfig, export_qtable
+from qlsched.runner import (ExperimentPlan, RunOutputs, parse_config, run_plan,
+                            run_point, sweep_points)
 from qlsched.workload import ScenarioConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -242,6 +244,40 @@ def test_rerun_writes_identical_csvs(tmp_path):
         assert (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()
 
 
+def test_run_point_is_pure_and_rows_are_the_csv_rows(tmp_path):
+    # points run in reverse order and put back in point order give what
+    # run_plan gives, so points may run in any order or in parallel
+    out_dir = tmp_path / "results"
+    plan = parse_config(learner_plan(tmp_path, task_counts=[4, 6],
+                                     failure_ratios=[0.0, 0.2]))
+    whole = run_plan(plan, out_dir=str(out_dir))
+    points = sweep_points(plan)
+    assert [p[0] for p in points] == [0, 1, 2, 3]
+    assert [(p[1], p[2], p[5]) for p in points] == [
+        (0, 0, 0.0), (0, 0, 0.2), (1, 0, 0.0), (1, 0, 0.2)]
+    parts = {p[0]: run_point(plan, p) for p in reversed(points)}
+    joined = RunOutputs()
+    for idx in sorted(parts):
+        joined.extend(parts[idx])
+    assert joined.runs == whole.runs
+    assert joined.summary == whole.summary
+    assert joined.convergence == whole.convergence
+    dumps = [{n: export_qtable(t) for n, t in o.qtables.items()}
+             for o in (joined, whole)]
+    assert list(dumps[0].items()) == list(dumps[1].items())
+    assert len(dumps[0]) == 4
+    assert {r["failure_ratio"] for r in whole.runs} == {0.0, 0.2}
+    # each in-memory row's keys are its file's header, in order
+    for name, rows in (("runs.csv", whole.runs), ("summary.csv", whole.summary),
+                       ("convergence.csv", whole.convergence)):
+        with open(out_dir / name, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+        assert rows and len(lines) == 1 + len(rows), name
+        assert all(list(r) == lines[0] for r in rows), name
+    assert sorted(dumps[1]) == sorted(n for n in os.listdir(out_dir)
+                                      if n.startswith("qtable_"))
+
+
 def test_runs_csv_layout(tmp_path):
     out_dir = tmp_path / "results"
     plan = parse_config(write_config(tmp_path, task_counts=[4],
@@ -346,6 +382,8 @@ def test_cli_runtime_failure_traceback_only_verbose(tmp_path, capsys, verbose):
     (None, "task_counts", [10, 10]),
     (None, "buffer_sizes", [10, 10]),
     (None, "failure_ratios", [0.0, 0.0]),
+    (None, "failure_ratios", [0.1234561, 0.1234562]),
+    (None, "failure_ratios", [0.0123454999, 0.0123455001]),
 ])
 def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value):
     # values that once slipped past validation: NaN compares false with
@@ -357,8 +395,10 @@ def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value
     # duplicate summary rows, an infinite speed or arrival mean ran (or
     # failed at run time), a numeric out_dir failed at write time, an
     # arrival mean above arrival_dmax failed at run time with exit 2, an
-    # int too large for a float raised an uncaught OverflowError, and a
-    # repeated sweep entry wrote rows that cannot be told apart
+    # int too large for a float raised an uncaught OverflowError, a
+    # repeated sweep entry wrote rows that cannot be told apart, and two
+    # failure ratios that print alike at the CSVs' 6 decimals (or in the
+    # q-table file names' :g) wrote such rows and overwrote one q-table
     config = edited_preset(tmp_path, "scenario1.yaml", section, key, value)
     code = main(["run", "--config", config])
     assert code == 1
