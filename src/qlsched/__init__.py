@@ -8,8 +8,8 @@ load-mixing and greedy baselines.
 from .cluster import ClusterState, CompletionRecord, VmSpec
 from .errors import (BufferFullError, CapacityError, ConfigError,
                      MetricsError, NoFeasibleActionError)
-from .mdp import (OracleMdp, build_oracle_mdp, discretize_length,
-                  encode_state, reward, value_iteration)
+from .mdp import (OracleMdp, build_oracle_mdp, encode_state, reward,
+                  value_iteration)
 from .metrics import MetricsReport, aggregate, build_report
 from .policies import (POLICY_NAMES, QlearnPolicy, QschAgent, fifo_select,
                        greedy_select, mixed_select, random_select)
@@ -27,7 +27,7 @@ __all__ = [
     "MetricsReport", "NoFeasibleActionError", "OracleMdp", "POLICY_NAMES",
     "QTable", "QlearnPolicy", "QschAgent", "RunOutputs", "ScenarioConfig",
     "Simulation", "TaskSpec", "TrainResult", "VmSpec", "aggregate",
-    "build_oracle_mdp", "build_report", "discretize_length", "encode_state",
+    "build_oracle_mdp", "build_report", "encode_state",
     "export_qtable", "fifo_select", "generate_workload", "greedy_select",
     "mixed_select", "parse_config", "random_select", "reward", "run_plan",
     "run_policy_simulation", "select_action", "train", "update_q",

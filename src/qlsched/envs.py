@@ -3,9 +3,8 @@
 A learner env walks decision points: observe a state, pick a feasible
 action, collect the reward and the state at the next decision point.
 SimulationEnv wraps the discrete-event simulator (fresh workload per
-episode); OracleEnv rolls out the enumerable oracle MDP. The state and
-reward a SimulationEnv exposes come from a pluggable view so the
-length-aware scheduler and the buffer-only baseline share the loop.
+episode). The state and reward it exposes come from a pluggable view so
+the length-aware scheduler and the buffer-only baseline share the loop.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mdp
-from .metrics import _mean_wait
+from .metrics import _mean_wait, completed
 from .simulate import Simulation
 from .workload import DEFAULT_D_MAX, ScenarioConfig, generate_workload
 
@@ -133,44 +132,6 @@ class SimulationEnv:
         return reward_value, state, cluster.feasible_vms(), terminal
 
     def episode_metrics(self):
-        done = [r for r in self.sim.records if not r.aborted]
+        done = completed(self.sim.records)
         return {"avg_wait_s": _mean_wait(done)} if done else None
 
-
-class OracleEnv:
-    """Fixed-horizon rollouts of an OracleMdp, starting from the empty state."""
-
-    def __init__(self, oracle: mdp.OracleMdp, horizon: int = 50):
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.mdp = oracle
-        self.horizon = horizon
-        self.num_actions = oracle.num_vms + 1
-        self._tuples: dict[int, tuple] = {}
-        self._idx = None
-        self._steps = 0
-
-    def _tuple_of(self, idx: int) -> tuple:
-        t = self._tuples.get(idx)
-        if t is None:
-            t = self.mdp.index_state(idx)
-            self._tuples[idx] = t
-        return t
-
-    def reset(self, rng: np.random.Generator):
-        self._idx = self.mdp.state_index((0,) * (2 * self.mdp.num_vms))
-        self._steps = 0
-        state = self._tuple_of(self._idx)
-        return state, self.mdp.feasible_actions(state)
-
-    def step(self, action: int, rng: np.random.Generator):
-        state = self._tuple_of(self._idx)
-        reward_value = self.mdp.reward_of(state, action)
-        self._idx = self.mdp.sample_next(self._idx, action, rng)
-        self._steps += 1
-        nxt = self._tuple_of(self._idx)
-        return (reward_value, nxt, self.mdp.feasible_actions(nxt),
-                self._steps >= self.horizon)
-
-    def episode_metrics(self):
-        return None

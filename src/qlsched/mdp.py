@@ -14,7 +14,7 @@ against exact value iteration. It is not a timing model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,24 +30,13 @@ MAX_ORACLE_STATES = 100_000
 KERNEL_BLOCK = 1 << 15
 
 
-def discretize_length(total_mi: int, range_mi: int = DEFAULT_RANGE_MI,
-                      l_cap: int = DEFAULT_L_CAP) -> int:
-    """Length class of a total assigned length: floor(total/range), capped."""
-    if range_mi <= 0:
-        raise ValueError("range_mi must be > 0")
-    if total_mi < 0:
-        raise ValueError("total_mi must be >= 0")
-    if l_cap < 0:
-        raise ValueError("l_cap must be >= 0")
-    return min(int(total_mi // range_mi), l_cap)
-
-
 def encode_state(cluster, range_mi: int = DEFAULT_RANGE_MI,
                  l_cap: int = DEFAULT_L_CAP) -> tuple:
     """Observed scheduler state of a cluster, as a flat tuple of 2K ints.
 
-    Length classes as discretize_length's, min(total // range_mi, l_cap),
-    without its checks on the arguments: LengthAwareView makes them once.
+    Each VM's length class is min(total // range_mi, l_cap) of its total
+    assigned length. The arguments are not checked here: LengthAwareView
+    checks them once.
     """
     occupied, assigned = cluster.counters()
     return (*occupied,
@@ -58,13 +47,12 @@ def reward(state: tuple, action: int, capacities) -> int:
     """Immediate reward for assigning the arriving task to `action`.
 
     +1 when the VM has minimal occupied-buffer count (this wins), else -1
-    when it has the maximal length class, else 0. Raises on infeasible
-    actions (buffer at capacity).
+    when it has the maximal length class, else 0. `capacities` holds one
+    buffer capacity per VM. Raises on infeasible actions (buffer at
+    capacity).
     """
     k = len(state) // 2
     b, l = state[:k], state[k:]
-    if not isinstance(capacities, (list, tuple)) and np.isscalar(capacities):
-        capacities = [capacities] * len(b)
     if not (0 <= action < len(b)):
         raise ValueError(f"action {action} out of range for {len(b)} VMs")
     if b[action] >= capacities[action]:
@@ -82,8 +70,10 @@ class OracleMdp:
 
     Action ids 0..K-1 assign the arriving task to that VM; action id K is
     the forced defer used by all-buffers-full states (reward 0, no
-    arrival admitted). Rows for state s live at
-    act_indptr[s]:act_indptr[s+1]; act_action maps row to action id.
+    arrival admitted). State s is the row-major index of (B_1..B_K,
+    L-class_1..L-class_K) over the shape (n+1,)*K + (c,)*K. Rows for
+    state s live at act_indptr[s]:act_indptr[s+1]; act_action maps row to
+    action id.
     """
 
     num_vms: int
@@ -98,55 +88,10 @@ class OracleMdp:
     csr_indptr: np.ndarray
     csr_cols: np.ndarray
     csr_probs: np.ndarray
-    _row_cum: list = field(default=None, repr=False)
 
     @property
     def num_states(self) -> int:
         return self.act_indptr.size - 1
-
-    @property
-    def defer_action(self) -> int:
-        return self.num_vms
-
-    @property
-    def shape(self) -> tuple:
-        k, n, c = self.num_vms, self.buffer_capacity, self.num_classes
-        return (n + 1,) * k + (c,) * k
-
-    def state_index(self, state: tuple) -> int:
-        return int(np.ravel_multi_index(state, self.shape))
-
-    def index_state(self, idx: int) -> tuple:
-        return tuple(int(x) for x in np.unravel_index(idx, self.shape))
-
-    def feasible_actions(self, state: tuple) -> list[int]:
-        """VM actions open in `state`; [defer] when every buffer is full."""
-        b = state[: self.num_vms]
-        acts = [i for i, bi in enumerate(b) if bi < self.buffer_capacity]
-        return acts if acts else [self.defer_action]
-
-    def row_of(self, idx: int, action: int) -> int:
-        for r in range(self.act_indptr[idx], self.act_indptr[idx + 1]):
-            if self.act_action[r] == action:
-                return int(r)
-        raise ValueError(f"action {action} infeasible in state {self.index_state(idx)}")
-
-    def reward_of(self, state: tuple, action: int) -> float:
-        return float(self.row_reward[self.row_of(self.state_index(state), action)])
-
-    def sample_next(self, idx: int, action: int, rng) -> int:
-        """Draw a successor state index for Q-learning rollouts."""
-        if self._row_cum is None:
-            self._row_cum = [None] * self.row_reward.size
-        r = self.row_of(idx, action)
-        cum = self._row_cum[r]
-        if cum is None:
-            sl = slice(self.csr_indptr[r], self.csr_indptr[r + 1])
-            cum = np.cumsum(self.csr_probs[sl])
-            self._row_cum[r] = cum
-        j = int(np.searchsorted(cum, rng.random(), side="right"))
-        j = min(j, cum.size - 1)  # guard the 1.0-boundary draw
-        return int(self.csr_cols[self.csr_indptr[r] + j])
 
 
 def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,

@@ -260,12 +260,13 @@ def run_point(plan: ExperimentPlan, point) -> RunOutputs:
                 *report.load_share, report.abort_count), strict=True)))
         mean, sd = aggregate(reports)
         out.summary.append(dict(zip(SUMMARY_COLS, (
-            name, *at, plan.replications, mean.avg_response_s, sd.avg_response_s,
-            mean.avg_wait_s, sd.avg_wait_s, mean.makespan_s, sd.makespan_s,
-            mean.abort_count), strict=True)))
+            name, *at, plan.replications, mean["avg_response_s"],
+            sd["avg_response_s"], mean["avg_wait_s"], sd["avg_wait_s"],
+            mean["makespan_s"], sd["makespan_s"], mean["abort_count"]),
+            strict=True)))
         log.info("point t=%d b=%d f=%.2f %-6s mean response %.2f s, "
                  "makespan %.2f s", tasks, buf, fr, name,
-                 mean.avg_response_s, mean.makespan_s)
+                 mean["avg_response_s"], mean["makespan_s"])
     return out
 
 

@@ -1,4 +1,9 @@
-"""Reference computations on the oracle MDP that only the tests need."""
+"""Oracle MDP lookups, rollouts and reference computations for the tests.
+
+The run path only builds an OracleMdp and solves it. The tests also walk
+it state by state: these functions read an OracleMdp's arrays to do so,
+and OracleEnv rolls it out for the Q-learning loop.
+"""
 
 from collections import deque
 from types import SimpleNamespace
@@ -6,10 +11,78 @@ from types import SimpleNamespace
 import numpy as np
 
 
+def shape(m):
+    """Digit ranges of a state: K buffer counts, then K length classes."""
+    k, n, c = m.num_vms, m.buffer_capacity, m.num_classes
+    return (n + 1,) * k + (c,) * k
+
+
+def state_index(m, state):
+    return int(np.ravel_multi_index(state, shape(m)))
+
+
+def index_state(m, idx):
+    return tuple(int(x) for x in np.unravel_index(idx, shape(m)))
+
+
+def feasible_actions(m, state):
+    """VM actions open in `state`; [defer] (action K) when every buffer is full."""
+    acts = [i for i, b in enumerate(state[:m.num_vms]) if b < m.buffer_capacity]
+    return acts if acts else [m.num_vms]
+
+
+def row_of(m, idx, action):
+    for r in range(m.act_indptr[idx], m.act_indptr[idx + 1]):
+        if m.act_action[r] == action:
+            return int(r)
+    raise ValueError(f"action {action} infeasible in state {index_state(m, idx)}")
+
+
+def sample_next(m, idx, action, rng):
+    """Draw a successor state index of (idx, action) from the kernel."""
+    r = row_of(m, idx, action)
+    lo, hi = m.csr_indptr[r], m.csr_indptr[r + 1]
+    cum = np.cumsum(m.csr_probs[lo:hi])
+    j = int(np.searchsorted(cum, rng.random(), side="right"))
+    return int(m.csr_cols[lo + min(j, cum.size - 1)])  # guard the 1.0-boundary draw
+
+
+class OracleEnv:
+    """Fixed-horizon rollouts of an OracleMdp, starting from the empty state."""
+
+    def __init__(self, oracle, horizon=50):
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        self.mdp = oracle
+        self.horizon = horizon
+        self.num_actions = oracle.num_vms + 1
+        self._idx = None
+        self._steps = 0
+
+    def _observe(self):
+        state = index_state(self.mdp, self._idx)
+        return state, feasible_actions(self.mdp, state)
+
+    def reset(self, rng):
+        self._idx = state_index(self.mdp, (0,) * (2 * self.mdp.num_vms))
+        self._steps = 0
+        return self._observe()
+
+    def step(self, action, rng):
+        m = self.mdp
+        reward_value = float(m.row_reward[row_of(m, self._idx, action)])
+        self._idx = sample_next(m, self._idx, action, rng)
+        self._steps += 1
+        return (reward_value, *self._observe(), self._steps >= self.horizon)
+
+    def episode_metrics(self):
+        return None
+
+
 def reachable_from_empty(m):
     """Bool mask of states reachable from all-zeros under any actions."""
     mask = np.zeros(m.num_states, dtype=bool)
-    start = m.state_index((0,) * (2 * m.num_vms))
+    start = state_index(m, (0,) * (2 * m.num_vms))
     mask[start] = True
     frontier = deque([start])
     while frontier:

@@ -12,17 +12,21 @@ from dataclasses import replace
 
 import numpy as np
 
-from oracle_helpers import reachable_from_empty
+from oracle_helpers import (
+    OracleEnv,
+    feasible_actions,
+    index_state,
+    reachable_from_empty,
+)
 from qlsched.cluster import ClusterState, CompletionRecord, VmSpec
-from qlsched.envs import OracleEnv
 from qlsched.mdp import (
     action_values,
     build_oracle_mdp,
-    discretize_length,
+    encode_state,
     reward,
     value_iteration,
 )
-from qlsched.metrics import avg_response_time, avg_waiting_time, makespan
+from qlsched.metrics import build_report
 from qlsched.policies import fifo_select
 from qlsched.qlearn import (
     LearnerConfig,
@@ -84,8 +88,8 @@ def test_criterion_1_oracle_optimality():
     reachable = np.flatnonzero(reachable_from_empty(oracle))
     agree = 0
     for idx in reachable:
-        state = oracle.index_state(int(idx))
-        feasible = oracle.feasible_actions(state)
+        state = index_state(oracle, int(idx))
+        feasible = feasible_actions(oracle, state)
         learned = result.table.greedy(state, feasible)
         lo, hi = oracle.act_indptr[idx], oracle.act_indptr[idx + 1]
         best = qrows[lo:hi].max()
@@ -104,6 +108,14 @@ def test_criterion_1_oracle_optimality():
 
 # -- 2: formula pins ----------------------------------------------------------------
 
+def length_class(total_mi: int, range_mi: int) -> int:
+    """encode_state's length class of one VM holding total_mi of work."""
+    cluster = ClusterState([VmSpec(index=0, mips=1000.0, buffer_capacity=1)])
+    if total_mi:
+        cluster.admit(TaskSpec(0, 0, total_mi), 0)
+    return encode_state(cluster, range_mi)[1]
+
+
 def test_criterion_2_formula_checks():
     state = (2, 5, 3, 4, 9, 1)  # occupancies (2,5,3), loads (4,9,1)
     caps = [6, 6, 6]
@@ -117,10 +129,10 @@ def test_criterion_2_formula_checks():
         (reward(state, 0, caps) == 1, "min-occupancy placement rewards +1"),
         (reward(state, 1, caps) == -1, "max-load placement rewards -1"),
         (reward(state, 2, caps) == 0, "neutral placement rewards 0"),
-        (discretize_length(0, 10_000) == 0, "class(0)=0"),
-        (discretize_length(9999, 10_000) == 0, "class(9999)=0"),
-        (discretize_length(10_000, 10_000) == 1, "class(10000)=1"),
-        (discretize_length(25_000, 10_000) == 2, "class(25000)=2"),
+        (length_class(0, 10_000) == 0, "class(0)=0"),
+        (length_class(9999, 10_000) == 0, "class(9999)=0"),
+        (length_class(10_000, 10_000) == 1, "class(10000)=1"),
+        (length_class(25_000, 10_000) == 2, "class(25000)=2"),
     ])
 
 
@@ -129,11 +141,11 @@ def test_criterion_2_formula_checks():
 def test_criterion_3_metric_oracle():
     vm = [VmSpec(index=0, mips=1000.0, buffer_capacity=5)]
     workload = [TaskSpec(0, 0, 1000), TaskSpec(1, 0, 2000)]
-    records = run_policy_simulation(vm, workload, fifo_select)
+    report = build_report(run_policy_simulation(vm, workload, fifo_select), vm)
     finish(3, [
-        (avg_response_time(records) == 2.0, "avg response 2.0 s"),
-        (avg_waiting_time(records) == 0.5, "avg wait 0.5 s"),
-        (makespan(records) == 3.0, "makespan 3.0 s"),
+        (report.avg_response_s == 2.0, "avg response 2.0 s"),
+        (report.avg_wait_s == 0.5, "avg wait 0.5 s"),
+        (report.makespan_s == 3.0, "makespan 3.0 s"),
     ])
 
 
@@ -287,8 +299,6 @@ def kernel_rows_suite(rng, min_rows=1000):
 
 
 def load_share_suite(rng, cases=1000):
-    from qlsched.metrics import utilization_and_load
-
     for _ in range(cases):
         k = int(rng.integers(1, 5))
         specs = [VmSpec(index=i, mips=float(rng.integers(500, 3000)),
@@ -299,8 +309,7 @@ def load_share_suite(rng, cases=1000):
             records.append(CompletionRecord(
                 task_id=tid, submit_time=0.0, finish_time=e, exec_time=e,
                 vm_index=int(rng.integers(k)), attempts=1, aborted=False))
-        horizon = max(r.finish_time for r in records) + 1.0
-        _, share = utilization_and_load(records, horizon, specs)
+        share = build_report(records, specs).load_share
         if abs(sum(share) - 1.0) > 1e-9 or any(s < 0 for s in share):
             return False
     return True

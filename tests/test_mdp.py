@@ -8,13 +8,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracle_helpers import reachable_from_empty, reference_build
+from oracle_helpers import (feasible_actions, index_state, reachable_from_empty,
+                            reference_build, row_of, sample_next, state_index)
 from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
 from qlsched.envs import LengthAwareView
 from qlsched.errors import CapacityError
-from qlsched.mdp import (action_values, build_oracle_mdp, discretize_length,
-                         encode_state, reward, value_iteration)
+from qlsched.mdp import (action_values, build_oracle_mdp, encode_state, reward,
+                         value_iteration)
 from qlsched.workload import TaskSpec
 
 
@@ -25,12 +26,18 @@ def cluster3():
 
 def kernel_row(m, state, action):
     """Transition distribution of (state, action) as (columns, probs)."""
-    r = m.row_of(m.state_index(state), action)
+    r = row_of(m, state_index(m, state), action)
     sl = slice(m.csr_indptr[r], m.csr_indptr[r + 1])
     return m.csr_cols[sl], m.csr_probs[sl]
 
 
-# -- discretize_length ---------------------------------------------------------
+# -- length classes --------------------------------------------------------------
+
+def length_class(total, range_mi, l_cap=mdp.DEFAULT_L_CAP):
+    """encode_state's length class of one VM with `total` MI assigned."""
+    one_vm = SimpleNamespace(counters=lambda: ([1], [total]))
+    return encode_state(one_vm, range_mi, l_cap)[1]
+
 
 @pytest.mark.parametrize("total,rng,expect", [
     (25000, 10000, 2),
@@ -40,15 +47,16 @@ def kernel_row(m, state, action):
     (9999, 10000, 0),
 ])
 def test_discretize_boundaries(total, rng, expect):
-    assert discretize_length(total, rng) == expect
+    assert length_class(total, rng) == expect
 
 
 def test_discretize_cap_and_errors():
-    assert discretize_length(10**9, 10000, l_cap=40) == 40
-    with pytest.raises(ValueError):
-        discretize_length(10, 0)
-    with pytest.raises(ValueError):
-        discretize_length(-1, 10)
+    assert length_class(10**9, 10000, l_cap=40) == 40
+    # encode_state takes its arguments unchecked; the view checks them once
+    with pytest.raises(ValueError, match="range_mi"):
+        LengthAwareView(0, 2)
+    with pytest.raises(ValueError, match="l_cap"):
+        LengthAwareView(10, -1)
 
 
 def test_discretize_monotone_in_total():
@@ -56,7 +64,7 @@ def test_discretize_monotone_in_total():
     for _ in range(1000):
         a, b = sorted(int(x) for x in rng.integers(0, 10**6, size=2))
         r = int(rng.integers(1, 10**5))
-        assert discretize_length(a, r) <= discretize_length(b, r)
+        assert length_class(a, r) <= length_class(b, r)
 
 
 # -- encode_state ---------------------------------------------------------------
@@ -95,33 +103,29 @@ def test_encode_matches_discretize_over_random_runs():
             state = encode_state(c, range_mi, l_cap)
             occupied, assigned = c.counters()
             assert state == tuple(occupied) + tuple(
-                discretize_length(x, range_mi, l_cap) for x in assigned)
+                min(x // range_mi, l_cap) for x in assigned)
             assert all(type(x) is int for x in state)
-    with pytest.raises(ValueError, match="range_mi"):
-        LengthAwareView(0, 2)
-    with pytest.raises(ValueError, match="l_cap"):
-        LengthAwareView(10, -1)
 
 
 # -- reward ------------------------------------------------------------------------
 
 def test_reward_three_cases():
     state = (2, 5, 3, 4, 9, 1)
-    assert reward(state, 0, 10) == 1    # unique min buffer
-    assert reward(state, 1, 10) == -1   # not argmin b, unique max l
-    assert reward(state, 2, 10) == 0    # neither
+    assert reward(state, 0, (10, 10, 10)) == 1    # unique min buffer
+    assert reward(state, 1, (10, 10, 10)) == -1   # not argmin b, unique max l
+    assert reward(state, 2, (10, 10, 10)) == 0    # neither
 
 
 def test_reward_single_vm_precedence():
     # K=1: the only VM is both argmin b and argmax l; +1 wins
-    assert reward((3, 7), 0, 5) == 1
+    assert reward((3, 7), 0, (5,)) == 1
 
 
 def test_reward_infeasible_action():
     with pytest.raises(ValueError, match="infeasible"):
-        reward((2, 0, 1, 1), 0, 2)
+        reward((2, 0, 1, 1), 0, (2, 2))
     with pytest.raises(ValueError, match="out of range"):
-        reward((1, 1, 0, 0), 2, 5)
+        reward((1, 1, 0, 0), 2, (5, 5))
 
 
 def test_reward_total_on_small_instance():
@@ -129,15 +133,15 @@ def test_reward_total_on_small_instance():
     # enumerated MDP's reward rows agree with the scalar rule
     m = build_oracle_mdp(num_vms=2, buffer_capacity=2, num_classes=3)
     for idx in range(m.num_states):
-        state = m.index_state(idx)
+        state = index_state(m, idx)
         for a in range(m.num_vms):
             if state[a] >= m.buffer_capacity:
                 continue
-            r = reward(state, a, m.buffer_capacity)
+            r = reward(state, a, (m.buffer_capacity,) * m.num_vms)
             assert r in (-1, 0, 1)
-            assert m.row_reward[m.row_of(idx, a)] == r
+            assert m.row_reward[row_of(m, idx, a)] == r
         if all(b >= m.buffer_capacity for b in state[:m.num_vms]):
-            assert m.row_reward[m.row_of(idx, m.defer_action)] == 0.0
+            assert m.row_reward[row_of(m, idx, m.num_vms)] == 0.0  # defer
 
 
 # -- oracle MDP kernel ---------------------------------------------------------------
@@ -167,13 +171,13 @@ def test_busy_vm_occupancy_returns_after_assign_depart():
     # p_c=1, K=1: assignment then certain departure cancels out
     m = build_oracle_mdp(num_vms=1, buffer_capacity=2, num_classes=2, p_c=1.0)
     for idx in range(m.num_states):
-        b, l = m.index_state(idx)
+        b, l = index_state(m, idx)
         if not (1 <= b < 2):
             continue
         cols, probs = kernel_row(m, (b, l), 0)
         for col, p in zip(cols, probs):
             if p > 0:
-                assert m.index_state(int(col))[0] == b
+                assert index_state(m, int(col))[0] == b
 
 
 def test_degenerate_kernel_is_deterministic():
@@ -189,7 +193,7 @@ def test_degenerate_kernel_is_deterministic():
 def test_state_index_roundtrip():
     m = build_oracle_mdp(num_vms=2, buffer_capacity=3, num_classes=2)
     for idx in range(m.num_states):
-        assert m.state_index(m.index_state(idx)) == idx
+        assert state_index(m, index_state(m, idx)) == idx
 
 
 def test_capacity_limit():
@@ -214,13 +218,13 @@ def test_builder_validation():
 
 def test_sample_next_matches_kernel():
     m = build_oracle_mdp(num_vms=2, buffer_capacity=2, num_classes=2, p_c=0.4)
-    idx = m.state_index((1, 0, 1, 0))
+    idx = state_index(m, (1, 0, 1, 0))
     cols, probs = kernel_row(m, (1, 0, 1, 0), 1)
     rng = np.random.default_rng(17)
     counts = {int(c): 0 for c in cols}
     n = 20000
     for _ in range(n):
-        counts[m.sample_next(idx, 1, rng)] += 1
+        counts[sample_next(m, idx, 1, rng)] += 1
     for c, p in zip(cols, probs):
         assert abs(counts[int(c)] / n - p) < 0.02
 
@@ -234,7 +238,7 @@ def test_vi_single_vm_geometric_value():
     m = build_oracle_mdp(num_vms=1, buffer_capacity=3, num_classes=2, p_c=1.0)
     res = value_iteration(m)
     for idx in range(m.num_states):
-        b, _ = m.index_state(idx)
+        b, _ = index_state(m, idx)
         expect = 10.0 if b < 3 else 9.0
         assert res.values[idx] == pytest.approx(expect, abs=1e-5)
 
@@ -254,7 +258,7 @@ def test_vi_gamma_zero_is_myopic():
         rows = range(m.act_indptr[idx], m.act_indptr[idx + 1])
         best = max(m.row_reward[r] for r in rows)
         assert res.values[idx] == pytest.approx(best)
-        chosen = m.row_of(idx, res.policy[idx])
+        chosen = row_of(m, idx, res.policy[idx])
         assert m.row_reward[chosen] == pytest.approx(best)
     assert np.allclose(q, m.row_reward)
 
@@ -265,13 +269,13 @@ def test_vi_swap_equivariance():
     q = action_values(m, value_iteration(m).values)
 
     def q_of(state, action):
-        return q[m.row_of(m.state_index(state), action)]
+        return q[row_of(m, state_index(m, state), action)]
 
     for idx in range(m.num_states):
-        b0, b1, l0, l1 = m.index_state(idx)
+        b0, b1, l0, l1 = index_state(m, idx)
         swapped = (b1, b0, l1, l0)
-        for a in m.feasible_actions((b0, b1, l0, l1)):
-            sa = {0: 1, 1: 0, m.defer_action: m.defer_action}[a]
+        for a in feasible_actions(m, (b0, b1, l0, l1)):
+            sa = {0: 1, 1: 0, 2: 2}[a]   # action 2 is the defer
             assert q_of((b0, b1, l0, l1), a) == pytest.approx(
                 q_of(swapped, sa), abs=1e-9)
 
@@ -288,7 +292,7 @@ def test_vi_reward_shift_invariance():
 def test_reachable_from_empty():
     m = build_oracle_mdp(num_vms=2, buffer_capacity=2, num_classes=2)
     mask = reachable_from_empty(m)
-    assert mask[m.state_index((0, 0, 0, 0))]
+    assert mask[state_index(m, (0, 0, 0, 0))]
     assert 0 < mask.sum() <= m.num_states
 
 

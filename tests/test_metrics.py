@@ -6,14 +6,7 @@ import pytest
 from qlsched import metrics
 from qlsched.cluster import CompletionRecord, VmSpec
 from qlsched.errors import MetricsError
-from qlsched.metrics import (
-    aggregate,
-    avg_response_time,
-    avg_waiting_time,
-    build_report,
-    makespan,
-    utilization_and_load,
-)
+from qlsched.metrics import aggregate, build_report
 from qlsched.policies import fifo_select, random_select
 from qlsched.simulate import run_policy_simulation
 from qlsched.workload import TaskSpec
@@ -38,33 +31,37 @@ def two_task_records():
 
 # -- time metrics ----------------------------------------------------------------
 
+def report_of(records, vm_specs=None):
+    return build_report(records, vm_specs or specs(5, 5))
+
+
 def test_hand_trace_response():
     # responses are 1s and 3s from a shared t=0 admission
-    assert avg_response_time(two_task_records()) == 2.0
+    assert report_of(two_task_records()).avg_response_s == 2.0
 
 
 def test_hand_trace_waiting():
     # first task never waits, second waits 1s behind it
-    assert avg_waiting_time(two_task_records()) == 0.5
+    assert report_of(two_task_records()).avg_wait_s == 0.5
 
 
 def test_hand_trace_makespan():
-    assert makespan(two_task_records()) == 3.0
+    assert report_of(two_task_records()).makespan_s == 3.0
 
 
 def test_single_record_response():
-    assert avg_response_time([rec(0, 0.0, 7.0, 7.0)]) == 7.0
+    assert report_of([rec(0, 0.0, 7.0, 7.0)]).avg_response_s == 7.0
 
 
 def test_immediate_service_waits_zero():
-    assert avg_waiting_time([rec(0, 2.0, 5.0, 3.0)]) == 0.0
+    assert report_of([rec(0, 2.0, 5.0, 3.0)]).avg_wait_s == 0.0
 
 
 def test_makespan_latest_completion():
     records = [rec(0, 0.0, 5.0, 5.0), rec(1, 0.0, 9.0, 4.0, vm=1),
                rec(2, 0.0, 7.0, 2.0)]
-    assert makespan(records) == 9.0
-    assert makespan(records[::-1]) == 9.0
+    assert report_of(records).makespan_s == 9.0
+    assert report_of(records[::-1]).makespan_s == 9.0
 
 
 def test_mean_is_np_mean_bit_for_bit():
@@ -85,38 +82,37 @@ def test_mean_is_np_mean_bit_for_bit():
 
 
 def test_empty_records_raise():
-    for fn in (avg_response_time, avg_waiting_time, makespan):
-        with pytest.raises(MetricsError):
-            fn([])
+    with pytest.raises(MetricsError):
+        report_of([])
 
 
 def test_aborted_records_do_not_count():
     records = [rec(0, 0.0, 4.0, 4.0), rec(1, 0.0, 99.0, 0.0, aborted=True)]
-    assert avg_response_time(records) == 4.0
-    assert makespan(records) == 4.0
+    r = report_of(records)
+    assert (r.avg_response_s, r.makespan_s, r.abort_count) == (4.0, 4.0, 1)
     with pytest.raises(MetricsError):
-        avg_response_time([rec(0, 0.0, 99.0, 0.0, aborted=True)])
+        report_of([rec(0, 0.0, 99.0, 0.0, aborted=True)])
 
 
-# -- utilization and load ---------------------------------------------------------
+# -- utilization and load: over the makespan ------------------------------------------
 
 def test_busy_half_the_horizon():
-    util, share = utilization_and_load([rec(0, 0.0, 50.0, 50.0)], 100.0,
-                                       specs(5, 5))
-    assert util == [0.5, 0.0]
-    assert share == [1.0, 0.0]
+    # the makespan is 100 s; VM 0 works for 50 of them, VM 1 for all
+    r = report_of([rec(0, 0.0, 50.0, 50.0), rec(1, 0.0, 100.0, 100.0, vm=1)])
+    assert r.utilization == [0.5, 1.0]
+    assert r.load_share == pytest.approx([1 / 3, 2 / 3])
 
 
 def test_multi_pe_divides_capacity():
-    util, _ = utilization_and_load([rec(0, 0.0, 50.0, 50.0)], 100.0,
-                                   specs(5, mips=1000.0, pes=2))
-    assert util == [0.25]
+    r = report_of([rec(0, 0.0, 50.0, 50.0)], specs(5, mips=1000.0, pes=2))
+    assert r.utilization == [0.5]
 
 
 def test_idle_cluster_all_zero():
-    util, share = utilization_and_load([], 10.0, specs(5, 5))
-    assert util == [0.0, 0.0]
-    assert share == [0.0, 0.0]
+    # every VM but the one that ran the task is idle
+    r = report_of([rec(0, 0.0, 10.0, 10.0, vm=1)], specs(5, 5, 5))
+    assert r.utilization == [0.0, 1.0, 0.0]
+    assert r.load_share == [0.0, 1.0, 0.0]
 
 
 def test_load_share_weights_by_mips():
@@ -124,15 +120,7 @@ def test_load_share_weights_by_mips():
                 VmSpec(index=1, mips=3000.0, buffer_capacity=5)]
     # equal busy seconds, but VM 1 ground through 3x the instructions
     records = [rec(0, 0.0, 10.0, 10.0, vm=0), rec(1, 0.0, 10.0, 10.0, vm=1)]
-    _, share = utilization_and_load(records, 10.0, vm_specs)
-    assert share == pytest.approx([0.25, 0.75])
-
-
-def test_horizon_validation():
-    with pytest.raises(MetricsError, match="horizon"):
-        utilization_and_load([], 0.0, specs(5))
-    with pytest.raises(MetricsError, match="makespan"):
-        utilization_and_load([rec(0, 0.0, 50.0, 50.0)], 49.0, specs(5))
+    assert report_of(records, vm_specs).load_share == pytest.approx([0.25, 0.75])
 
 
 def test_load_share_normalized_random_records():
@@ -145,14 +133,14 @@ def test_load_share_normalized_random_records():
             e = float(rng.uniform(0.1, 20.0))
             records.append(rec(tid, 0.0, e, e, vm=int(rng.integers(k)),
                                aborted=bool(rng.random() < 0.2)))
-        horizon = max(r.finish_time for r in records) + 1.0
-        util, share = utilization_and_load(records, horizon, vm_specs)
-        assert all(u >= 0.0 for u in util)
-        assert all(s >= 0.0 for s in share)
-        if any(not r.aborted for r in records):
-            assert sum(share) == pytest.approx(1.0, abs=1e-9)
-        else:
-            assert sum(share) == 0.0
+        if all(r.aborted for r in records):
+            with pytest.raises(MetricsError):
+                report_of(records, vm_specs)
+            continue
+        r = report_of(records, vm_specs)
+        assert all(u >= 0.0 for u in r.utilization)
+        assert all(s >= 0.0 for s in r.load_share)
+        assert sum(r.load_share) == pytest.approx(1.0, abs=1e-9)
 
 
 # -- reports ----------------------------------------------------------------------
@@ -218,23 +206,21 @@ def test_doubling_mips_halves_every_time_metric():
 
 def report_with(makespan_s, response=5.0):
     return build_report([rec(0, 0.0, response, response),
-                         rec(1, 0.0, makespan_s, makespan_s, vm=1)],
-                        specs(5, 5), horizon=makespan_s)
+                         rec(1, 0.0, makespan_s, makespan_s, vm=1)], specs(5, 5))
 
 
 def test_aggregate_mean_and_sd():
     mean, sd = aggregate([report_with(10.0), report_with(14.0)])
-    assert mean.makespan_s == 12.0
-    assert sd.makespan_s == pytest.approx(np.std([10.0, 14.0], ddof=1))
-    assert sd.makespan_s == pytest.approx(2.8284271247461903)
+    assert mean["makespan_s"] == 12.0
+    assert sd["makespan_s"] == pytest.approx(np.std([10.0, 14.0], ddof=1))
+    assert sd["makespan_s"] == pytest.approx(2.8284271247461903)
 
 
 def test_aggregate_single_report_sd_zero():
     mean, sd = aggregate([report_with(10.0)])
-    assert mean.makespan_s == 10.0
-    assert sd.makespan_s == 0.0
-    assert sd.avg_response_s == 0.0
-    assert sd.utilization == [0.0, 0.0]
+    assert mean["makespan_s"] == 10.0
+    assert sd == {"avg_response_s": 0.0, "avg_wait_s": 0.0, "makespan_s": 0.0}
+    assert mean["abort_count"] == 0.0
 
 
 def test_aggregate_is_permutation_invariant():
@@ -245,13 +231,6 @@ def test_aggregate_is_permutation_invariant():
     assert sd_a == sd_b
 
 
-def test_aggregate_vector_fields_elementwise():
-    mean, _ = aggregate([report_with(10.0), report_with(14.0)])
-    assert len(mean.utilization) == 2
-    assert len(mean.load_share) == 2
-    assert sum(mean.load_share) == pytest.approx(1.0)
-
-
 def test_aggregate_empty_raises():
     with pytest.raises(MetricsError):
         aggregate([])
@@ -259,8 +238,8 @@ def test_aggregate_empty_raises():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_build_report_equals_public_functions(seed):
-    # build_report filters the completed records once; every field must
-    # still equal, bit for bit, what the public per-metric functions give
+    # every field must equal, bit for bit, the metric's public definition
+    # (module docstring) computed here from the records with plain numpy
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 5))
     vm_specs = [VmSpec(index=i, mips=float(rng.choice([500.0, 1000.0, 2500.0])),
@@ -274,24 +253,21 @@ def test_build_report_equals_public_functions(seed):
         records.append(rec(tid, submit, finish, exec_time,
                            vm=int(rng.integers(k)), aborted=bool(rng.random() < 0.2)))
     records.append(rec(999, 1.0, 4.0, 2.5, vm=k - 1))
-    horizon = None if seed % 2 else makespan(records) + float(rng.uniform(0, 5))
-    report = build_report(records, vm_specs, horizon)
-    util, share = utilization_and_load(
-        records, makespan(records) if horizon is None else horizon, vm_specs)
-    assert report.avg_response_s == avg_response_time(records)
-    assert report.avg_wait_s == avg_waiting_time(records)
-    assert report.makespan_s == makespan(records)
-    assert report.utilization == util
-    assert report.load_share == share
-    assert report.task_count == sum(1 for r in records if not r.aborted)
-    assert report.abort_count == sum(1 for r in records if r.aborted)
-    # and equal to a reference that accumulates through numpy scalar updates
+    report = build_report(records, vm_specs)
+    done = [r for r in records if not r.aborted]
+    span = max(r.finish_time for r in done)
+    assert report.avg_response_s == float(np.mean(
+        [r.finish_time - r.submit_time for r in done]))
+    assert report.avg_wait_s == float(np.mean(
+        [r.finish_time - r.submit_time - r.exec_time for r in done]))
+    assert report.makespan_s == span
+    assert report.task_count == len(done)
+    assert report.abort_count == len(records) - len(done)
+    # utilization and load share accumulate through numpy scalar updates
     busy, length = np.zeros(k), np.zeros(k)
-    for r in records:
-        if not r.aborted:
-            busy[r.vm_index] += r.exec_time
-            length[r.vm_index] += r.exec_time * vm_specs[r.vm_index].mips
+    for r in done:
+        busy[r.vm_index] += r.exec_time
+        length[r.vm_index] += r.exec_time * vm_specs[r.vm_index].mips
     pes = np.array([s.pes for s in vm_specs], dtype=float)
-    span = report.makespan_s if horizon is None else horizon
-    assert util == (busy / (span * pes)).tolist()
-    assert share == (length / length.sum()).tolist()
+    assert report.utilization == (busy / (span * pes)).tolist()
+    assert report.load_share == (length / length.sum()).tolist()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qlsched.envs import OracleEnv
+from oracle_helpers import OracleEnv, state_index
 from qlsched.errors import ConfigError, NoFeasibleActionError
 from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.qlearn import (
@@ -350,7 +350,7 @@ class TestTrain:
         seen = list(result.table.greedy_map.items())
         assert seen
         for state, learned in seen:
-            idx = oracle.state_index(state)
+            idx = state_index(oracle, state)
             lo, hi = oracle.act_indptr[idx], oracle.act_indptr[idx + 1]
             best = qrows[lo:hi].max()
             optimal = {int(oracle.act_action[r])
