@@ -15,6 +15,7 @@ against exact value iteration. It is not a timing model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -106,15 +107,20 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     floor(l_k / b_k). Kernel rows are exact products of those independent
     events and sum to 1.
 
-    A row's size, and the offset of each (departure mask, arrival class)
-    entry within it, follow from its state's busy set alone, through the
-    departure-mask weights of that set, so csr_indptr is known before any
-    entry is made. Each entry is then written straight into its final CSR
-    slot, csr_indptr[row] + offset, with its successor's index computed
-    from the state's own index by row-major strides: the build holds no
-    copy of the transition entries besides the model's own.
+    A row's entries, their probabilities and their order follow from its
+    action and its state's busy set alone, so csr_indptr is known before
+    any entry is made. The rows of one (action, busy set) are then written
+    in chunks of at most KERNEL_BLOCK entries. A chunk's successor columns
+    are its states' own indices moved by row-major strides, the arrival
+    move (rows, classes) minus the departure move (rows, masks), and one
+    slot scatter puts them and their probabilities in their final CSR
+    slots. The build holds no copy of the transition entries besides the
+    model's own.
     """
     k, n, c = num_vms, buffer_capacity, num_classes
+    for name, value in (("num_vms", k), ("buffer_capacity", n), ("num_classes", c)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if k < 1 or n < 1 or c < 1:
         raise ValueError("need num_vms, buffer_capacity, num_classes >= 1")
     if not (0.0 <= p_c <= 1.0):
@@ -144,106 +150,83 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     busy = b >= 1
     avg = np.where(busy, l // np.maximum(b, 1), 0)
 
-    feas = b < n                               # (S, K)
-    n_actions = feas.sum(axis=1)
-    n_rows_per_state = np.where(n_actions > 0, n_actions, 1)
+    # has[s, a]: state s has a row for action a; only all-full states defer.
+    # Rows run in (state, action) order, so has's true cells are the rows.
+    feas = b < n
+    has = np.column_stack([feas, ~feas.any(axis=1)])     # (S, K+1)
     act_indptr = np.zeros(num_states + 1, dtype=np.int64)
-    np.cumsum(n_rows_per_state, out=act_indptr[1:])
-    num_rows = int(act_indptr[-1])
+    np.cumsum(has.sum(axis=1), out=act_indptr[1:])
+    row_of = act_indptr[:-1, None] + np.cumsum(has, axis=1) - has
+    act_action = np.nonzero(has)[1].astype(np.int64)
+    reward = np.where(b == b.min(axis=1, keepdims=True), 1.0,
+                      np.where(l == l.max(axis=1, keepdims=True), -1.0, 0.0))
+    row_reward = np.column_stack([reward, np.zeros(num_states)])[has]
 
-    # rank of action a among the feasible actions of each state
-    rank = np.cumsum(feas, axis=1) - feas
-    act_action = np.full(num_rows, k, dtype=np.int64)  # defer unless overwritten
-    row_reward = np.zeros(num_rows, dtype=np.float64)
-    b_min = b.min(axis=1)
-    l_max = l.max(axis=1)
-    for a in range(k):
-        sel = feas[:, a]
-        rows = act_indptr[:-1][sel] + rank[sel, a]
-        act_action[rows] = a
-        row_reward[rows] = np.where(b[sel, a] == b_min[sel], 1.0,
-                                    np.where(l[sel, a] == l_max[sel], -1.0, 0.0))
-
-    # A departure mask's weight depends only on which VMs are busy, so it
-    # is computed per busy set (VM j busy iff bit j is set), with the float
-    # products a per-state weight would take. Every VM row of a state has
-    # one entry per (mask, class) with weight * arrival_prob > 0, its defer
-    # row one per mask with weight > 0: those counts size the CSR rows.
+    # A departure mask's weight depends only on which VMs are busy, so a
+    # row's (mask, class) probabilities are computed once per busy set (VM
+    # j busy iff bit j is set), with the float products a per-state weight
+    # would take. A VM row admits one task of class ci ~ arrival_probs; the
+    # defer row admits none: one class of probability 1 (w * 1.0 == w).
+    # Outcomes of probability 0 (a departure at an idle VM, or an
+    # underflow) are not entries: `kept` holds the flat (mask, class)
+    # index of each entry, in the row's order.
     masks = (np.arange(2**k)[:, None] >> np.arange(k)) & 1   # (2^K, K)
-    busy_sets = masks.astype(bool)
     busy_code = busy @ (1 << np.arange(k))     # (S,) busy set of each state
 
-    def mask_prob(depart):
+    def entries(busy_set, class_probs):
+        on = masks[busy_set]
         w = np.ones(2**k)
         for j in range(k):
-            if depart[j]:
-                w = w * np.where(busy_sets[:, j], p_c, 0.0)
-            else:
-                w = w * np.where(busy_sets[:, j], 1.0 - p_c, 1.0)
-        return w
+            w = w * np.where(masks[:, j], p_c if on[j] else 0.0,
+                             1.0 - p_c if on[j] else 1.0)
+        p = np.multiply.outer(w, class_probs).ravel()
+        kept = np.flatnonzero(p > 0)
+        return kept, p[kept]
 
-    vm_len = np.zeros(2**k, dtype=np.int64)
-    defer_len = np.zeros(2**k, dtype=np.int64)
-    for depart in masks:
-        w = mask_prob(depart)
-        vm_len += np.count_nonzero(np.multiply.outer(w, arrival_probs) > 0, axis=1)
-        defer_len += w > 0
-    row_set = busy_code.repeat(n_rows_per_state)
-    row_len = np.where(act_action == k, defer_len[row_set], vm_len[row_set])
+    table = [[entries(s, arrival_probs)] * k + [entries(s, np.ones(1))]
+             for s in range(2**k)]             # [busy set][action]
+    row_len = np.array([[kept.size for kept, _ in t] for t in table])[busy_code][has]
     assert np.all(row_len > 0), "every row needs transition mass"
-    csr_indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    csr_indptr = np.zeros(row_len.size + 1, dtype=np.int64)
     np.cumsum(row_len, out=csr_indptr[1:])
     csr_cols = np.full(int(csr_indptr[-1]), -1, dtype=np.int64)
     csr_probs = np.empty(int(csr_indptr[-1]), dtype=np.float64)
 
-    # Successor columns by row-major strides. Only departures of busy VMs
-    # have weight, and a departure at VM j removes one buffer and the
-    # average share avg_j <= l_j, so no digit leaves its range: a mask
-    # moves state s's index by -(leave[s] @ depart). An arrival of class
-    # ci at VM a adds one buffer at a and raises a's length class, capped.
+    # Successor columns by row-major strides, as the arrival move minus the
+    # departure move. An arrival of class ci at VM a adds one buffer at a
+    # and raises a's length class, capped. Only departures of busy VMs have
+    # weight, and a departure at VM j removes one buffer and the average
+    # share avg_j <= l_j, so no digit leaves its range: mask m moves state
+    # s's index by -(leave[s] @ masks[m]).
     stride = np.cumprod((1,) + shape[:0:-1])[::-1]
     leave = stride[:k] + avg * stride[k:]      # (S, K)
     # The entry loop's transients, on top of the model's arrays, set the
     # build's peak: free the per-state and per-row tables it does not read.
-    del (digits, b, busy, avg, n_actions, n_rows_per_state, b_min, l_max,
-         row_set, row_len, sel, rows)
+    del digits, b, busy, avg, feas, reward, row_len
 
-    # Entries per (action, departure mask), all states and arrival classes
-    # at once as a (rows, classes) block: only the assigned VM's length
-    # digit depends on the class. The defer action admits no arrival: one
-    # class of probability 1 (w * 1.0 == w) that moves no digit. A row's
-    # entries run in (mask, class) order, so an entry's slot is its row's
-    # start plus its offset: the kept entries of the row's busy set under
-    # earlier masks (`before`), plus its rank among this mask's kept
-    # classes. Outcomes of probability 0 (a departure at an idle VM, or an
-    # underflow) are skipped.
+    # A chunk holds at most KERNEL_BLOCK entries, or one row when a row
+    # alone is longer; each row's entries take consecutive slots from its
+    # start.
     written = 0
-    for a in range(k + 1):
-        if a < k:
-            s = np.flatnonzero(feas[:, a])
-            start = csr_indptr[act_indptr[s] + rank[s, a]][:, None]
-            l_a = l[s, a][:, None]
-            grown = np.minimum(l_a + np.arange(c), c - 1) - l_a
-            arrive = (s + stride[a])[:, None] + grown * stride[k + a]
-            class_probs = arrival_probs
-        else:
-            s = np.flatnonzero(~feas.any(axis=1))
-            start = csr_indptr[act_indptr[s]][:, None]
-            arrive = s[:, None]
-            class_probs = np.ones(1)
-        sets = busy_code[s]
-        leave_a = leave[s]
-        before = np.zeros(2**k, dtype=np.int64)
-        for depart in masks:
-            p_set = np.multiply.outer(mask_prob(depart), class_probs)  # (set, class)
-            keep_set = p_set > 0
-            offset = before[:, None] + np.cumsum(keep_set, axis=1) - keep_set
-            before += keep_set.sum(axis=1)
-            keep = keep_set[sets]              # (rows, classes)
-            slot = (start + offset[sets])[keep]
-            csr_cols[slot] = (arrive - (leave_a @ depart)[:, None])[keep]
-            csr_probs[slot] = p_set[sets][keep]
-            written += slot.size
+    for busy_set, by_action in enumerate(table):
+        in_set = busy_code == busy_set
+        for a, (kept, probs) in enumerate(by_action):
+            states = np.flatnonzero(in_set & has[:, a])
+            mask_of, class_of = np.divmod(kept, 1 if a == k else c)
+            step = max(1, KERNEL_BLOCK // kept.size)
+            for i in range(0, states.size, step):
+                s = states[i:i + step]
+                if a < k:
+                    l_a = l[s, a][:, None]
+                    grown = np.minimum(l_a + np.arange(c), c - 1) - l_a
+                    arrive = (s + stride[a])[:, None] + grown * stride[k + a]
+                else:
+                    arrive = s[:, None]
+                depart = leave[s] @ masks.T        # (rows, masks)
+                slot = csr_indptr[row_of[s, a]][:, None] + np.arange(kept.size)
+                csr_cols[slot] = arrive[:, class_of] - depart[:, mask_of]
+                csr_probs[slot] = probs
+                written += slot.size
     # csr_cols was filled with -1: as many writes as slots, none left at
     # -1, means each slot was written exactly once.
     assert written == csr_cols.size and csr_cols.min() >= 0, \

@@ -38,7 +38,6 @@ class MetricsReport:
     makespan_s: float
     utilization: list
     load_share: list
-    task_count: int
     abort_count: int
 
 
@@ -68,7 +67,6 @@ def build_report(records, vm_specs) -> MetricsReport:
         makespan_s=span,
         utilization=(np.array(busy) / (span * pes)).tolist(),
         load_share=(length / length.sum()).tolist(),
-        task_count=len(done),
         abort_count=len(records) - len(done),
     )
 

@@ -149,14 +149,12 @@ def test_build_report_defaults_horizon_to_makespan():
     report = build_report(two_task_records(), specs(5))
     assert report.makespan_s == 3.0
     assert report.utilization == [1.0]  # the lone VM never idles
-    assert report.task_count == 2
     assert report.abort_count == 0
 
 
 def test_build_report_counts_aborts():
     records = two_task_records() + [rec(9, 0.0, 1.0, 0.0, aborted=True)]
     report = build_report(records, specs(5))
-    assert report.task_count == 2
     assert report.abort_count == 1
 
 
@@ -261,7 +259,6 @@ def test_build_report_equals_public_functions(seed):
     assert report.avg_wait_s == float(np.mean(
         [r.finish_time - r.submit_time - r.exec_time for r in done]))
     assert report.makespan_s == span
-    assert report.task_count == len(done)
     assert report.abort_count == len(records) - len(done)
     # utilization and load share accumulate through numpy scalar updates
     busy, length = np.zeros(k), np.zeros(k)
