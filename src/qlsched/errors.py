@@ -19,7 +19,7 @@ class NoFeasibleActionError(RuntimeError):
 
 
 class CapacityError(ValueError):
-    """Requested oracle MDP would enumerate too many states."""
+    """Requested oracle MDP would enumerate too many states or entries."""
 
 
 class MetricsError(ValueError):

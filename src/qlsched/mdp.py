@@ -14,6 +14,7 @@ against exact value iteration. It is not a timing model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -24,6 +25,8 @@ from .errors import CapacityError
 DEFAULT_RANGE_MI = 10_000
 DEFAULT_L_CAP = 40
 MAX_ORACLE_STATES = 100_000
+# Transition entries: 2^24 take 201 MB of csr_cols and csr_probs.
+MAX_ORACLE_ENTRIES = 1 << 24
 # Transition entries per block of the Bellman kernel: 256 KiB of float64
 # gather buffer, which stays in L2 across the block's gather, multiply and
 # reduce. 2^15 and 2^16 timed best; at 2^12 the per-block Python
@@ -73,8 +76,12 @@ class OracleMdp:
     the forced defer used by all-buffers-full states (reward 0, no
     arrival admitted). State s is the row-major index of (B_1..B_K,
     L-class_1..L-class_K) over the shape (n+1,)*K + (c,)*K. Rows for
-    state s live at act_indptr[s]:act_indptr[s+1]; act_action maps row to
-    action id.
+    state s live at act_indptr[s]:act_indptr[s+1] (int64); act_action
+    (int64) maps row to action id and row_reward (float64) holds its
+    reward. Row r's transition entries live at csr_indptr[r]:
+    csr_indptr[r+1] (int64): successor state indices in csr_cols (int32,
+    which every state index fits) and their probabilities in csr_probs
+    (float64).
     """
 
     num_vms: int
@@ -93,6 +100,23 @@ class OracleMdp:
     @property
     def num_states(self) -> int:
         return self.act_indptr.size - 1
+
+
+def _max_entries(k: int, n: int, c: int) -> int:
+    """The most transition entries a (k, n, c) model can have: its count
+    when 0 < p_c < 1, every class can arrive and no weight underflows.
+
+    A state with i idle VMs, p partly filled and f full ones has i + p VM
+    rows of c * 2^(p+f) entries, one per (departure mask of its busy VMs,
+    arrival class), or, when i + p = 0, one defer row of 2^k; (n-1)^p * c^k
+    states share each (i, p, f).
+    """
+    total = 0
+    for i in range(k + 1):
+        for p in range(k - i + 1):
+            states = math.comb(k, i) * math.comb(k - i, p) * (n - 1) ** p
+            total += states * ((i + p) * c * 2 ** (k - i) if i + p else 2**k)
+    return total * c**k
 
 
 def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
@@ -115,7 +139,10 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     move (rows, classes) minus the departure move (rows, masks), and one
     slot scatter puts them and their probabilities in their final CSR
     slots. The build holds no copy of the transition entries besides the
-    model's own.
+    model's own, and beside them only three per-state tables: int32
+    digits, the (state, action) row mask and the int32 busy sets. The
+    model's state and entry counts are checked before anything is built:
+    the entries against MAX_ORACLE_ENTRIES, as _max_entries counts them.
     """
     k, n, c = num_vms, buffer_capacity, num_classes
     for name, value in (("num_vms", k), ("buffer_capacity", n), ("num_classes", c)):
@@ -138,29 +165,36 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     if abs(float(arrival_probs.sum()) - 1.0) > 1e-9:
         raise ValueError("arrival_probs must sum to 1 within 1e-9")
 
+    if max_states > 2**31:
+        raise CapacityError(f"max_states {max_states} admits state indices "
+                            f"past int32; the limit is {2**31}")
     num_states = (n + 1) ** k * c**k
     if num_states > max_states:
         raise CapacityError(
             f"{num_states} states exceed the enumeration limit {max_states}")
+    num_entries = _max_entries(k, n, c)
+    if num_entries > MAX_ORACLE_ENTRIES:
+        raise CapacityError(f"up to {num_entries} transition entries exceed "
+                            f"the limit {MAX_ORACLE_ENTRIES}")
 
     shape = (n + 1,) * k + (c,) * k
-    digits = np.array(np.unravel_index(np.arange(num_states), shape))
-    b = digits[:k].T.astype(np.int64)          # (S, K) occupied counts
-    l = digits[k:].T.astype(np.int64)          # (S, K) length classes
-    busy = b >= 1
-    avg = np.where(busy, l // np.maximum(b, 1), 0)
+    stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+    # State s's digits, its K buffer counts then its K length classes, are
+    # the column digits[:, s], int32 like every state index.
+    digits = np.array(np.unravel_index(np.arange(num_states), shape),
+                      dtype=np.int32)
+    b, l = digits[:k], digits[k:]              # (K, S) views
 
     # has[s, a]: state s has a row for action a; only all-full states defer.
     # Rows run in (state, action) order, so has's true cells are the rows.
-    feas = b < n
-    has = np.column_stack([feas, ~feas.any(axis=1)])     # (S, K+1)
+    has = np.column_stack([(b < n).T, (b == n).all(axis=0)])     # (S, K+1)
     act_indptr = np.zeros(num_states + 1, dtype=np.int64)
     np.cumsum(has.sum(axis=1), out=act_indptr[1:])
-    row_of = act_indptr[:-1, None] + np.cumsum(has, axis=1) - has
-    act_action = np.nonzero(has)[1].astype(np.int64)
-    reward = np.where(b == b.min(axis=1, keepdims=True), 1.0,
-                      np.where(l == l.max(axis=1, keepdims=True), -1.0, 0.0))
-    row_reward = np.column_stack([reward, np.zeros(num_states)])[has]
+    act_action = np.broadcast_to(np.arange(k + 1), has.shape)[has]
+    reward = np.where(b == b.min(axis=0), 1.0,
+                      np.where(l == l.max(axis=0), -1.0, 0.0))   # (K, S)
+    row_reward = np.vstack([reward, np.zeros(num_states)]).T[has]
+    del reward
 
     # A departure mask's weight depends only on which VMs are busy, so a
     # row's (mask, class) probabilities are computed once per busy set (VM
@@ -171,7 +205,7 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     # underflow) are not entries: `kept` holds the flat (mask, class)
     # index of each entry, in the row's order.
     masks = (np.arange(2**k)[:, None] >> np.arange(k)) & 1   # (2^K, K)
-    busy_code = busy @ (1 << np.arange(k))     # (S,) busy set of each state
+    busy_code = (1 << np.arange(k, dtype=np.int32)) @ (b > 0)  # (S,) busy sets
 
     def entries(busy_set, class_probs):
         on = masks[busy_set]
@@ -185,28 +219,25 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
 
     table = [[entries(s, arrival_probs)] * k + [entries(s, np.ones(1))]
              for s in range(2**k)]             # [busy set][action]
-    row_len = np.array([[kept.size for kept, _ in t] for t in table])[busy_code][has]
-    assert np.all(row_len > 0), "every row needs transition mass"
-    csr_indptr = np.zeros(row_len.size + 1, dtype=np.int64)
-    np.cumsum(row_len, out=csr_indptr[1:])
-    csr_cols = np.full(int(csr_indptr[-1]), -1, dtype=np.int64)
+    row_len = np.array([[kept.size for kept, _ in t] for t in table],
+                       dtype=np.int32)          # [busy set, action]
+    assert row_len.min() > 0, "every row needs transition mass"
+    csr_indptr = np.zeros(row_reward.size + 1, dtype=np.int64)
+    np.cumsum(row_len[busy_code][has], out=csr_indptr[1:])
+    csr_cols = np.full(int(csr_indptr[-1]), -1, dtype=np.int32)
     csr_probs = np.empty(int(csr_indptr[-1]), dtype=np.float64)
 
     # Successor columns by row-major strides, as the arrival move minus the
     # departure move. An arrival of class ci at VM a adds one buffer at a
     # and raises a's length class, capped. Only departures of busy VMs have
     # weight, and a departure at VM j removes one buffer and the average
-    # share avg_j <= l_j, so no digit leaves its range: mask m moves state
-    # s's index by -(leave[s] @ masks[m]).
-    stride = np.cumprod((1,) + shape[:0:-1])[::-1]
-    leave = stride[:k] + avg * stride[k:]      # (S, K)
-    # The entry loop's transients, on top of the model's arrays, set the
-    # build's peak: free the per-state and per-row tables it does not read.
-    del digits, b, busy, avg, feas, reward, row_len
-
+    # share l_j // b_j <= l_j, so no digit leaves its range. An idle VM's
+    # share is never read: its departures have weight 0.
+    #
     # A chunk holds at most KERNEL_BLOCK entries, or one row when a row
     # alone is longer; each row's entries take consecutive slots from its
-    # start.
+    # start. A VM row starts after its state's rows for open VMs below a;
+    # a defer row is its state's only row.
     written = 0
     for busy_set, by_action in enumerate(table):
         in_set = busy_code == busy_set
@@ -216,14 +247,17 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
             step = max(1, KERNEL_BLOCK // kept.size)
             for i in range(0, states.size, step):
                 s = states[i:i + step]
+                d = digits[:, s]                   # (2K, rows)
                 if a < k:
-                    l_a = l[s, a][:, None]
+                    l_a = d[k + a][:, None]
                     grown = np.minimum(l_a + np.arange(c), c - 1) - l_a
                     arrive = (s + stride[a])[:, None] + grown * stride[k + a]
                 else:
                     arrive = s[:, None]
-                depart = leave[s] @ masks.T        # (rows, masks)
-                slot = csr_indptr[row_of[s, a]][:, None] + np.arange(kept.size)
+                share = d[k:] // np.maximum(d[:k], 1)
+                depart = (stride[:k, None] + share * stride[k:, None]).T @ masks.T
+                row = act_indptr[s] + np.count_nonzero(d[:a] < n, axis=0)
+                slot = csr_indptr[row][:, None] + np.arange(kept.size)
                 csr_cols[slot] = arrive[:, class_of] - depart[:, mask_of]
                 csr_probs[slot] = probs
                 written += slot.size
@@ -264,7 +298,7 @@ def _row_blocks(csr_indptr: np.ndarray) -> list[int]:
 
 
 def action_values(mdp: OracleMdp, values: np.ndarray,
-                  out: np.ndarray | None = None,
+                  out: np.ndarray | None = None, index: np.ndarray | None = None,
                   bounds: list[int] | None = None) -> np.ndarray:
     """Per-row q(s,a) = r + gamma * E[v(s')] for the given value vector.
 
@@ -274,12 +308,14 @@ def action_values(mdp: OracleMdp, values: np.ndarray,
     expectation is the same reduceat over the same products, in the same
     order, as over the whole kernel at once, so q does not depend on
     KERNEL_BLOCK to the last bit. `out`, a float64 buffer at least as
-    long as the largest block, takes the gathered successor values in
-    place of a fresh array per block; its gather clips column indices,
-    so whoever passes it checks the columns first (value_iteration does,
-    once per solve). Without `out` a column past the end of `values`
-    raises IndexError. `bounds`, the kernel's _row_blocks, is computed
-    when not given.
+    long as the largest block, takes the gathered successor values, and
+    `index`, an intp buffer as long, takes each block's columns cast to
+    intp, the index type np.take needs: with both, the gather allocates
+    nothing per block. Both are given or neither. Their gather clips
+    column indices, so whoever passes them checks the columns first
+    (value_iteration does, once per solve). Without them a column past
+    the end of `values` raises IndexError. `bounds`, the kernel's
+    _row_blocks, is computed when not given.
     """
     indptr, cols, probs = mdp.csr_indptr, mdp.csr_cols, mdp.csr_probs
     q = np.empty(indptr.size - 1, dtype=np.float64)
@@ -289,7 +325,9 @@ def action_values(mdp: OracleMdp, values: np.ndarray,
         if out is None:
             buf = values[cols[e0:e1]]
         else:
-            buf = np.take(values, cols[e0:e1], out=out[:e1 - e0], mode="clip")
+            at = index[:e1 - e0]
+            at[...] = cols[e0:e1]
+            buf = np.take(values, at, out=out[:e1 - e0], mode="clip")
         buf *= probs[e0:e1]
         np.add.reduceat(buf, indptr[r0:r1] - e0, out=q[r0:r1])
     q *= mdp.gamma
@@ -301,8 +339,9 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
                     max_sweeps: int = 100_000) -> ValueIterationResult:
     """Solve the MDP to max-norm tolerance tol; ties go to the lowest action.
 
-    One gather buffer, the size of action_values' largest block, and one
-    set of block bounds serve every sweep and the greedy extraction.
+    One gather buffer and one index buffer, the size of action_values'
+    largest block, and one set of block bounds serve every sweep and the
+    greedy extraction.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -310,13 +349,14 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
     if cols.size and (cols.min() < 0 or cols.max() >= mdp.num_states):
         raise IndexError(f"transition columns must lie in [0, {mdp.num_states})")
     bounds = _row_blocks(mdp.csr_indptr)
-    buf = np.empty(int(np.diff(mdp.csr_indptr[bounds]).max(initial=0)),
-                   dtype=np.float64)
+    largest = int(np.diff(mdp.csr_indptr[bounds]).max(initial=0))
+    buf = np.empty(largest, dtype=np.float64)
+    index = np.empty(largest, dtype=np.intp)
     starts = mdp.act_indptr[:-1]
     v = np.zeros(mdp.num_states, dtype=np.float64)
     deltas = []
     for sweep in range(1, max_sweeps + 1):
-        v_new = np.maximum.reduceat(action_values(mdp, v, buf, bounds), starts)
+        v_new = np.maximum.reduceat(action_values(mdp, v, buf, index, bounds), starts)
         delta = float(np.max(np.abs(v_new - v)))
         deltas.append(delta)
         v = v_new
@@ -326,7 +366,7 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
         raise RuntimeError(f"value iteration did not reach tol={tol} "
                            f"in {max_sweeps} sweeps")
     # lowest row among each state's maxima; rows run in action order
-    q = action_values(mdp, v, buf, bounds)
+    q = action_values(mdp, v, buf, index, bounds)
     is_max = q >= np.repeat(np.maximum.reduceat(q, starts), np.diff(mdp.act_indptr))
     best_rows = np.minimum.reduceat(np.where(is_max, np.arange(q.size), q.size),
                                     starts)

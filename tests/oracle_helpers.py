@@ -179,5 +179,5 @@ def reference_build(num_vms, buffer_capacity, num_classes, arrival_probs=None,
     return SimpleNamespace(
         act_indptr=act_indptr, act_action=act_action, row_reward=row_reward,
         csr_indptr=csr_indptr,
-        csr_cols=np.concatenate(ent_cols)[order].astype(np.int64),
+        csr_cols=np.concatenate(ent_cols)[order].astype(np.int32),
         csr_probs=np.concatenate(ent_probs)[order].astype(np.float64))

@@ -1,6 +1,9 @@
 """State encoding, the reward rule and the enumerable oracle MDP."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -17,6 +20,8 @@ from qlsched.errors import CapacityError
 from qlsched.mdp import (action_values, build_oracle_mdp, encode_state, reward,
                          value_iteration)
 from qlsched.workload import TaskSpec
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def cluster3():
@@ -199,6 +204,33 @@ def test_state_index_roundtrip():
 def test_capacity_limit():
     with pytest.raises(CapacityError):
         build_oracle_mdp(num_vms=3, buffer_capacity=9, num_classes=5)
+    # csr_cols is int32: no limit may admit a state index past it
+    with pytest.raises(CapacityError, match="int32"):
+        build_oracle_mdp(1, 1, 1, max_states=2**31 + 1)
+    assert build_oracle_mdp(1, 1, 1, max_states=2**31).num_states == 2
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_entry_count_of_one_slot_vms(k):
+    # k VMs of one buffer slot and one class: a state with m busy VMs has
+    # k - m rows of 2^m entries, and the all-busy state a defer row of 2^k
+    want = k * 3 ** (k - 1) + 2**k
+    assert mdp._max_entries(k, 1, 1) == want
+    assert build_oracle_mdp(k, 1, 1).csr_cols.size == want
+
+
+def test_entry_limit(monkeypatch):
+    # (10, 1, 1) has 1,024 states and 197,854 entries; the guard counts
+    # them before any per-busy-set table or entry array exists
+    monkeypatch.setattr(mdp, "MAX_ORACLE_ENTRIES", 197_853)
+    with pytest.raises(CapacityError, match="197854 transition entries"):
+        build_oracle_mdp(10, 1, 1)
+    monkeypatch.setattr(mdp, "MAX_ORACLE_ENTRIES", 197_854)
+    assert build_oracle_mdp(10, 1, 1).csr_cols.size == 197_854
+    # (16, 1, 1) is under the state limit but would take 3.7 GB of
+    # entries: only its count is checked here, never a build
+    assert 2**16 < mdp.MAX_ORACLE_STATES
+    assert mdp._max_entries(16, 1, 1) == 16 * 3**15 + 2**16 > mdp.MAX_ORACLE_ENTRIES
 
 
 def test_builder_validation():
@@ -321,6 +353,8 @@ MODEL_ARRAYS = ("act_indptr", "act_action", "row_reward", "csr_indptr",
     (3, 1, 2, [1e-200, 1.0], 1e-200),     # and so do multi-departure weights
     (4, 2, 2, None, 0.3),                 # 16 departure masks per busy set
     (4, 1, 3, None, 0.3),
+    (1, 200, 3, None, 0.5),               # digits past 127: no table overflows
+    (2, 130, 2, None, 0.5),
 ])
 def test_build_matches_concat_and_sort_reference(k, n, c, arrival_probs, p_c):
     m = build_oracle_mdp(k, n, c, arrival_probs=arrival_probs, p_c=p_c)
@@ -368,7 +402,9 @@ def test_benchmark_model_digests_are_pinned():
     for name in MODEL_ARRAYS:
         arr = getattr(m, name)
         assert arr.dtype == (np.float64 if name.endswith(("reward", "probs"))
-                             else np.int64), name
+                             else np.int32 if name == "csr_cols" else np.int64), name
+        # the digest was recorded from int64 columns: every value is kept
+        arr = arr.astype(np.int64) if name == "csr_cols" else arr
         assert hashlib.sha256(arr.tobytes()).hexdigest() == BENCH_MODEL_SHA256[name], name
 
 
@@ -393,7 +429,7 @@ def test_solve_digests_are_pinned():
 
 def test_build_peak_memory_stays_near_the_model():
     # (3, 9, 4) is the model the benchmark's oracle_vi workload builds
-    for shape, bound in (((3, 5, 4), 1.35), ((3, 9, 4), 1.25)):
+    for shape, bound in (((3, 5, 4), 1.20), ((3, 9, 4), 1.10)):
         tracemalloc.start()
         try:
             m = build_oracle_mdp(*shape)
@@ -402,6 +438,33 @@ def test_build_peak_memory_stays_near_the_model():
             tracemalloc.stop()
         kept = sum(getattr(m, name).nbytes for name in MODEL_ARRAYS)
         assert peak <= bound * kept, shape
+
+
+# A fresh interpreter builds and solves the benchmark's model. Its peak
+# RSS also counts what tracemalloc does not see: freed transients that the
+# allocator keeps resident. It is read as VmHWM, the peak of the process's
+# own memory: ru_maxrss carries the parent's (pytest's) RSS across exec.
+RSS_SCRIPT = """
+from qlsched.mdp import build_oracle_mdp, value_iteration
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kib()
+m = build_oracle_mdp(3, 9, 4)
+value_iteration(m)
+print((peak_kib() - before) * 1024 / sum(getattr(m, name).nbytes for name in {names}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_build_and_solve_rss_stays_near_the_model():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", RSS_SCRIPT.format(names=MODEL_ARRAYS)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert float(out.stdout) <= 1.15
 
 
 def test_solve_peak_memory_is_a_fraction_of_the_kernel():
@@ -521,12 +584,13 @@ def test_out_buffer_gives_the_same_bits_and_allocates_little():
     m = build_oracle_mdp(3, 3, 3)
     v = np.random.default_rng(2).normal(size=m.num_states)
     buf = np.empty(m.csr_cols.size)
+    index = np.empty(m.csr_cols.size, dtype=np.intp)
     want = action_values(m, v)
-    got = action_values(m, v, out=buf)
+    got = action_values(m, v, out=buf, index=index)
     assert got.tobytes() == want.tobytes()
     tracemalloc.start()
     try:
-        action_values(m, v, out=buf)
+        action_values(m, v, out=buf, index=index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -580,7 +644,8 @@ def test_kernel_bits_do_not_depend_on_the_block_size(monkeypatch):
         for m, v, q in zip(models, values, want_q):
             assert action_values(m, v).tobytes() == q, block
             buf = np.empty(m.csr_cols.size)
-            assert action_values(m, v, out=buf).tobytes() == q, block
+            index = np.empty(m.csr_cols.size, dtype=np.intp)
+            assert action_values(m, v, out=buf, index=index).tobytes() == q, block
         for m, want in zip(solved, want_solve):
             assert solve_bytes(m) == want, block
 
@@ -602,27 +667,31 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch):
 
 
 def test_value_iteration_reuses_one_buffer(monkeypatch):
-    def spy(mdp_, values, out=None, bounds=None):
+    def spy(mdp_, values, out=None, index=None, bounds=None):
         buffers.append(out)
+        index_buffers.append(index)
         bound_lists.append(bounds)
-        return action_values(mdp_, values, out, bounds)
+        return action_values(mdp_, values, out, index, bounds)
 
     monkeypatch.setattr(mdp, "action_values", spy)
     m = build_oracle_mdp(2, 2, 2)             # one block
-    buffers, bound_lists = [], []
+    buffers, index_buffers, bound_lists = [], [], []
     res = value_iteration(m)
     assert len(buffers) == res.sweeps + 1      # every sweep and the extraction
     assert all(out is buffers[0] for out in buffers)
-    assert buffers[0].size == m.csr_probs.size
+    assert all(index is index_buffers[0] for index in index_buffers)
+    assert buffers[0].size == index_buffers[0].size == m.csr_probs.size
+    assert index_buffers[0].dtype == np.intp
 
     m = build_oracle_mdp(3, 4, 3)             # several blocks
     assert m.csr_probs.size > mdp.KERNEL_BLOCK
-    buffers, bound_lists = [], []
+    buffers, index_buffers, bound_lists = [], [], []
     res = value_iteration(m)
     assert len(buffers) == res.sweeps + 1
     assert all(out is buffers[0] for out in buffers)
+    assert all(index is index_buffers[0] for index in index_buffers)
     # the block bounds are computed once per solve, not once per sweep
     assert all(b is bound_lists[0] for b in bound_lists)
     assert bound_lists[0] == mdp._row_blocks(m.csr_indptr)
     largest = np.diff(m.csr_indptr[mdp._row_blocks(m.csr_indptr)]).max()
-    assert buffers[0].size == largest <= mdp.KERNEL_BLOCK
+    assert buffers[0].size == index_buffers[0].size == largest <= mdp.KERNEL_BLOCK
