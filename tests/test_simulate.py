@@ -8,10 +8,12 @@ per admission.
 import numpy as np
 import pytest
 
+import reference_sim
 from qlsched import simulate
 from qlsched.cluster import FAILURE_DRAW_BLOCK, VmSpec, _fate
 from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
-from qlsched.policies import fifo_select, greedy_select, random_select
+from qlsched.policies import (fifo_select, greedy_select, mixed_select,
+                               random_select)
 from qlsched.simulate import Simulation, run_policy_simulation
 from qlsched.workload import ScenarioConfig, TaskSpec
 
@@ -260,3 +262,46 @@ def test_env_reset_draws_two_seeds_at_every_ratio(ratio):
     twin.integers(2**63, size=2)
     assert rng.bit_generator.state == twin.bit_generator.state
     assert (env.sim._outcome is None) == (ratio == 0.0)
+
+
+@pytest.mark.parametrize("policy", sorted(reference_sim.POLICIES))
+def test_drain_matches_the_reference_simulator(policy):
+    # Simulation.drain against tests/reference_sim.py, record by record.
+    # Half the cases use lengths and speeds whose service times are exact
+    # binary fractions, so completions tie with each other and with slot
+    # boundaries.
+    select = {"greedy": greedy_select, "fifo": fifo_select,
+              "random": random_select, "mixed": mixed_select}[policy]
+    rng = np.random.default_rng(sorted(reference_sim.POLICIES).index(policy))
+    seen = {"aborted": 0, "retried": 0, "waited": 0}
+    for case in range(125):
+        exact = case % 2 == 0
+        vms = [(float(rng.choice([500, 1000, 2000])) if exact
+                else float(rng.integers(400, 3000)),
+                int(rng.integers(1, 5)), int(rng.integers(1, 6)))
+               for _ in range(int(rng.integers(1, 5)))]
+        n = int(rng.integers(1, 31))
+        tasks = [(i, int(rng.integers(0, 8)),
+                  250 * int(rng.integers(1, 40)) if exact
+                  else int(rng.integers(100, 20_000)))
+                 for i in rng.permutation(n).tolist()]
+        slot_seconds = float(rng.choice([0.5, 1.0, 2.5]))
+        ratio = float(rng.choice([0.0, 0.3, 1.0]))
+        max_attempts = int(rng.integers(1, 4))
+        seed = int(rng.integers(2**31))
+        specs_ = [VmSpec(index=v, mips=mips, buffer_capacity=cap, pes=pes)
+                  for v, (mips, cap, pes) in enumerate(vms)]
+        sim = Simulation(specs_, [TaskSpec(*t) for t in tasks],
+                         slot_seconds=slot_seconds, failure_ratio=ratio,
+                         max_attempts=max_attempts,
+                         failure_rng=np.random.default_rng(seed + 1))
+        got = [tuple(r) for r in sim.drain(select, np.random.default_rng(seed))]
+        want = reference_sim.simulate(
+            vms, tasks, reference_sim.POLICIES[policy], slot_seconds, ratio,
+            max_attempts, np.random.default_rng(seed), seed + 1)
+        assert got == want, f"case {case}"
+        seen["aborted"] += sum(r[6] for r in want)
+        seen["retried"] += sum(r[5] > 1 and not r[6] for r in want)
+        arrival = {tid: slot * slot_seconds for tid, slot, _ in tasks}
+        seen["waited"] += sum(r[1] > arrival[r[0]] for r in want)
+    assert min(seen.values()) > 0, seen
