@@ -6,8 +6,7 @@ load-mixing and greedy baselines.
 """
 
 from .cluster import ClusterState, CompletionRecord, VmSpec
-from .errors import (BufferFullError, CapacityError, ConfigError,
-                     MetricsError, NoFeasibleActionError)
+from .errors import BufferFullError, CapacityError, ConfigError, MetricsError
 from .mdp import (OracleMdp, build_oracle_mdp, encode_state, reward,
                   value_iteration)
 from .metrics import MetricsReport, aggregate, build_report
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BufferFullError", "CapacityError", "ClusterState", "CompletionRecord",
     "ConfigError", "ExperimentPlan", "LearnerConfig", "MetricsError",
-    "MetricsReport", "NoFeasibleActionError", "OracleMdp", "POLICY_NAMES",
+    "MetricsReport", "OracleMdp", "POLICY_NAMES",
     "QTable", "QlearnPolicy", "QschAgent", "RunOutputs", "ScenarioConfig",
     "Simulation", "TaskSpec", "TrainResult", "VmSpec", "aggregate",
     "build_oracle_mdp", "build_report", "encode_state",

@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--epsilon0", type=float, default=None)
     run.add_argument("--repeater-max", type=int, default=None,
                      dest="repeater_threshold",
-                     help="stable-cycle threshold for stopping training")
+                     help="training cycle cap: a run not stopped as stable "
+                          "stops (reason budget) after this many + 2 cycles")
     run.add_argument("-v", "--verbose", action="store_true")
     return parser
 

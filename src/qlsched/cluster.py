@@ -74,21 +74,24 @@ def _check_ratio(failure_ratio: float):
         raise ValueError("failure_ratio must be in [0, 1]")
 
 
-def failure_hook(failure_ratio: float, rng: np.random.Generator,
+def failure_hook(failure_ratio: float, seed,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS):
     """Outcome hook for advance_to_next_event, or None at ratio 0.
 
-    Above 0 the hook gives the k-th event it sees the fate _fate gives
-    the k-th scalar rng.random() draw: one Bernoulli(failure_ratio) draw
-    per finishing attempt. It takes the uniforms in blocks of
-    FAILURE_DRAW_BLOCK via rng.random(n), which yields the same doubles
-    as n scalar calls, so rng must belong to the run alone: after the
-    run its state is up to one block further on.
-    At ratio 0 every attempt completes and rng is never read.
+    At ratio 0 every attempt completes and no generator is built. Above
+    0 the hook builds its own, np.random.default_rng(seed), and gives the
+    k-th event it sees the fate _fate gives the k-th uniform of that
+    stream: one Bernoulli(failure_ratio) draw per finishing attempt. It
+    takes the uniforms in blocks of FAILURE_DRAW_BLOCK via rng.random(n),
+    which yields the same doubles as n scalar calls. Above 0 a seed of
+    None raises ValueError.
     """
     _check_ratio(failure_ratio)
     if failure_ratio == 0.0:
         return None
+    if seed is None:
+        raise ValueError("a failure_ratio above 0 needs a failure_seed")
+    rng = np.random.default_rng(seed)
 
     def uniforms():
         while True:
@@ -96,7 +99,7 @@ def failure_hook(failure_ratio: float, rng: np.random.Generator,
 
     draws = uniforms()
 
-    def outcome(task, vm_index, attempt):
+    def outcome(attempt):
         return _fate(next(draws), failure_ratio, attempt, max_attempts)
 
     return outcome
@@ -149,6 +152,8 @@ class ClusterState:
         self._assigned = [0] * len(vm_specs)
         self._capacity = sum(self._capacities)
         self._free = self._capacity         # free buffer slots, all VMs
+        # task id -> attempt number of its next admission, once requeued
+        self._retries: dict[int, int] = {}
 
     # -- observation helpers used by schedulers ---------------------------
 
@@ -198,11 +203,13 @@ class ClusterState:
 
     # -- mutation ----------------------------------------------------------
 
-    def admit(self, task: TaskSpec, vm_index: int, attempt: int = 1):
+    def admit(self, task: TaskSpec, vm_index: int):
         """Append task to vm_index's buffer at the current clock.
 
-        Starts service on the lowest idle PE when there is one, else the
-        task waits. Raises BufferFullError when the buffer is at capacity.
+        The attempt is the task's first, or the one its last requeue
+        recorded. Starts service on the lowest idle PE when there is one,
+        else the task waits. Raises BufferFullError when the buffer is at
+        capacity.
         """
         occupied = self._occupied
         caps = self._capacities
@@ -211,7 +218,7 @@ class ClusterState:
                 f"VM {vm_index} buffer at capacity {caps[vm_index]}")
         vm = self.vms[vm_index]
         clock = self.clock
-        entry = _Queued(task, clock, attempt)
+        entry = _Queued(task, clock, self._retries.pop(task.id, 1))
         vm.queue.append(entry)
         occupied[vm_index] += 1
         self._assigned[vm_index] += task.length
@@ -233,9 +240,10 @@ class ClusterState:
     def advance_to_next_event(self, outcome=None):
         """Process the single earliest completion event.
 
-        outcome(task, vm_index, attempt) may return a FailureOutcome;
-        completions yield a CompletionRecord, requeues hand the task back
-        to the caller, aborts yield a record flagged aborted. With no
+        outcome(attempt) returns the FailureOutcome of the finishing
+        attempt: completions yield a CompletionRecord, aborts yield a
+        record flagged aborted, and requeues hand the task back to the
+        caller, whose next admit of it numbers the next attempt. With no
         outcome hook every event completes. Ties on the finish instant
         go to the lowest VM index, then the lowest PE. The freed PE takes
         the head of the VM's waiting entries. Returns
@@ -272,8 +280,9 @@ class ClusterState:
             return [_new(CompletionRecord, (task.id, entry.admit_time, finish,
                                             task.length / mips, vi,
                                             entry.attempt, False))], []
-        fate = outcome(task, vi, entry.attempt)
+        fate = outcome(entry.attempt)
         if fate is FailureOutcome.REQUEUE:
+            self._retries[task.id] = entry.attempt + 1
             return [], [task]
         return [_new(CompletionRecord, (task.id, entry.admit_time, finish,
                                         task.length / mips, vi, entry.attempt,

@@ -102,16 +102,13 @@ class SimulationEnv:
     def reset(self, rng: np.random.Generator):
         workload = generate_workload(self.scenario, int(rng.integers(2**63)),
                                      self.d_max)
-        # the seed is drawn at every ratio, so the training stream is the
-        # same; at ratio 0 the simulator reads no failure generator
-        failure_seed = int(rng.integers(2**63))
-        failure_rng = (np.random.default_rng(failure_seed)
-                       if self.failure_ratio > 0 else None)
+        # the failure seed is drawn at every ratio, so the training
+        # stream is the same; at ratio 0 the simulator builds nothing from it
         self.sim = Simulation(self.vm_specs, workload,
                               slot_seconds=self.slot_seconds,
                               failure_ratio=self.failure_ratio,
                               max_attempts=self.max_attempts,
-                              failure_rng=failure_rng)
+                              failure_seed=int(rng.integers(2**63)))
         task = self.sim.next_decision()
         assert task is not None
         cluster = self.sim.cluster

@@ -14,10 +14,6 @@ class BufferFullError(RuntimeError):
     """Admission attempted on a VM whose buffer is at capacity."""
 
 
-class NoFeasibleActionError(RuntimeError):
-    """Every VM buffer is full; the caller must defer the task."""
-
-
 class CapacityError(ValueError):
     """Requested oracle MDP would enumerate too many states or entries."""
 

@@ -1,9 +1,10 @@
 """Scheduling policies: four classic baselines, a buffer-only learner and
 the length-aware Q-learning scheduler's evaluation wrapper.
 
-Every select function takes the live cluster and returns a VM index, or
-None when every buffer is full (the defer signal; the driver then parks
-the task in the global queue and asks again at the next event).
+Every select function takes the live cluster and returns the index of
+a VM with a free buffer slot. The driver asks only while some buffer
+has space; a task that arrives at a full cluster waits in the global
+queue until a completion frees a slot.
 
 POLICIES is the one registry of policy names (see the end of the module).
 """
@@ -22,8 +23,6 @@ from .qlearn import QTable, select_action
 def random_select(cluster, rng: np.random.Generator):
     """Uniform draw over all VMs; full draws redraw over the free ones."""
     free = cluster.feasible_vms()
-    if not free:
-        return None
     pick = int(rng.integers(len(cluster.vms)))
     if pick in free:
         return pick
@@ -33,8 +32,6 @@ def random_select(cluster, rng: np.random.Generator):
 def fifo_select(cluster, rng=None):
     """VM whose head-of-line work finishes earliest, among those with space."""
     free = cluster.feasible_vms()
-    if not free:
-        return None
     clock = cluster.clock
     return min(free, key=lambda i: (cluster.vms[i].available_at(clock), i))
 
@@ -43,8 +40,6 @@ def mixed_select(cluster, rng: np.random.Generator):
     """Random draw, corrected to the max-free-buffer VM when the draw is not one."""
     free_counts = cluster.free_counts()
     top = max(free_counts)
-    if top == 0:
-        return None
     pick = int(rng.integers(len(cluster.vms)))
     if free_counts[pick] == top:
         return pick
@@ -54,10 +49,7 @@ def mixed_select(cluster, rng: np.random.Generator):
 def greedy_select(cluster, rng=None):
     """VM with the largest free-buffer count, lowest index on ties."""
     free_counts = cluster.free_counts()
-    top = max(free_counts)
-    if top == 0:
-        return None
-    return free_counts.index(top)
+    return free_counts.index(max(free_counts))
 
 
 class QschAgent:
@@ -75,10 +67,8 @@ class QschAgent:
         self.table = table if table is not None else QTable(num_vms + 1)
 
     def select(self, cluster, rng: np.random.Generator):
-        actions = cluster.feasible_vms()
-        if not actions:
-            return None
-        return self.table.greedy(self.view.state(cluster), actions)
+        return self.table.greedy(self.view.state(cluster),
+                                 cluster.feasible_vms())
 
 
 class QlearnPolicy:
@@ -90,11 +80,8 @@ class QlearnPolicy:
         self.view = LengthAwareView(range_mi, l_cap)
 
     def __call__(self, cluster, rng: np.random.Generator):
-        actions = cluster.feasible_vms()
-        if not actions:
-            return None
-        state = self.view.state(cluster)
-        return select_action(state, self.table, 0.0, rng, actions)
+        return select_action(self.view.state(cluster), self.table, 0.0, rng,
+                             cluster.feasible_vms())
 
 
 class Policy(NamedTuple):

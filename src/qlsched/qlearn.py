@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NoFeasibleActionError, check_fields
+from .errors import ConfigError, check_fields
 
 DEFAULT_LR_EXPONENT = 0.65
 
@@ -106,15 +106,11 @@ class QTable:
 
 def select_action(state, table: QTable, epsilon: float,
                   rng: np.random.Generator, actions) -> int:
-    """Epsilon-greedy action choice over the feasible actions.
+    """Epsilon-greedy action choice over the feasible actions (not empty).
 
     With probability epsilon the action is uniform over `actions`;
     otherwise the q-argmax, with exact ties broken uniformly at random.
-    Raises NoFeasibleActionError when `actions` is empty (the caller must
-    defer the task).
     """
-    if not actions:
-        raise NoFeasibleActionError("every VM buffer is full")
     if len(actions) == 1:
         return actions[0]
     if epsilon > 0.0 and rng.random() < epsilon:
@@ -170,7 +166,10 @@ def check_convergence(monitor: ConvergenceMonitor, table: QTable,
     Stops when the greedy action of every visited state matches the
     previous cycle's snapshot (newly visited states count as mismatches)
     or when the repeater exceeds the threshold. Otherwise refreshes the
-    snapshot and increments the repeater.
+    snapshot and increments the repeater. The repeater counts every
+    cycle that did not stop, so the threshold is a cycle cap, not a
+    count of stable cycles: training that is never stable stops
+    ("budget") after threshold + 2 cycles.
     """
     current = table.greedy_map
     if monitor.best_action_snapshot is not None and monitor.best_action_snapshot == current:

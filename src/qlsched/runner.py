@@ -244,14 +244,11 @@ def run_point(plan: ExperimentPlan, point) -> RunOutputs:
                                          plan.arrival_dmax)
             policy_rng = np.random.default_rng(
                 [plan.seed, 2003, point_idx, POLICY_NAMES.index(name), rep])
-            # at ratio 0 the simulator reads no failure generator
-            failure_rng = (np.random.default_rng([plan.seed, 3001, ti, bi, rep])
-                           if fr > 0 else None)
             records = run_policy_simulation(
                 vm_specs, workload, policy_fn,
                 slot_seconds=plan.slot_seconds, failure_ratio=fr,
                 max_attempts=plan.max_attempts, policy_rng=policy_rng,
-                failure_rng=failure_rng)
+                failure_seed=[plan.seed, 3001, ti, bi, rep])
             report = build_report(records, vm_specs)
             reports.append(report)
             out.runs.append(dict(zip(cols, (

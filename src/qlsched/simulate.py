@@ -26,27 +26,25 @@ class Simulation:
     be admitted somewhere (returning that task) or the run is fully
     drained (returning None); apply(vm_index) admits the pending task.
 
-    failure_ratio is checked here, once. At ratio 0 no uniform is drawn.
-    Above 0 the fates are those of one scalar draw per event, but a
-    caller-supplied failure_rng is read in blocks of FAILURE_DRAW_BLOCK
-    uniforms (rng.random(n)), so it should serve this run alone.
+    failure_ratio is checked here, once. At ratio 0 no failure generator
+    is built. Above 0 the run builds its own from failure_seed (anything
+    np.random.default_rng takes), so no caller can share it, and the k-th
+    finishing attempt fails when the k-th uniform falls below the ratio.
+    A ratio above 0 with no failure_seed raises ValueError.
     """
 
     def __init__(self, vm_specs: list[VmSpec], workload: list[TaskSpec],
                  slot_seconds: float = 1.0, failure_ratio: float = 0.0,
                  max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 failure_rng: np.random.Generator | None = None):
+                 failure_seed=None):
         if slot_seconds <= 0:
             raise ValueError("slot_seconds must be > 0")
         self.cluster = ClusterState(vm_specs)
         self.slot_seconds = slot_seconds
-        if failure_rng is None and failure_ratio > 0:
-            failure_rng = np.random.default_rng(0)
         # None at ratio 0, so every event completes without a draw
-        self._outcome = failure_hook(failure_ratio, failure_rng, max_attempts)
+        self._outcome = failure_hook(failure_ratio, failure_seed, max_attempts)
         self._pending = deque(sorted(workload, key=attrgetter("arrival_slot", "id")))
         self._queue: deque[TaskSpec] = deque()
-        self._attempts: dict[int, int] = {}  # task id -> attempts; above ratio 0
         self.records = []
 
     def next_decision(self):
@@ -82,13 +80,7 @@ class Simulation:
 
     def apply(self, vm_index: int):
         """Admit the pending decision task to vm_index at the current clock."""
-        task = self._queue.popleft()
-        if self._outcome is None:  # ratio 0: every attempt is the first
-            self.cluster.admit(task, vm_index, 1)
-            return
-        n = self._attempts.get(task.id, 0) + 1
-        self._attempts[task.id] = n
-        self.cluster.admit(task, vm_index, n)
+        self.cluster.admit(self._queue.popleft(), vm_index)
 
     def drain(self, policy, rng: np.random.Generator | None = None):
         """Run to completion, consulting policy(cluster, rng) per admission."""
@@ -96,9 +88,7 @@ class Simulation:
             task = self.next_decision()
             if task is None:
                 return self.records
-            vm = policy(self.cluster, rng)
-            assert vm is not None, "policy deferred although a buffer had space"
-            self.apply(vm)
+            self.apply(policy(self.cluster, rng))
 
 
 def run_policy_simulation(vm_specs, workload, policy,
@@ -106,14 +96,13 @@ def run_policy_simulation(vm_specs, workload, policy,
                           failure_ratio: float = 0.0,
                           max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                           policy_rng: np.random.Generator | None = None,
-                          failure_rng: np.random.Generator | None = None):
+                          failure_seed=None):
     """Convenience wrapper: simulate one workload end to end.
 
-    policy(cluster, rng) -> vm index (None only when every buffer is
-    full, which the driver never asks about). Returns the completion
-    records, aborted attempts included.
+    policy(cluster, rng) -> vm index, asked only while some buffer has
+    space. Returns the completion records, aborted attempts included.
     """
     sim = Simulation(vm_specs, workload, slot_seconds=slot_seconds,
                      failure_ratio=failure_ratio, max_attempts=max_attempts,
-                     failure_rng=failure_rng)
+                     failure_seed=failure_seed)
     return sim.drain(policy, policy_rng)

@@ -333,7 +333,7 @@ def determinism_suite(rng, cases=1000):
             records = run_policy_simulation(
                 specs, workload, fifo_select, failure_ratio=ratio,
                 max_attempts=3,
-                failure_rng=np.random.default_rng(seed + 1))
+                failure_seed=seed + 1)
             runs.append(tuple(records))
         if runs[0] != runs[1]:
             return False

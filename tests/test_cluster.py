@@ -176,13 +176,14 @@ def test_assigned_length_matches_queue_and_clock_monotone():
 def test_records_are_completion_records(failure_ratio):
     # every record equals the keyword-built CompletionRecord of the entry
     # that finished, and keeps its type; at 0.2 with two attempts, tasks
-    # are requeued and aborted too
+    # are requeued and aborted too, and the cluster numbers each task's
+    # attempts as this test counts them
     rng = np.random.default_rng(31)
-    hook = failure_hook(failure_ratio, np.random.default_rng(32), max_attempts=2)
+    hook = failure_hook(failure_ratio, 32, max_attempts=2)
     fates = []
 
-    def outcome(t, vm_index, attempt):
-        fates.append(hook(t, vm_index, attempt))
+    def outcome(attempt):
+        fates.append(hook(attempt))
         return fates[-1]
 
     c = make_cluster(num_vms=3, capacity=3, pes=2)
@@ -197,7 +198,7 @@ def test_records_are_completion_records(failure_ratio):
             else:
                 t, attempt = task(tid, int(rng.integers(1, 9000))), 1
                 tid += 1
-            c.admit(t, int(rng.choice(c.feasible_vms())), attempt)
+            c.admit(t, int(rng.choice(c.feasible_vms())))
             admitted[t.id] = (c.clock, attempt)
             continue
         finish, vi, _, entry = c.events[0]
@@ -267,18 +268,17 @@ def test_backlogs_match_per_vm_loop():
 # -- failure draws ---------------------------------------------------------------
 
 def test_failure_ratio_zero_always_completes():
-    # no hook at ratio 0, so every event completes and rng is never read;
+    # no hook at ratio 0, so every event completes and no seed is needed;
     # the fate rule itself completes every uniform in [0, 1) too
-    rng = np.random.default_rng(0)
-    assert failure_hook(0.0, rng) is None
-    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    assert failure_hook(0.0, None) is None
+    assert failure_hook(0.0, 0) is None
     us = np.random.default_rng(1).random(500).tolist() + [0.0, 1.0 - 2.0**-53]
     assert {_fate(u, 0.0, 1, DEFAULT_MAX_ATTEMPTS) for u in us} == {FailureOutcome.COMPLETE}
 
 
 def test_failure_ratio_one_requeues_then_aborts():
-    hook = failure_hook(1.0, np.random.default_rng(0), max_attempts=3)
-    fates = [hook(task(0, 10), 0, attempts) for attempts in (1, 2, 3)]
+    hook = failure_hook(1.0, 0, max_attempts=3)
+    fates = [hook(attempts) for attempts in (1, 2, 3)]
     assert fates == [FailureOutcome.REQUEUE, FailureOutcome.REQUEUE,
                      FailureOutcome.ABORT]
     # the boundary: u < ratio fails, u == ratio completes
@@ -287,9 +287,9 @@ def test_failure_ratio_one_requeues_then_aborts():
 
 
 def test_failure_frequency_matches_ratio():
-    hook = failure_hook(0.2, np.random.default_rng(123))
+    hook = failure_hook(0.2, 123)
     n = 100_000
-    fails = sum(hook(task(0, 10), 0, 1) is not FailureOutcome.COMPLETE
+    fails = sum(hook(1) is not FailureOutcome.COMPLETE
                 for _ in range(n))
     assert abs(fails / n - 0.2) <= 0.01
 
@@ -297,7 +297,7 @@ def test_failure_frequency_matches_ratio():
 @pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
 def test_failure_hook_validation(ratio):
     with pytest.raises(ValueError, match="failure_ratio"):
-        failure_hook(ratio, np.random.default_rng(0))
+        failure_hook(ratio, 0)
 
 
 def test_default_max_attempts():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracle_helpers import OracleEnv, state_index
-from qlsched.errors import ConfigError, NoFeasibleActionError
+from qlsched.errors import ConfigError
 from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.qlearn import (
     ConvergenceMonitor,
@@ -84,12 +84,6 @@ class TestDecayEpsilon:
 
 
 class TestSelectAction:
-    def test_no_feasible_action_raises(self):
-        table = QTable(3)
-        rng = np.random.default_rng(0)
-        with pytest.raises(NoFeasibleActionError):
-            select_action(S, table, 0.5, rng, [])
-
     def test_single_action_skips_rng(self):
         # rng=None proves the fast path never draws
         table = QTable(4)

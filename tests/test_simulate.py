@@ -69,29 +69,20 @@ def test_failure_ratio_one_aborts_after_max_attempts():
     wl = [TaskSpec(0, 0, 100), TaskSpec(1, 0, 100)]
     records = run_policy_simulation(
         specs(), wl, greedy_select, failure_ratio=1.0, max_attempts=2,
-        failure_rng=np.random.default_rng(5))
+        failure_seed=5)
     assert len(records) == 2
     assert all(r.aborted and r.attempts == 2 for r in records)
 
 
 def test_requeued_task_goes_to_tail():
     # VM capacity 1, two tasks in slot 0: task 0 fails once, so it must
-    # requeue behind task 1.
-    class OneFail:
-        # the simulator reads its failure rng in blocks of random(size)
-        def __init__(self):
-            self.done = False
-
-        def random(self, size):
-            block = np.ones(size)
-            if not self.done:
-                self.done = True
-                block[0] = 0.0  # first draw < ratio -> fail
-            return block
-
+    # requeue behind task 1. Seed 29's first uniform fails at ratio 0.5,
+    # and the next two (task 1, then task 0's retry) complete.
+    u = np.random.default_rng(29).random(3)
+    assert u[0] < 0.5 <= min(u[1:])
     wl = [TaskSpec(0, 0, 1000), TaskSpec(1, 0, 1000)]
     sim = Simulation(specs(num_vms=1, capacity=1), wl, slot_seconds=1000.0,
-                     failure_ratio=0.5, failure_rng=OneFail())
+                     failure_ratio=0.5, failure_seed=29)
     records = sim.drain(greedy_select)
     by_finish = sorted(records, key=lambda r: r.finish_time)
     assert [r.task_id for r in by_finish] == [1, 0]
@@ -103,12 +94,10 @@ def test_requeued_task_goes_to_tail():
 def _failure_run(ratio, seed, max_attempts=2):
     rng = np.random.default_rng(seed)
     wl = [TaskSpec(i, i // 3, int(rng.integers(500, 4000))) for i in range(200)]
-    failure_rng = np.random.default_rng(seed + 1)
-    records = run_policy_simulation(
+    return run_policy_simulation(
         specs(num_vms=3, capacity=2, pes=2), wl, random_select,
         slot_seconds=1.0, failure_ratio=ratio, max_attempts=max_attempts,
-        policy_rng=np.random.default_rng(seed + 2), failure_rng=failure_rng)
-    return records, failure_rng
+        policy_rng=np.random.default_rng(seed + 2), failure_seed=seed + 1)
 
 
 def maybe_fail(failure_ratio, attempt, rng, max_attempts):
@@ -119,27 +108,38 @@ def maybe_fail(failure_ratio, attempt, rng, max_attempts):
 
 @pytest.mark.parametrize("ratio", [0.0, 0.2, 1.0])
 def test_block_failure_draws_match_one_maybe_fail_per_event(monkeypatch, ratio):
-    # Reference: one maybe_fail call (one scalar draw) per event on a twin
-    # generator, at every ratio, 0 included.
+    # Reference: a generator built from the failure seed and one
+    # maybe_fail call (one scalar draw) per event, at every ratio, 0
+    # included. The run itself builds its failure generator above 0 only.
+    default_rng = np.random.default_rng
     for seed in (3, 40, 77):
-        records, failure_rng = _failure_run(ratio, seed)
+        built = []
+
+        def spy(seed_arg):
+            built.append(seed_arg)
+            return default_rng(seed_arg)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", spy)
+            records = _failure_run(ratio, seed)
+        # the workload and policy generators, then the failure generator
+        assert built == [seed, seed + 2] + ([seed + 1] if ratio else [])
         draws = []
 
-        def scalar_hook(failure_ratio, rng, max_attempts):
-            def outcome(task, vm_index, attempt):
-                draws.append(task.id)
+        def scalar_hook(failure_ratio, failure_seed, max_attempts):
+            rng = default_rng(failure_seed)
+
+            def outcome(attempt):
+                draws.append(attempt)
                 return maybe_fail(failure_ratio, attempt, rng, max_attempts)
             return outcome
 
         with monkeypatch.context() as m:
             m.setattr(simulate, "failure_hook", scalar_hook)
-            expect, _ = _failure_run(ratio, seed)
+            expect = _failure_run(ratio, seed)
         assert records == expect
         assert len(draws) > 2 * FAILURE_DRAW_BLOCK
-        if ratio == 0.0:
-            assert failure_rng.bit_generator.state == \
-                np.random.default_rng(seed + 1).bit_generator.state
-        else:
+        if ratio > 0.0:
             assert any(r.aborted for r in records)
             if ratio < 1.0:
                 assert any(r.attempts > 1 and not r.aborted for r in records)
@@ -161,7 +161,7 @@ def test_conservation_property():
             wl, random_select, slot_seconds=float(rng.choice([0.5, 2.0])),
             failure_ratio=ratio,
             policy_rng=np.random.default_rng(case),
-            failure_rng=np.random.default_rng(case + 1))
+            failure_seed=case + 1)
         assert sorted(r.task_id for r in records) == list(range(n))
 
 
@@ -172,35 +172,8 @@ def test_same_seed_same_records():
             specs(num_vms=3, capacity=2), wl, random_select,
             slot_seconds=2.0, failure_ratio=0.2,
             policy_rng=np.random.default_rng(9),
-            failure_rng=np.random.default_rng(10))
+            failure_seed=10)
     assert run() == run()
-
-
-class _CountingSimulation(Simulation):
-    """Numbers every admission through the attempts dict, at any ratio."""
-
-    def apply(self, vm_index):
-        task = self._queue.popleft()
-        n = self._attempts.get(task.id, 0) + 1
-        self._attempts[task.id] = n
-        self.cluster.admit(task, vm_index, n)
-
-
-def test_ratio_zero_admits_first_attempts_without_the_dict():
-    wl = [TaskSpec(i, i // 3, 2000 + 131 * i) for i in range(30)]
-
-    def run(cls):
-        sim = cls(specs(num_vms=3, capacity=2), wl, slot_seconds=1.0)
-        records = sim.drain(random_select, np.random.default_rng(4))
-        return sim, records
-
-    sim, records = run(Simulation)
-    twin, twin_records = run(_CountingSimulation)
-    assert len(records) == len(wl)
-    assert all(r.attempts == 1 for r in records)
-    assert not sim._attempts
-    assert records == twin_records
-    assert len(twin._attempts) == len(wl)
 
 
 def test_fifo_order_preserved_for_global_queue():
@@ -221,6 +194,13 @@ def test_slot_seconds_validation():
 def test_failure_ratio_checked_at_construction(ratio):
     with pytest.raises(ValueError, match="failure_ratio"):
         Simulation(specs(), [TaskSpec(0, 0, 1)], failure_ratio=ratio)
+
+
+def test_failure_ratio_above_zero_needs_a_seed():
+    # no hidden default stream: a failing run names its own seed
+    with pytest.raises(ValueError, match="failure_seed"):
+        Simulation(specs(), [TaskSpec(0, 0, 1)], failure_ratio=0.1)
+    assert Simulation(specs(), [TaskSpec(0, 0, 1)])._outcome is None
 
 
 @pytest.mark.parametrize("view", [LengthAwareView(2000, 3), FreeBufferView(0.5, 0.5)],
@@ -294,7 +274,7 @@ def test_drain_matches_the_reference_simulator(policy):
         sim = Simulation(specs_, [TaskSpec(*t) for t in tasks],
                          slot_seconds=slot_seconds, failure_ratio=ratio,
                          max_attempts=max_attempts,
-                         failure_rng=np.random.default_rng(seed + 1))
+                         failure_seed=seed + 1)
         got = [tuple(r) for r in sim.drain(select, np.random.default_rng(seed))]
         want = reference_sim.simulate(
             vms, tasks, reference_sim.POLICIES[policy], slot_seconds, ratio,
