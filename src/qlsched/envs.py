@@ -95,7 +95,7 @@ class SimulationEnv:
         self.failure_ratio = failure_ratio
         self.max_attempts = max_attempts
         self.d_max = d_max
-        self.num_actions = len(self.vm_specs) + 1  # VM indices plus defer
+        self.num_actions = len(self.vm_specs)   # one action per VM
         self.sim: Simulation | None = None
         self.state = None   # view state last returned by reset or step
 

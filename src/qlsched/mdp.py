@@ -132,17 +132,16 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     events and sum to 1.
 
     A row's entries, their probabilities and their order follow from its
-    action and its state's busy set alone, so csr_indptr is known before
-    any entry is made. The rows of one (action, busy set) are then written
-    in chunks of at most KERNEL_BLOCK entries. A chunk's successor columns
-    are its states' own indices moved by row-major strides, the arrival
-    move (rows, classes) minus the departure move (rows, masks), and one
-    slot scatter puts them and their probabilities in their final CSR
-    slots. The build holds no copy of the transition entries besides the
-    model's own, and beside them only three per-state tables: int32
-    digits, the (state, action) row mask and the int32 busy sets. The
-    model's state and entry counts are checked before anything is built:
-    the entries against MAX_ORACLE_ENTRIES, as _max_entries counts them.
+    state's kind (its busy set, or the defer row of an all-full state), so
+    csr_indptr is known before any entry is made. One pass over the
+    Bellman kernel's own blocks (_row_blocks) then makes them: a block
+    gathers its rows' padded (2^K departure masks x C classes)
+    probabilities from one small per-kind table, forms their padded int32
+    columns by row-major strides, and writes the entries of probability
+    above 0 contiguously at its span of csr_indptr. Beside the model the
+    build holds int32 per-state and per-row tables and one block's padded
+    entries. The state and entry counts are checked before anything is
+    built: the entries against MAX_ORACLE_ENTRIES, as _max_entries counts.
     """
     k, n, c = num_vms, buffer_capacity, num_classes
     for name, value in (("num_vms", k), ("buffer_capacity", n), ("num_classes", c)):
@@ -178,11 +177,11 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
                             f"the limit {MAX_ORACLE_ENTRIES}")
 
     shape = (n + 1,) * k + (c,) * k
-    stride = np.cumprod((1,) + shape[:0:-1])[::-1]
+    stride = np.cumprod((1,) + shape[:0:-1], dtype=np.int32)[::-1]
     # State s's digits, its K buffer counts then its K length classes, are
     # the column digits[:, s], int32 like every state index.
-    digits = np.array(np.unravel_index(np.arange(num_states), shape),
-                      dtype=np.int32)
+    digits = (np.arange(num_states, dtype=np.int32)[None] // stride[:, None]
+              % np.array(shape, dtype=np.int32)[:, None])
     b, l = digits[:k], digits[k:]              # (K, S) views
 
     # has[s, a]: state s has a row for action a; only all-full states defer.
@@ -194,77 +193,60 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     reward = np.where(b == b.min(axis=0), 1.0,
                       np.where(l == l.max(axis=0), -1.0, 0.0))   # (K, S)
     row_reward = np.vstack([reward, np.zeros(num_states)]).T[has]
-    del reward
+    kind = (1 << np.arange(k, dtype=np.int32)) @ (b > 0) + has[:, k]  # (S,)
+    del reward, has
 
-    # A departure mask's weight depends only on which VMs are busy, so a
-    # row's (mask, class) probabilities are computed once per busy set (VM
-    # j busy iff bit j is set), with the float products a per-state weight
-    # would take. A VM row admits one task of class ci ~ arrival_probs; the
-    # defer row admits none: one class of probability 1 (w * 1.0 == w).
-    # Outcomes of probability 0 (a departure at an idle VM, or an
-    # underflow) are not entries: `kept` holds the flat (mask, class)
-    # index of each entry, in the row's order.
-    masks = (np.arange(2**k)[:, None] >> np.arange(k)) & 1   # (2^K, K)
-    busy_code = (1 << np.arange(k, dtype=np.int32)) @ (b > 0)  # (S,) busy sets
-
-    def entries(busy_set, class_probs):
-        on = masks[busy_set]
-        w = np.ones(2**k)
-        for j in range(k):
-            w = w * np.where(masks[:, j], p_c if on[j] else 0.0,
-                             1.0 - p_c if on[j] else 1.0)
-        p = np.multiply.outer(w, class_probs).ravel()
-        kept = np.flatnonzero(p > 0)
-        return kept, p[kept]
-
-    table = [[entries(s, arrival_probs)] * k + [entries(s, np.ones(1))]
-             for s in range(2**k)]             # [busy set][action]
-    row_len = np.array([[kept.size for kept, _ in t] for t in table],
-                       dtype=np.int32)          # [busy set, action]
+    # A state's kind is its busy set, or 2^K when its VMs are all full and
+    # its one row defers (no arrival: classes (1, 0, ..., 0), w * 1.0 == w).
+    # w[set, mask] (bit j: VM j busy, VM j departs) takes the float products
+    # a per-state weight would take; probs[kind] holds a row's padded (mask,
+    # class) entries, mask-major. Entries of probability 0 (a departure at
+    # an idle VM, a class that never arrives, an underflow) are not kept.
+    factor = np.array([[1.0, 0.0], [1.0 - p_c, p_c]])   # [busy, departs]
+    bit = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    w = np.ones((2**k, 2**k))
+    for j in range(k):
+        w = w * factor[bit[:, j, None], bit[:, j]]
+    ci = np.arange(c)
+    probs = np.vstack([np.multiply.outer(w, arrival_probs).reshape(2**k, -1),
+                       np.multiply.outer(w[-1], ci == 0).ravel()])
+    kept = (probs > 0).reshape(-1, 2**k, c)
+    row_len = np.count_nonzero(kept, axis=(1, 2))
     assert row_len.min() > 0, "every row needs transition mass"
+    row_state = np.repeat(np.arange(num_states, dtype=np.int32), np.diff(act_indptr))
     csr_indptr = np.zeros(row_reward.size + 1, dtype=np.int64)
-    np.cumsum(row_len[busy_code][has], out=csr_indptr[1:])
-    csr_cols = np.full(int(csr_indptr[-1]), -1, dtype=np.int32)
-    csr_probs = np.empty(int(csr_indptr[-1]), dtype=np.float64)
+    np.cumsum(row_len[kind[row_state]], out=csr_indptr[1:])
 
-    # Successor columns by row-major strides, as the arrival move minus the
-    # departure move. An arrival of class ci at VM a adds one buffer at a
-    # and raises a's length class, capped. Only departures of busy VMs have
-    # weight, and a departure at VM j removes one buffer and the average
-    # share l_j // b_j <= l_j, so no digit leaves its range. An idle VM's
-    # share is never read: its departures have weight 0.
-    #
-    # A chunk holds at most KERNEL_BLOCK entries, or one row when a row
-    # alone is longer; each row's entries take consecutive slots from its
-    # start. A VM row starts after its state's rows for open VMs below a;
-    # a defer row is its state's only row.
-    written = 0
-    for busy_set, by_action in enumerate(table):
-        in_set = busy_code == busy_set
-        for a, (kept, probs) in enumerate(by_action):
-            states = np.flatnonzero(in_set & has[:, a])
-            mask_of, class_of = np.divmod(kept, 1 if a == k else c)
-            step = max(1, KERNEL_BLOCK // kept.size)
-            for i in range(0, states.size, step):
-                s = states[i:i + step]
-                d = digits[:, s]                   # (2K, rows)
-                if a < k:
-                    l_a = d[k + a][:, None]
-                    grown = np.minimum(l_a + np.arange(c), c - 1) - l_a
-                    arrive = (s + stride[a])[:, None] + grown * stride[k + a]
-                else:
-                    arrive = s[:, None]
-                share = d[k:] // np.maximum(d[:k], 1)
-                depart = (stride[:k, None] + share * stride[k:, None]).T @ masks.T
-                row = act_indptr[s] + np.count_nonzero(d[:a] < n, axis=0)
-                slot = csr_indptr[row][:, None] + np.arange(kept.size)
-                csr_cols[slot] = arrive[:, class_of] - depart[:, mask_of]
-                csr_probs[slot] = probs
-                written += slot.size
-    # csr_cols was filled with -1: as many writes as slots, none left at
-    # -1, means each slot was written exactly once.
-    assert written == csr_cols.size and csr_cols.min() >= 0, \
-        "every slot is written exactly once"
+    # Successor columns by row-major strides: the state, plus the arrival
+    # move (class ci at VM a: a buffer and l_a's capped rise, arrive_of[ci,
+    # a, l_a], 0 for the defer row a = K), minus each departing VM j's move
+    # (a buffer and the share l_j // b_j <= l_j, depart[j, s]), so no
+    # column leaves range. Flat takes gather faster than fancy indexing.
+    arrive_of = np.zeros((c, k + 1, c), dtype=np.int32)
+    arrive_of[:, :k] = stride[:k, None] + (
+        np.minimum(ci + ci[:, None, None], c - 1) - ci) * stride[k:, None]
+    depart = stride[:k, None] + l // np.maximum(b, 1) * stride[k:, None]
+
+    # One pass over the kernel's blocks. Each builds its padded entries [mask,
+    # class, row], each step along the rows, and writes the kept ones in order.
+    csr_cols = np.empty(int(csr_indptr[-1]), dtype=np.int32)
+    csr_probs = np.empty(int(csr_indptr[-1]), dtype=np.float64)
+    bounds = _row_blocks(csr_indptr)
+    assert bounds[0] == 0 and bounds[-1] == row_reward.size, "blocks tile the rows"
+    for r0, r1 in zip(bounds, bounds[1:]):
+        e0, e1 = csr_indptr[r0], csr_indptr[r1]
+        s, a = row_state[r0:r1], act_action[r0:r1]
+        row_kind = kind.take(s)
+        keep = kept.take(row_kind, axis=0)               # (rows, 2^K, C)
+        assert np.count_nonzero(keep) == e1 - e0, "every entry is written once"
+        csr_probs[e0:e1] = probs.take(row_kind, axis=0).ravel()[keep.ravel()]
+        l_a = l.ravel().take(np.minimum(a, k - 1) * num_states + s)
+        cols = np.empty((2**k, c, r1 - r0), dtype=np.int32)
+        np.add(arrive_of.reshape(c, -1).take(a * c + l_a, axis=1), s, out=cols[0])
+        for j in range(k):      # masks with top bit j: the masks below, minus j's move
+            np.subtract(cols[:1 << j], depart[j, s], out=cols[1 << j:2 << j])
+        csr_cols[e0:e1] = cols = cols.transpose(2, 0, 1)[keep]
+        assert 0 <= cols.min() and cols.max() < num_states, "every column is a state"
 
     return OracleMdp(
         num_vms=k, buffer_capacity=n, num_classes=c, p_c=p_c, gamma=gamma,
@@ -335,13 +317,28 @@ def action_values(mdp: OracleMdp, values: np.ndarray,
     return q
 
 
+def _state_max(act_indptr: np.ndarray):
+    """q -> each state's largest q, bit for bit np.maximum.reduceat(q,
+    act_indptr[:-1]), from at most K row gathers indexed here, once: the
+    i-th takes each state's i-th row, or its last if it has fewer rows."""
+    starts, last = act_indptr[:-1], act_indptr[1:] - 1
+    shifted = [np.minimum(starts + i, last) for i in range(1, 1 + np.max(last - starts))]
+
+    def state_max(q: np.ndarray) -> np.ndarray:
+        best = q[starts]
+        for rows in shifted:
+            np.maximum(best, q[rows], out=best)
+        return best
+    return state_max
+
+
 def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
                     max_sweeps: int = 100_000) -> ValueIterationResult:
     """Solve the MDP to max-norm tolerance tol; ties go to the lowest action.
 
     One gather buffer and one index buffer, the size of action_values'
-    largest block, and one set of block bounds serve every sweep and the
-    greedy extraction.
+    largest block, one set of block bounds and one _state_max serve every
+    sweep; the buffers and bounds also serve the greedy extraction.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -352,11 +349,11 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
     largest = int(np.diff(mdp.csr_indptr[bounds]).max(initial=0))
     buf = np.empty(largest, dtype=np.float64)
     index = np.empty(largest, dtype=np.intp)
-    starts = mdp.act_indptr[:-1]
+    state_max = _state_max(mdp.act_indptr)
     v = np.zeros(mdp.num_states, dtype=np.float64)
     deltas = []
     for sweep in range(1, max_sweeps + 1):
-        v_new = np.maximum.reduceat(action_values(mdp, v, buf, index, bounds), starts)
+        v_new = state_max(action_values(mdp, v, buf, index, bounds))
         delta = float(np.max(np.abs(v_new - v)))
         deltas.append(delta)
         v = v_new
@@ -365,8 +362,10 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
     else:
         raise RuntimeError(f"value iteration did not reach tol={tol} "
                            f"in {max_sweeps} sweeps")
+    del state_max      # free its gathers: the extraction's arrays peak
     # lowest row among each state's maxima; rows run in action order
     q = action_values(mdp, v, buf, index, bounds)
+    starts = mdp.act_indptr[:-1]
     is_max = q >= np.repeat(np.maximum.reduceat(q, starts), np.diff(mdp.act_indptr))
     best_rows = np.minimum.reduceat(np.where(is_max, np.arange(q.size), q.size),
                                     starts)

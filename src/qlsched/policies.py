@@ -64,7 +64,7 @@ class QschAgent:
     def __init__(self, num_vms: int, w_buffer: float = 0.5, w_wait: float = 0.5,
                  table: QTable | None = None):
         self.view = FreeBufferView(w_buffer, w_wait)
-        self.table = table if table is not None else QTable(num_vms + 1)
+        self.table = table if table is not None else QTable(num_vms)
 
     def select(self, cluster, rng: np.random.Generator):
         return self.table.greedy(self.view.state(cluster),

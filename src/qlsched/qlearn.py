@@ -60,10 +60,10 @@ def decay_epsilon(epsilon0: float, cycle: int, total_cycles: int) -> float:
 class QTable:
     """Sparse q/visit store keyed by state tuples.
 
-    num_actions is the full action-slot count (VM indices plus the defer
-    slot). greedy_map holds the lowest-index greedy action of every state
-    that has received at least one update; it is maintained incrementally
-    so the convergence check stays cheap.
+    num_actions is the number of action slots in a state's row: for a
+    scheduler, one per VM. greedy_map holds the lowest-index greedy action
+    of every state that has received at least one update; it is
+    maintained incrementally so the convergence check stays cheap.
     """
 
     def __init__(self, num_actions: int):

@@ -355,6 +355,9 @@ MODEL_ARRAYS = ("act_indptr", "act_action", "row_reward", "csr_indptr",
     (4, 1, 3, None, 0.3),
     (1, 200, 3, None, 0.5),               # digits past 127: no table overflows
     (2, 130, 2, None, 0.5),
+    (1, 3, 6, None, 0.5),                 # more classes than departure masks
+    (2, 2, 5, [0.2, 0.0, 0.3, 0.0, 0.5], 0.4),   # zero classes between positive ones
+    (2, 1, 3, None, 1.0),                 # p_c = 1 with defer rows
 ])
 def test_build_matches_concat_and_sort_reference(k, n, c, arrival_probs, p_c):
     m = build_oracle_mdp(k, n, c, arrival_probs=arrival_probs, p_c=p_c)
@@ -664,6 +667,41 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch):
         assert np.all((sizes <= block) | (rows == 1))
         next_row = np.diff(m.csr_indptr)[bounds[1:-1]]
         assert np.all(sizes[:-1] + next_row > block)
+
+
+def test_build_writes_the_blocks_value_iteration_reads(monkeypatch):
+    # the build and the kernel share one block definition: the build asks
+    # _row_blocks once, for the model's own csr_indptr, and a solve reads
+    # the very bounds the build wrote
+    calls, indptrs = [], []
+
+    def spy(csr_indptr):
+        indptrs.append(csr_indptr.copy())
+        calls.append(row_blocks(csr_indptr))
+        return calls[-1]
+
+    row_blocks = mdp._row_blocks
+    monkeypatch.setattr(mdp, "_row_blocks", spy)
+    m = build_oracle_mdp(3, 4, 3)
+    assert len(calls) == 1 and len(calls[0]) > 3          # several blocks
+    np.testing.assert_array_equal(indptrs[0], m.csr_indptr)
+    value_iteration(m)
+    assert len(calls) == 2 and calls[1] == calls[0]
+    spans = np.diff(m.csr_indptr[calls[0]])
+    assert spans.sum() == m.csr_cols.size and np.all(spans > 0)
+
+
+def test_state_max_matches_reduceat_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        act_indptr = np.zeros(int(rng.integers(1, 200)) + 1, dtype=np.int64)
+        np.cumsum(rng.integers(1, 5, size=act_indptr.size - 1), out=act_indptr[1:])
+        state_max = mdp._state_max(act_indptr)
+        for q in (rng.normal(size=act_indptr[-1]),
+                  rng.integers(-2, 3, size=act_indptr[-1]).astype(float),  # ties
+                  np.where(rng.random(act_indptr[-1]) < 0.5, 0.0, -0.0)):   # signed zeros
+            want = np.maximum.reduceat(q, act_indptr[:-1])
+            assert state_max(q).tobytes() == want.tobytes()
 
 
 def test_value_iteration_reuses_one_buffer(monkeypatch):

@@ -522,7 +522,7 @@ def test_train_matches_reference_learner(view_name, failure_ratio):
     cfg = LearnerConfig(epsilon0=0.5, total_cycles=60, repeater_threshold=15)
     seed = [5, view_name == "length_aware", int(failure_ratio * 10)]
     result = train(env(), cfg, seed)
-    ref = _ReferenceLearner(len(vm_specs) + 1)
+    ref = _ReferenceLearner(len(vm_specs))
     cycles, stop_reason, trace = ref.train(env(), cfg, seed)
 
     table = result.table
@@ -532,6 +532,28 @@ def test_train_matches_reference_learner(view_name, failure_ratio):
     assert (result.cycles_run, result.stop_reason) == (cycles, stop_reason)
     assert result.trace == trace
     assert sum(map(sum, ref.visits.values())) >= 200
+
+
+@pytest.mark.parametrize("view_name", ["length_aware", "free_buffer"])
+def test_trained_rows_hold_one_slot_per_vm(view_name):
+    # every action comes from cluster.feasible_vms(): no defer slot
+    from qlsched.cluster import VmSpec
+    from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
+    from qlsched.policies import QschAgent
+    from qlsched.workload import ScenarioConfig
+
+    scenario = ScenarioConfig(num_tasks=20, length_min=500, length_max=8000,
+                              num_vms=3, vm_mips=1000, buffer_min=2, buffer_max=2)
+    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2, pes=1)
+                for i in range(3)]
+    view = (LengthAwareView(3000, 2) if view_name == "length_aware"
+            else FreeBufferView(0.5, 0.5))
+    cfg = LearnerConfig(epsilon0=0.5, total_cycles=20, repeater_threshold=5)
+    table = train(SimulationEnv(scenario, vm_specs, view), cfg, 4).table
+    assert table.num_actions == len(vm_specs) and len(table) > 0
+    for state in table.states():
+        assert len(table._q[state]) == len(table._visits[state]) == len(vm_specs)
+    assert QschAgent(len(vm_specs)).table.num_actions == len(vm_specs)
 
 
 class TestUpdateQEdges:
