@@ -27,6 +27,9 @@ DEFAULT_L_CAP = 40
 MAX_ORACLE_STATES = 100_000
 # Transition entries: 2^24 take 201 MB of csr_cols and csr_probs.
 MAX_ORACLE_ENTRIES = 1 << 24
+# Padded (departure mask, class) slots of the build's per-kind table, and
+# of one kernel block's rows: 2^24 take 134 MB of float64.
+MAX_ORACLE_PADDED = 1 << 24
 # Transition entries per block of the Bellman kernel: 256 KiB of float64
 # gather buffer, which stays in L2 across the block's gather, multiply and
 # reduce. 2^15 and 2^16 timed best; at 2^12 the per-block Python
@@ -141,7 +144,9 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     above 0 contiguously at its span of csr_indptr. Beside the model the
     build holds int32 per-state and per-row tables and one block's padded
     entries. The state and entry counts are checked before anything is
-    built: the entries against MAX_ORACLE_ENTRIES, as _max_entries counts.
+    built: the entries against MAX_ORACLE_ENTRIES, as _max_entries counts,
+    and the per-kind table's padded slots against MAX_ORACLE_PADDED. A
+    block's padded slots are checked against it too, before any block.
     """
     k, n, c = num_vms, buffer_capacity, num_classes
     for name, value in (("num_vms", k), ("buffer_capacity", n), ("num_classes", c)):
@@ -175,6 +180,10 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     if num_entries > MAX_ORACLE_ENTRIES:
         raise CapacityError(f"up to {num_entries} transition entries exceed "
                             f"the limit {MAX_ORACLE_ENTRIES}")
+    padded = (2**k + 1) * 2**k * c
+    if padded > MAX_ORACLE_PADDED:
+        raise CapacityError(f"{padded} padded slots of the per-kind table exceed "
+                            f"the limit {MAX_ORACLE_PADDED}")
 
     shape = (n + 1,) * k + (c,) * k
     stride = np.cumprod((1,) + shape[:0:-1], dtype=np.int32)[::-1]
@@ -229,10 +238,14 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
 
     # One pass over the kernel's blocks. Each builds its padded entries [mask,
     # class, row], each step along the rows, and writes the kept ones in order.
-    csr_cols = np.empty(int(csr_indptr[-1]), dtype=np.int32)
-    csr_probs = np.empty(int(csr_indptr[-1]), dtype=np.float64)
     bounds = _row_blocks(csr_indptr)
     assert bounds[0] == 0 and bounds[-1] == row_reward.size, "blocks tile the rows"
+    padded = int(np.diff(bounds).max()) * 2**k * c
+    if padded > MAX_ORACLE_PADDED:
+        raise CapacityError(f"{padded} padded slots of a kernel block exceed "
+                            f"the limit {MAX_ORACLE_PADDED}")
+    csr_cols = np.empty(int(csr_indptr[-1]), dtype=np.int32)
+    csr_probs = np.empty(int(csr_indptr[-1]), dtype=np.float64)
     for r0, r1 in zip(bounds, bounds[1:]):
         e0, e1 = csr_indptr[r0], csr_indptr[r1]
         s, a = row_state[r0:r1], act_action[r0:r1]

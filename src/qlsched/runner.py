@@ -152,7 +152,8 @@ def run_cols(num_vms: int) -> tuple:
 
 @dataclass
 class RunOutputs:
-    """Rows keyed by their CSV columns, and q-tables keyed by file name."""
+    """Rows keyed by their CSV columns, and each q-table's CSV text keyed by
+    its file name: a point's tables are freed when the point returns."""
     runs: list = field(default_factory=list)
     summary: list = field(default_factory=list)
     convergence: list = field(default_factory=list)
@@ -236,7 +237,8 @@ def run_point(plan: ExperimentPlan, point) -> RunOutputs:
                 dict(zip(CONVERGENCE_COLS, (name, *at, row["cycle"], row["epsilon"],
                                             row.get("avg_wait_s")), strict=True))
                 for row in trained.trace]
-            out.qtables[f"qtable_{name}_t{tasks}_b{buf}_f{fr:g}.csv"] = trained.table
+            fname = f"qtable_{name}_t{tasks}_b{buf}_f{fr:g}.csv"
+            out.qtables[fname] = export_qtable(trained.table)
         policy_fn = policy.selector(plan, trained)
         reports = []
         for rep in range(plan.replications):
@@ -297,6 +299,6 @@ def _write_outputs(outputs: RunOutputs, num_vms: int, out_dir: str):
             w = csv.writer(fh)
             w.writerow(cols)
             w.writerows([_fmt(r[c]) for c in cols] for r in rows)
-    for fname, table in outputs.qtables.items():
+    for fname, text in outputs.qtables.items():
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-            fh.write(export_qtable(table))
+            fh.write(text)

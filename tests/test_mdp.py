@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from oracle_helpers import (feasible_actions, index_state, reachable_from_empty,
-                            reference_build, row_of, sample_next, state_index)
+                            reference_build, row_of, sample_next, shape,
+                            state_index)
 from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
 from qlsched.envs import LengthAwareView
@@ -233,6 +234,57 @@ def test_entry_limit(monkeypatch):
     assert mdp._max_entries(16, 1, 1) == 16 * 3**15 + 2**16 > mdp.MAX_ORACLE_ENTRIES
 
 
+def test_padded_layout_limit(monkeypatch):
+    # the build pads every row to 2^K departure masks x C classes: (4, 2, 2)
+    # has a per-kind table of (2^4 + 1) x 2^4 x 2 = 544 slots, and a kernel
+    # block of R rows pads to R x 32
+    m = build_oracle_mdp(4, 2, 2)
+    monkeypatch.setattr(mdp, "MAX_ORACLE_PADDED", 543)
+    with pytest.raises(CapacityError, match="544 padded slots of the per-kind table"):
+        build_oracle_mdp(4, 2, 2)
+    monkeypatch.setattr(mdp, "KERNEL_BLOCK", m.csr_cols.size)    # one block
+    padded = m.row_reward.size * 32
+    monkeypatch.setattr(mdp, "MAX_ORACLE_PADDED", padded - 1)
+    with pytest.raises(CapacityError, match=f"{padded} padded slots of a kernel block"):
+        build_oracle_mdp(4, 2, 2)
+    monkeypatch.setattr(mdp, "MAX_ORACLE_PADDED", padded)
+    assert build_oracle_mdp(4, 2, 2).csr_cols.tobytes() == m.csr_cols.tobytes()
+
+
+# (13, 1, 1) passes the state and entry limits (8,192 states, 6.9 M entries),
+# but its per-kind table and weight table would take 537 MB each. It runs in
+# a child whose address space is capped 256 MiB above its size once numpy is
+# loaded, so a build that makes either table fails there with MemoryError
+# instead of taking the host's memory.
+PADDED_SCRIPT = """
+import resource, tracemalloc
+from qlsched.errors import CapacityError
+from qlsched.mdp import build_oracle_mdp
+
+with open("/proc/self/status") as fh:
+    vm_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, ((vm_kib << 10) + (256 << 20), hard))
+tracemalloc.start()
+try:
+    build_oracle_mdp(13, 1, 1)
+except CapacityError as exc:
+    print(tracemalloc.get_traced_memory()[1], exc)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_padded_layout_is_refused_before_any_table():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", PADDED_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
+    peak, message = out.stdout.split(" ", 1)
+    assert "67117056 padded slots of the per-kind table" in message
+    assert int(peak) < 1 << 20
+
+
 def test_builder_validation():
     with pytest.raises(ValueError):
         build_oracle_mdp(num_vms=0, buffer_capacity=1, num_classes=1)
@@ -333,6 +385,64 @@ def test_reachable_from_empty():
     mask = reachable_from_empty(m)
     assert mask[state_index(m, (0, 0, 0, 0))]
     assert 0 < mask.sum() <= m.num_states
+
+
+# -- the placement ceiling: why acceptance criteria 4, 5 and 7 are red -------------
+
+# (K, n, C, p_c, reachable states with more than one action)
+CEILING_CASES = [(3, 5, 3, 0.5, 3718), (3, 5, 3, 0.35, 3718),
+                 (2, 10, 3, 0.5, 784), (2, 10, 3, 0.35, 784)]
+
+
+def occupancy(m):
+    """Each row's state and each state's K buffer counts, (K, S)."""
+    row_state = np.repeat(np.arange(m.num_states), np.diff(m.act_indptr))
+    b = np.array(np.unravel_index(np.arange(m.num_states), shape(m)))[:m.num_vms]
+    return row_state, b
+
+
+def optimal_and_least_occupied(m):
+    """Per row: is it in its state's optimal set (q within 1e-9 of the
+    state's best), and does it place on a least-occupied VM; and the
+    reachable states with more than one action."""
+    k = m.num_vms
+    row_state, b = occupancy(m)
+    a = m.act_action
+    least = (a < k) & (b[np.minimum(a, k - 1), row_state] == b.min(axis=0)[row_state])
+    q = action_values(m, value_iteration(m).values)
+    optimal = q >= np.maximum.reduceat(q, m.act_indptr[:-1])[row_state] - 1e-9
+    multi = (np.diff(m.act_indptr) > 1) & reachable_from_empty(m)
+    return row_state, optimal, least, multi
+
+
+@pytest.mark.parametrize("k,n,c,p_c,num_multi", CEILING_CASES)
+def test_paper_reward_places_only_on_least_occupied_vms(k, n, c, p_c, num_multi):
+    # Under the +1/-1/0 reward every optimal action of every reachable
+    # multi-action state is a least-occupied VM, so an exact learner can at
+    # best tie greedy-family placement.
+    m = build_oracle_mdp(k, n, c, p_c=p_c)
+    row_state, optimal, least, multi = optimal_and_least_occupied(m)
+    assert multi.sum() == num_multi
+    outside = multi[row_state] & optimal & ~least
+    assert not outside.any(), np.unique(row_state[outside]).size
+
+
+@pytest.mark.parametrize("k,n,c,p_c,num_multi", CEILING_CASES)
+def test_holding_cost_keeps_a_least_occupied_vm_optimal(k, n, c, p_c, num_multi):
+    # A response-time objective: the cost of each row is the number of tasks
+    # in the system after its action. Every optimal set still holds a
+    # least-occupied VM (join the shortest queue), though at (2, 10, 3) a
+    # busier VM ties with it in some states, so no subset claim holds.
+    m = build_oracle_mdp(k, n, c, p_c=p_c)
+    row_state, b = occupancy(m)
+    in_system = b.sum(axis=0)[row_state] + (m.act_action < m.num_vms)
+    m = replace(m, row_reward=-in_system.astype(np.float64))
+    row_state, optimal, least, multi = optimal_and_least_occupied(m)
+    assert multi.sum() == num_multi
+    held = np.bincount(row_state[optimal & least], minlength=m.num_states)
+    assert (held[multi] > 0).all(), np.count_nonzero(held[multi] == 0)
+    if (k, n, c) == (2, 10, 3):
+        assert (multi[row_state] & optimal & ~least).any()
 
 
 MODEL_ARRAYS = ("act_indptr", "act_action", "row_reward", "csr_indptr",

@@ -1,16 +1,19 @@
 """Plan parsing, sweep execution, CSV layout and the CLI wrapper."""
 
 import csv
+import gc
 import os
+import weakref
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
 
+from qlsched import runner
 from qlsched.cli import main
 from qlsched.errors import ConfigError
-from qlsched.qlearn import LearnerConfig, export_qtable
+from qlsched.qlearn import LearnerConfig
 from qlsched.runner import (ExperimentPlan, RunOutputs, parse_config, run_plan,
                             run_point, sweep_points)
 from qlsched.workload import ScenarioConfig
@@ -262,8 +265,7 @@ def test_run_point_is_pure_and_rows_are_the_csv_rows(tmp_path):
     assert joined.runs == whole.runs
     assert joined.summary == whole.summary
     assert joined.convergence == whole.convergence
-    dumps = [{n: export_qtable(t) for n, t in o.qtables.items()}
-             for o in (joined, whole)]
+    dumps = [o.qtables for o in (joined, whole)]
     assert list(dumps[0].items()) == list(dumps[1].items())
     assert len(dumps[0]) == 4
     assert {r["failure_ratio"] for r in whole.runs} == {0.0, 0.2}
@@ -276,6 +278,30 @@ def test_run_point_is_pure_and_rows_are_the_csv_rows(tmp_path):
         assert all(list(r) == lines[0] for r in rows), name
     assert sorted(dumps[1]) == sorted(n for n in os.listdir(out_dir)
                                       if n.startswith("qtable_"))
+
+
+def test_trained_tables_are_freed_and_only_their_text_kept(tmp_path, monkeypatch):
+    # a point's q-tables die with the point: RunOutputs keeps the CSV text
+    # each is written as, which is what every file holds
+    tables = []
+    train = runner.train
+
+    def keeping_weakrefs(*args, **kwargs):
+        result = train(*args, **kwargs)
+        tables.append(weakref.ref(result.table))
+        return result
+
+    monkeypatch.setattr(runner, "train", keeping_weakrefs)
+    out_dir = tmp_path / "results"
+    plan = parse_config(learner_plan(tmp_path, policies=["qsch", "qlearn"],
+                                     task_counts=[4, 6]))
+    outputs = run_plan(plan, out_dir=str(out_dir))
+    gc.collect()
+    assert len(tables) == 4
+    assert [ref() for ref in tables] == [None] * 4
+    assert len(outputs.qtables) == 4
+    for fname, text in outputs.qtables.items():
+        assert (out_dir / fname).read_text(encoding="utf-8") == text, fname
 
 
 def test_runs_csv_layout(tmp_path):
