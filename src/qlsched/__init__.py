@@ -2,33 +2,38 @@
 
 Simulates a cluster of single-queue virtual machines fed from a global
 FCFS queue, and compares learned schedulers against random, FIFO,
-load-mixing and greedy baselines.
+load-mixing and greedy baselines. Each export is looked up in its home
+module at every use (PEP 562), importing the module on the first, so a
+process that only builds the oracle loads no simulator, runner or YAML.
 """
-
-from .cluster import ClusterState, CompletionRecord, VmSpec
-from .errors import BufferFullError, CapacityError, ConfigError, MetricsError
-from .mdp import (OracleMdp, build_oracle_mdp, encode_state, reward,
-                  value_iteration)
-from .metrics import MetricsReport, aggregate, build_report
-from .policies import (POLICY_NAMES, QlearnPolicy, QschAgent, fifo_select,
-                       greedy_select, mixed_select, random_select)
-from .qlearn import (LearnerConfig, QTable, TrainResult, export_qtable,
-                     select_action, train, update_q)
-from .runner import ExperimentPlan, RunOutputs, parse_config, run_plan
-from .simulate import Simulation, run_policy_simulation
-from .workload import ScenarioConfig, TaskSpec, generate_workload
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BufferFullError", "CapacityError", "ClusterState", "CompletionRecord",
-    "ConfigError", "ExperimentPlan", "LearnerConfig", "MetricsError",
-    "MetricsReport", "OracleMdp", "POLICY_NAMES",
-    "QTable", "QlearnPolicy", "QschAgent", "RunOutputs", "ScenarioConfig",
-    "Simulation", "TaskSpec", "TrainResult", "VmSpec", "aggregate",
-    "build_oracle_mdp", "build_report", "encode_state",
-    "export_qtable", "fifo_select", "generate_workload", "greedy_select",
-    "mixed_select", "parse_config", "random_select", "reward", "run_plan",
-    "run_policy_simulation", "select_action", "train", "update_q",
-    "value_iteration",
-]
+_EXPORTS = {
+    "cluster": "ClusterState CompletionRecord VmSpec",
+    "envs": "encode_state reward",
+    "errors": "BufferFullError CapacityError ConfigError MetricsError",
+    "mdp": "OracleMdp build_oracle_mdp value_iteration",
+    "metrics": "MetricsReport aggregate build_report",
+    "policies": "POLICY_NAMES QlearnPolicy QschAgent fifo_select "
+                "greedy_select mixed_select random_select",
+    "qlearn": "LearnerConfig QTable TrainResult export_qtable select_action "
+              "train update_q",
+    "runner": "ExperimentPlan RunOutputs parse_config run_plan",
+    "simulate": "Simulation run_policy_simulation",
+    "workload": "ScenarioConfig TaskSpec generate_workload",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    return getattr(__import__(f"{__name__}.{_HOME[name]}", fromlist=[name]), name)
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

@@ -14,7 +14,7 @@ import traceback
 from dataclasses import fields, replace
 
 from .errors import ConfigError
-from .runner import parse_config, run_plan
+from .runner import ExperimentPlan, parse_config, run_plan
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def plan_from_args(args) -> "ExperimentPlan":
+def plan_from_args(args) -> ExperimentPlan:
     """The config file's plan with every given flag applied; each flag's
     dest is the name of the plan or learner field it overrides."""
     plan = parse_config(args.config)

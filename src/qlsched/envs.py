@@ -1,4 +1,8 @@
-"""Environment adapters that feed the Q-learning loop.
+"""State encoding, the reward rule and the environments of the Q-learning loop.
+
+encode_state gives the scheduler's state (B_1..B_K, L-class_1..L-class_K),
+per-VM occupied buffers then per-VM classes of total assigned length;
+reward is the +1/-1/0 placement rule.
 
 A learner env walks decision points: observe a state, pick a feasible
 action, collect the reward and the state at the next decision point.
@@ -11,21 +15,57 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import mdp
 from .metrics import _mean_wait, completed
 from .simulate import Simulation
 from .workload import DEFAULT_D_MAX, ScenarioConfig, generate_workload
 
+DEFAULT_RANGE_MI = 10_000
+DEFAULT_L_CAP = 40
+
+
+def encode_state(cluster, range_mi: int = DEFAULT_RANGE_MI,
+                 l_cap: int = DEFAULT_L_CAP) -> tuple:
+    """Observed scheduler state of a cluster, as a flat tuple of 2K ints.
+
+    Each VM's length class is min(total // range_mi, l_cap) of its total
+    assigned length. The arguments are not checked here: LengthAwareView
+    checks them once.
+    """
+    occupied, assigned = cluster.counters()
+    return (*occupied,
+            *[c if (c := x // range_mi) <= l_cap else l_cap for x in assigned])
+
+
+def reward(state: tuple, action: int, capacities) -> int:
+    """Immediate reward for assigning the arriving task to `action`.
+
+    +1 when the VM has minimal occupied-buffer count (this wins), else -1
+    when it has the maximal length class, else 0. `capacities` holds one
+    buffer capacity per VM. Raises on infeasible actions (buffer at
+    capacity).
+    """
+    k = len(state) // 2
+    b, l = state[:k], state[k:]
+    if not (0 <= action < len(b)):
+        raise ValueError(f"action {action} out of range for {len(b)} VMs")
+    if b[action] >= capacities[action]:
+        raise ValueError(f"action {action} infeasible: buffer at capacity")
+    if b[action] == min(b):
+        return 1
+    if l[action] == max(l):
+        return -1
+    return 0
+
 
 class LengthAwareView:
-    """State (B_1..B_K, Lclass_1..Lclass_K); reward from mdp.reward.
+    """State (B_1..B_K, Lclass_1..Lclass_K); reward from reward().
 
     The reward is a function of (state, action, capacities) alone, so
     each view remembers the rewards it has computed.
     """
 
-    def __init__(self, range_mi: int = mdp.DEFAULT_RANGE_MI,
-                 l_cap: int = mdp.DEFAULT_L_CAP):
+    def __init__(self, range_mi: int = DEFAULT_RANGE_MI,
+                 l_cap: int = DEFAULT_L_CAP):
         if range_mi <= 0:
             raise ValueError("range_mi must be > 0")
         if l_cap < 0:
@@ -35,18 +75,18 @@ class LengthAwareView:
         self._rewards: dict = {}
 
     def state(self, cluster):
-        return mdp.encode_state(cluster, self.range_mi, self.l_cap)
+        return encode_state(cluster, self.range_mi, self.l_cap)
 
     def reward(self, cluster, action, state):
         """Reward of `action`; `state` is this view's state of `cluster`.
 
         An infeasible action raises on every call: only rewards that
-        mdp.reward returned are remembered.
+        reward() returned are remembered.
         """
         key = (state, action, cluster.capacities())
         value = self._rewards.get(key)
         if value is None:
-            value = self._rewards[key] = float(mdp.reward(*key))
+            value = self._rewards[key] = float(reward(*key))
         return value
 
 

@@ -1,16 +1,7 @@
-"""State encoding, reward shaping and the enumerable oracle MDP.
-
-The scheduler's state is the vector (B_1..B_K, L-class_1..L-class_K):
-per-VM occupied buffer counts followed by per-VM discretized total
-assigned lengths (class = floor(total / range), capped). The reward for
-assigning to VM a in state s is +1 when a has the fewest occupied
-buffers, otherwise -1 when it carries the largest length class,
-otherwise 0; the +1 case wins when both apply.
-
-The oracle MDP is a small abstract model of those dynamics (one arrival
-per epoch, geometric service) used to certify the learner's policy
-against exact value iteration. It is not a timing model.
-"""
+"""The enumerable oracle MDP: an abstract model of the scheduler's
+decisions (one arrival per epoch, geometric service) over the state and
+reward of envs.encode_state and envs.reward, used to certify the learner's
+policy against exact value iteration. It is not a timing model."""
 
 from __future__ import annotations
 
@@ -22,8 +13,6 @@ import numpy as np
 
 from .errors import CapacityError
 
-DEFAULT_RANGE_MI = 10_000
-DEFAULT_L_CAP = 40
 MAX_ORACLE_STATES = 100_000
 # Transition entries: 2^24 take 201 MB of csr_cols and csr_probs.
 MAX_ORACLE_ENTRIES = 1 << 24
@@ -35,40 +24,6 @@ MAX_ORACLE_PADDED = 1 << 24
 # reduce. 2^15 and 2^16 timed best; at 2^12 the per-block Python
 # overhead made a sweep slower.
 KERNEL_BLOCK = 1 << 15
-
-
-def encode_state(cluster, range_mi: int = DEFAULT_RANGE_MI,
-                 l_cap: int = DEFAULT_L_CAP) -> tuple:
-    """Observed scheduler state of a cluster, as a flat tuple of 2K ints.
-
-    Each VM's length class is min(total // range_mi, l_cap) of its total
-    assigned length. The arguments are not checked here: LengthAwareView
-    checks them once.
-    """
-    occupied, assigned = cluster.counters()
-    return (*occupied,
-            *[c if (c := x // range_mi) <= l_cap else l_cap for x in assigned])
-
-
-def reward(state: tuple, action: int, capacities) -> int:
-    """Immediate reward for assigning the arriving task to `action`.
-
-    +1 when the VM has minimal occupied-buffer count (this wins), else -1
-    when it has the maximal length class, else 0. `capacities` holds one
-    buffer capacity per VM. Raises on infeasible actions (buffer at
-    capacity).
-    """
-    k = len(state) // 2
-    b, l = state[:k], state[k:]
-    if not (0 <= action < len(b)):
-        raise ValueError(f"action {action} out of range for {len(b)} VMs")
-    if b[action] >= capacities[action]:
-        raise ValueError(f"action {action} infeasible: buffer at capacity")
-    if b[action] == min(b):
-        return 1
-    if l[action] == max(l):
-        return -1
-    return 0
 
 
 @dataclass

@@ -15,8 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import mdp
-from .envs import FreeBufferView, LengthAwareView
+from .envs import DEFAULT_L_CAP, DEFAULT_RANGE_MI, FreeBufferView, LengthAwareView
 from .qlearn import QTable, select_action
 
 
@@ -74,8 +73,8 @@ class QschAgent:
 class QlearnPolicy:
     """Greedy evaluation wrapper around a trained length-aware table."""
 
-    def __init__(self, table: QTable, range_mi: int = mdp.DEFAULT_RANGE_MI,
-                 l_cap: int = mdp.DEFAULT_L_CAP):
+    def __init__(self, table: QTable, range_mi: int = DEFAULT_RANGE_MI,
+                 l_cap: int = DEFAULT_L_CAP):
         self.table = table
         self.view = LengthAwareView(range_mi, l_cap)
 

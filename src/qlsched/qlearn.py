@@ -160,25 +160,25 @@ class ConvergenceMonitor:
 
 
 def check_convergence(monitor: ConvergenceMonitor, table: QTable,
-                      threshold: int) -> bool:
-    """End-of-cycle stop test.
+                      threshold: int) -> str | None:
+    """End-of-cycle stop test: the stop reason, or None to go on.
 
-    Stops when the greedy action of every visited state matches the
-    previous cycle's snapshot (newly visited states count as mismatches)
-    or when the repeater exceeds the threshold. Otherwise refreshes the
-    snapshot and increments the repeater. The repeater counts every
-    cycle that did not stop, so the threshold is a cycle cap, not a
-    count of stable cycles: training that is never stable stops
-    ("budget") after threshold + 2 cycles.
+    "stable" when the greedy action of every visited state matches the
+    previous cycle's snapshot (newly visited states count as mismatches),
+    else "budget" when the repeater exceeds the threshold. Otherwise
+    refreshes the snapshot and increments the repeater, which counts every
+    cycle that did not stop: the threshold is a cycle cap, not a count of
+    stable cycles, and training that is never stable stops after
+    threshold + 2 cycles.
     """
     current = table.greedy_map
     if monitor.best_action_snapshot is not None and monitor.best_action_snapshot == current:
-        return True
+        return "stable"
     if monitor.repeater > threshold:
-        return True
+        return "budget"
     monitor.best_action_snapshot = dict(current)
     monitor.repeater += 1
-    return False
+    return None
 
 
 @dataclass
@@ -226,8 +226,8 @@ def train(env, cfg: LearnerConfig, seed) -> TrainResult:
         if metrics:
             row.update(metrics)
         trace.append(row)
-        if check_convergence(monitor, table, cfg.repeater_threshold):
-            stop_reason = "budget" if monitor.repeater > cfg.repeater_threshold else "stable"
+        if reason := check_convergence(monitor, table, cfg.repeater_threshold):
+            stop_reason = reason
             break
     return TrainResult(table=table, cycles_run=cycles,
                        stop_reason=stop_reason, trace=trace)

@@ -23,9 +23,8 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
-from . import mdp
 from .cluster import DEFAULT_MAX_ATTEMPTS, VmSpec
-from .envs import SimulationEnv
+from .envs import DEFAULT_L_CAP, DEFAULT_RANGE_MI, SimulationEnv
 from .errors import ConfigError, check_fields
 from .metrics import aggregate, build_report
 from .policies import POLICIES, POLICY_NAMES
@@ -47,8 +46,8 @@ class ExperimentPlan:
     seed: int = 1
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     slot_seconds: float = 1.0
-    range_mi: int = mdp.DEFAULT_RANGE_MI
-    l_cap: int = mdp.DEFAULT_L_CAP
+    range_mi: int = DEFAULT_RANGE_MI
+    l_cap: int = DEFAULT_L_CAP
     arrival_dmax: int = DEFAULT_D_MAX
     qsch_w_buffer: float = 0.5
     qsch_w_wait: float = 0.5

@@ -19,13 +19,8 @@ from oracle_helpers import (
     reachable_from_empty,
 )
 from qlsched.cluster import ClusterState, CompletionRecord, VmSpec
-from qlsched.mdp import (
-    action_values,
-    build_oracle_mdp,
-    encode_state,
-    reward,
-    value_iteration,
-)
+from qlsched.envs import encode_state, reward
+from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.metrics import build_report
 from qlsched.policies import fifo_select
 from qlsched.qlearn import (
@@ -43,12 +38,10 @@ from qlsched.workload import ScenarioConfig, TaskSpec, generate_workload
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 STRUCTURAL_NOTE = (
-    "the +1/-1/0 placement reward rates every least-occupied-buffer VM as "
-    "optimal, so a fully converged table reproduces most-free-buffer "
-    "(greedy-family) placement instead of beating it; on these scenarios the "
-    "measured ceiling over greedy/mixed/fifo placement is a few percent, far "
-    "under the stated margin. The threshold is asserted as stated rather "
-    "than weakened."
+    "out of reach under the +1/-1/0 placement reward: see "
+    "tests/test_mdp.py::test_paper_reward_places_only_on_least_occupied_vms "
+    "and tests/test_mdp.py::test_holding_cost_keeps_a_least_occupied_vm_optimal. "
+    "The threshold is asserted as stated rather than weakened."
 )
 
 

@@ -1,4 +1,5 @@
-"""The names the package exports and the benchmark reaches must exist.
+"""The names the package exports and the benchmark reaches must exist,
+and a process loads only the layers it runs.
 
 perfbench/ patches qlsched attributes by name and calls package-root
 functions, so a deletion under src/ that drops one of them would only
@@ -6,14 +7,31 @@ show when the benchmark runs. These checks make it show here.
 """
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qlsched
 from qlsched import mdp
 from qlsched.qlearn import QTable
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+RUN_PATH = {f"qlsched.{name}" for name in ("cluster", "envs", "metrics", "policies",
+                                           "qlearn", "runner", "simulate", "workload")}
+
+
+def _modules_after(code):
+    """The sys.modules keys of a fresh interpreter that imported qlsched
+    and then ran `code` from the repository root."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys\nimport qlsched\n{code}\nprint(*sys.modules)"],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
 
 
 def _load_tracer():
@@ -52,3 +70,28 @@ def test_benchmark_package_reads_exist():
     assert {"parse_config", "run_plan", "build_oracle_mdp",
             "value_iteration"} <= names
     assert [name for name in sorted(names) if not hasattr(qlsched, name)] == []
+
+
+def test_oracle_process_loads_no_run_path_layer():
+    loaded = _modules_after("qlsched.build_oracle_mdp(2, 2, 2)")
+    assert "qlsched.mdp" in loaded
+    assert sorted(loaded & (RUN_PATH | {"yaml"})) == []
+
+
+def test_config_process_loads_no_oracle():
+    loaded = _modules_after('qlsched.parse_config("configs/scenario1.yaml")')
+    assert {"qlsched.runner", "yaml"} <= loaded
+    assert "qlsched.mdp" not in loaded
+
+
+def test_exports_are_their_home_module_objects():
+    listed = dir(qlsched)
+    for name in qlsched.__all__:
+        home = importlib.import_module(f"qlsched.{qlsched._HOME[name]}")
+        value = getattr(qlsched, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+        assert name in listed, name
+        # looked up at every use, never cached, so a patch of the home
+        # module shows through the package and is gone once undone
+        assert name not in vars(qlsched), name

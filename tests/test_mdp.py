@@ -16,10 +16,9 @@ from oracle_helpers import (feasible_actions, index_state, reachable_from_empty,
                             state_index)
 from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
-from qlsched.envs import LengthAwareView
+from qlsched.envs import DEFAULT_L_CAP, LengthAwareView, encode_state, reward
 from qlsched.errors import CapacityError
-from qlsched.mdp import (action_values, build_oracle_mdp, encode_state, reward,
-                         value_iteration)
+from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.workload import TaskSpec
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -39,7 +38,7 @@ def kernel_row(m, state, action):
 
 # -- length classes --------------------------------------------------------------
 
-def length_class(total, range_mi, l_cap=mdp.DEFAULT_L_CAP):
+def length_class(total, range_mi, l_cap=DEFAULT_L_CAP):
     """encode_state's length class of one VM with `total` MI assigned."""
     one_vm = SimpleNamespace(counters=lambda: ([1], [total]))
     return encode_state(one_vm, range_mi, l_cap)[1]

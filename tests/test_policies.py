@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
+from qlsched.envs import DEFAULT_L_CAP, DEFAULT_RANGE_MI, encode_state
 from qlsched.policies import (
     POLICIES,
     POLICY_NAMES,
@@ -242,7 +242,7 @@ def test_qsch_exploits_learned_values():
 def test_qlearn_policy_follows_trained_table():
     c = make_cluster([3, 3, 3])
     table = QTable(4)
-    state = mdp.encode_state(c, mdp.DEFAULT_RANGE_MI, mdp.DEFAULT_L_CAP)
+    state = encode_state(c, DEFAULT_RANGE_MI, DEFAULT_L_CAP)
     table.ensure(state, (0, 1, 2))
     update_q(table, state, 1, 1.0, ("void",), [0], 0.9)
     policy = QlearnPolicy(table)

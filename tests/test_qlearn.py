@@ -262,15 +262,21 @@ class TestCheckConvergence:
     def test_stable_map_stops(self):
         table = self.build_table()
         monitor = ConvergenceMonitor()
-        assert check_convergence(monitor, table, threshold=10) is False
+        assert check_convergence(monitor, table, threshold=10) is None
         # nothing changed between cycles: the snapshot matches
-        assert check_convergence(monitor, table, threshold=10) is True
+        assert check_convergence(monitor, table, threshold=10) == "stable"
 
     def test_repeater_overflow_stops(self):
         table = self.build_table()
         monitor = ConvergenceMonitor(repeater=11)
         monitor.best_action_snapshot = {("other",): 1}
-        assert check_convergence(monitor, table, threshold=10) is True
+        assert check_convergence(monitor, table, threshold=10) == "budget"
+
+    def test_stable_map_past_the_cap_stops_as_stable(self):
+        table = self.build_table()
+        monitor = ConvergenceMonitor(repeater=11)
+        monitor.best_action_snapshot = dict(table.greedy_map)
+        assert check_convergence(monitor, table, threshold=10) == "stable"
 
     def test_changing_map_continues_until_budget(self):
         table = self.build_table()
@@ -283,16 +289,16 @@ class TestCheckConvergence:
             table.ensure(extra, (0, 1))
             set_q(table, extra, 1, 0.2)
             outcomes.append(check_convergence(monitor, table, threshold))
-        assert outcomes == [False] * (threshold + 1)
+        assert outcomes == [None] * (threshold + 1)
         table.ensure(("extra", 99), (0, 1))
         set_q(table, ("extra", 99), 1, 0.2)
-        assert check_convergence(monitor, table, threshold) is True
+        assert check_convergence(monitor, table, threshold) == "budget"
 
     def test_changed_map_with_low_repeater_continues(self):
         table = self.build_table()
         monitor = ConvergenceMonitor(repeater=3)
         monitor.best_action_snapshot = {("other",): 1}
-        assert check_convergence(monitor, table, threshold=3) is False
+        assert check_convergence(monitor, table, threshold=3) is None
         assert monitor.repeater == 4
         assert monitor.best_action_snapshot == table.greedy_map
 
@@ -367,6 +373,23 @@ class TestTrain:
         assert first["cycle"] == 0
         assert first["epsilon"] == cfg.epsilon0
         assert first["states_seen"] >= 1
+
+    def test_stable_stop_on_the_cycle_after_the_cap_is_stable(self):
+        # At seed 48 the greedy map of cycle 3 equals cycle 2's, on the
+        # cycle where the repeater first exceeds the threshold: the map
+        # test comes first, so the stop is "stable", not "budget".
+        from qlsched.cluster import VmSpec
+        from qlsched.envs import LengthAwareView, SimulationEnv
+        from qlsched.workload import ScenarioConfig
+
+        scenario = ScenarioConfig(num_tasks=4, length_min=1000, length_max=5000,
+                                  num_vms=2, vm_mips=1000, buffer_min=2, buffer_max=2)
+        vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2) for i in range(2)]
+        env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 2),
+                            slot_seconds=1.0)
+        cfg = LearnerConfig(total_cycles=50, repeater_threshold=1)
+        result = train(env, cfg, 48)
+        assert (result.cycles_run, result.stop_reason) == (3, "stable")
 
 
 class TestExportQtable:
@@ -492,8 +515,11 @@ class _ReferenceLearner:
             row = {"cycle": cycle, "epsilon": epsilon, "states_seen": len(self.q)}
             row.update(env.episode_metrics() or {})
             trace.append(row)
-            if monitor.best_action_snapshot == self.greedy_map or monitor.repeater > cfg.repeater_threshold:
-                stop_reason = "budget" if monitor.repeater > cfg.repeater_threshold else "stable"
+            if monitor.best_action_snapshot == self.greedy_map:
+                stop_reason = "stable"
+                break
+            if monitor.repeater > cfg.repeater_threshold:
+                stop_reason = "budget"
                 break
             monitor.best_action_snapshot = dict(self.greedy_map)
             monitor.repeater += 1
