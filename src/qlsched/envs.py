@@ -98,8 +98,9 @@ class FreeBufferView:
     """
 
     def __init__(self, w_buffer: float = 0.5, w_wait: float = 0.5):
-        if not (0.0 <= w_buffer <= 1.0 and 0.0 <= w_wait <= 1.0):
-            raise ValueError("view weights must lie in [0, 1]")
+        for name, weight in (("w_buffer", w_buffer), ("w_wait", w_wait)):
+            if not 0.0 <= weight <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {weight}")
         self.w_buffer = w_buffer
         self.w_wait = w_wait
 

@@ -5,7 +5,6 @@ policy against exact value iteration. It is not a timing model."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -60,23 +59,6 @@ class OracleMdp:
         return self.act_indptr.size - 1
 
 
-def _max_entries(k: int, n: int, c: int) -> int:
-    """The most transition entries a (k, n, c) model can have: its count
-    when 0 < p_c < 1, every class can arrive and no weight underflows.
-
-    A state with i idle VMs, p partly filled and f full ones has i + p VM
-    rows of c * 2^(p+f) entries, one per (departure mask of its busy VMs,
-    arrival class), or, when i + p = 0, one defer row of 2^k; (n-1)^p * c^k
-    states share each (i, p, f).
-    """
-    total = 0
-    for i in range(k + 1):
-        for p in range(k - i + 1):
-            states = math.comb(k, i) * math.comb(k - i, p) * (n - 1) ** p
-            total += states * ((i + p) * c * 2 ** (k - i) if i + p else 2**k)
-    return total * c**k
-
-
 def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
                      arrival_probs=None, p_c: float = 0.5, gamma: float = 0.9,
                      max_states: int = MAX_ORACLE_STATES) -> OracleMdp:
@@ -98,10 +80,11 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     columns by row-major strides, and writes the entries of probability
     above 0 contiguously at its span of csr_indptr. Beside the model the
     build holds int32 per-state and per-row tables and one block's padded
-    entries. The state and entry counts are checked before anything is
-    built: the entries against MAX_ORACLE_ENTRIES, as _max_entries counts,
-    and the per-kind table's padded slots against MAX_ORACLE_PADDED. A
-    block's padded slots are checked against it too, before any block.
+    entries. The state count and the per-kind table's padded slots
+    (against MAX_ORACLE_PADDED) are checked before any table is built,
+    the exact entry count csr_indptr[-1] against MAX_ORACLE_ENTRIES
+    before any entry array, and a block's padded slots against
+    MAX_ORACLE_PADDED before any block.
     """
     k, n, c = num_vms, buffer_capacity, num_classes
     for name, value in (("num_vms", k), ("buffer_capacity", n), ("num_classes", c)):
@@ -131,10 +114,6 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     if num_states > max_states:
         raise CapacityError(
             f"{num_states} states exceed the enumeration limit {max_states}")
-    num_entries = _max_entries(k, n, c)
-    if num_entries > MAX_ORACLE_ENTRIES:
-        raise CapacityError(f"up to {num_entries} transition entries exceed "
-                            f"the limit {MAX_ORACLE_ENTRIES}")
     padded = (2**k + 1) * 2**k * c
     if padded > MAX_ORACLE_PADDED:
         raise CapacityError(f"{padded} padded slots of the per-kind table exceed "
@@ -180,6 +159,9 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     row_state = np.repeat(np.arange(num_states, dtype=np.int32), np.diff(act_indptr))
     csr_indptr = np.zeros(row_reward.size + 1, dtype=np.int64)
     np.cumsum(row_len[kind[row_state]], out=csr_indptr[1:])
+    if csr_indptr[-1] > MAX_ORACLE_ENTRIES:
+        raise CapacityError(f"{csr_indptr[-1]} transition entries exceed "
+                            f"the limit {MAX_ORACLE_ENTRIES}")
 
     # Successor columns by row-major strides: the state, plus the arrival
     # move (class ci at VM a: a buffer and l_a's capped rise, arrive_of[ci,
@@ -247,42 +229,49 @@ def _row_blocks(csr_indptr: np.ndarray) -> list[int]:
     return bounds
 
 
-def action_values(mdp: OracleMdp, values: np.ndarray,
-                  out: np.ndarray | None = None, index: np.ndarray | None = None,
-                  bounds: list[int] | None = None) -> np.ndarray:
-    """Per-row q(s,a) = r + gamma * E[v(s')] for the given value vector.
+def _kernel(mdp: OracleMdp):
+    """values -> per-row q(s,a) = r + gamma * E[v(s')]: the one Bellman kernel.
 
-    The one Bellman kernel: every sweep of value_iteration and its greedy
-    extraction read it. It runs over blocks of whole rows (_row_blocks),
-    so its gather buffer is block-sized and stays in cache. Each row's
-    expectation is the same reduceat over the same products, in the same
-    order, as over the whole kernel at once, so q does not depend on
-    KERNEL_BLOCK to the last bit. `out`, a float64 buffer at least as
-    long as the largest block, takes the gathered successor values, and
-    `index`, an intp buffer as long, takes each block's columns cast to
-    intp, the index type np.take needs: with both, the gather allocates
-    nothing per block. Both are given or neither. Their gather clips
-    column indices, so whoever passes them checks the columns first
-    (value_iteration does, once per solve). Without them a column past
-    the end of `values` raises IndexError. `bounds`, the kernel's
-    _row_blocks, is computed when not given.
+    It runs over blocks of whole rows (_row_blocks), so its float64 gather
+    buffer is block-sized and stays in cache. Each row's expectation is
+    the same reduceat over the same products, in the same order, as over
+    the whole kernel at once, so q does not depend on KERNEL_BLOCK to the
+    last bit. The blocks are computed and the columns (the gather clips)
+    checked here, once. The intp buffer takes a block's columns, then its
+    row offsets (every row has an entry), so a call allocates only q.
     """
     indptr, cols, probs = mdp.csr_indptr, mdp.csr_cols, mdp.csr_probs
-    q = np.empty(indptr.size - 1, dtype=np.float64)
-    bounds = _row_blocks(indptr) if bounds is None else bounds
-    for r0, r1 in zip(bounds, bounds[1:]):
-        e0, e1 = indptr[r0], indptr[r1]
-        if out is None:
-            buf = values[cols[e0:e1]]
-        else:
+    if cols.size and (cols.min() < 0 or cols.max() >= mdp.num_states):
+        raise IndexError(f"transition columns must lie in [0, {mdp.num_states})")
+    bounds = _row_blocks(indptr)
+    blocks = [(r0, r1, indptr[r0], indptr[r1]) for r0, r1 in zip(bounds, bounds[1:])]
+    largest = max((e1 - e0 for _, _, e0, e1 in blocks), default=0)
+    gathered = np.empty(largest, dtype=np.float64)
+    index = np.empty(largest, dtype=np.intp)
+
+    def q_of(values: np.ndarray) -> np.ndarray:
+        if np.shape(values) != (mdp.num_states,):
+            raise ValueError(f"values must have shape ({mdp.num_states},), "
+                             f"got {np.shape(values)}")
+        q = np.empty(indptr.size - 1, dtype=np.float64)
+        for r0, r1, e0, e1 in blocks:
             at = index[:e1 - e0]
             at[...] = cols[e0:e1]
-            buf = np.take(values, at, out=out[:e1 - e0], mode="clip")
-        buf *= probs[e0:e1]
-        np.add.reduceat(buf, indptr[r0:r1] - e0, out=q[r0:r1])
-    q *= mdp.gamma
-    q += mdp.row_reward      # gamma*x + r is r + gamma*x: float addition commutes
-    return q
+            buf = np.take(values, at, out=gathered[:e1 - e0], mode="clip")
+            buf *= probs[e0:e1]
+            starts = np.subtract(indptr[r0:r1], e0, out=index[:r1 - r0])
+            np.add.reduceat(buf, starts, out=q[r0:r1])
+        q *= mdp.gamma
+        q += mdp.row_reward      # gamma*x + r is r + gamma*x: float addition commutes
+        return q
+    return q_of
+
+
+def action_values(mdp: OracleMdp, values: np.ndarray) -> np.ndarray:
+    """Per-row q(s,a) = r + gamma * E[v(s')] for a float64 value vector of
+    shape (num_states,); raises ValueError for another shape and IndexError
+    for a transition column outside [0, num_states)."""
+    return _kernel(mdp)(values)
 
 
 def _state_max(act_indptr: np.ndarray):
@@ -304,24 +293,19 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
                     max_sweeps: int = 100_000) -> ValueIterationResult:
     """Solve the MDP to max-norm tolerance tol; ties go to the lowest action.
 
-    One gather buffer and one index buffer, the size of action_values'
-    largest block, one set of block bounds and one _state_max serve every
-    sweep; the buffers and bounds also serve the greedy extraction.
+    One _kernel and one _state_max serve every sweep; the kernel also
+    serves the greedy extraction.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    cols = mdp.csr_cols
-    if cols.size and (cols.min() < 0 or cols.max() >= mdp.num_states):
-        raise IndexError(f"transition columns must lie in [0, {mdp.num_states})")
-    bounds = _row_blocks(mdp.csr_indptr)
-    largest = int(np.diff(mdp.csr_indptr[bounds]).max(initial=0))
-    buf = np.empty(largest, dtype=np.float64)
-    index = np.empty(largest, dtype=np.intp)
+    if not max_sweeps >= 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    q_of = _kernel(mdp)
     state_max = _state_max(mdp.act_indptr)
     v = np.zeros(mdp.num_states, dtype=np.float64)
     deltas = []
     for sweep in range(1, max_sweeps + 1):
-        v_new = state_max(action_values(mdp, v, buf, index, bounds))
+        v_new = state_max(q_of(v))
         delta = float(np.max(np.abs(v_new - v)))
         deltas.append(delta)
         v = v_new
@@ -332,7 +316,7 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
                            f"in {max_sweeps} sweeps")
     del state_max      # free its gathers: the extraction's arrays peak
     # lowest row among each state's maxima; rows run in action order
-    q = action_values(mdp, v, buf, index, bounds)
+    q = q_of(v)
     starts = mdp.act_indptr[:-1]
     is_max = q >= np.repeat(np.maximum.reduceat(q, starts), np.diff(mdp.act_indptr))
     best_rows = np.minimum.reduceat(np.where(is_max, np.arange(q.size), q.size),

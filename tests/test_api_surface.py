@@ -34,10 +34,10 @@ def _modules_after(code):
     return set(out.stdout.split())
 
 
-def _load_tracer():
-    """perfbench/tracer.py, loaded by path; nothing is patched."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  PERFBENCH / "tracer.py")
+def _load_perfbench(name):
+    """perfbench/<name>.py, loaded by path; nothing is patched."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -49,7 +49,7 @@ def test_every_exported_name_resolves():
 
 
 def test_benchmark_patch_targets_exist():
-    tracer = _load_tracer()
+    tracer = _load_perfbench("tracer")
     targets = tracer.qlsched_targets(tracer.Tracer())
     assert len(targets) >= 10
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in targets
@@ -70,6 +70,16 @@ def test_benchmark_package_reads_exist():
     assert {"parse_config", "run_plan", "build_oracle_mdp",
             "value_iteration"} <= names
     assert [name for name in sorted(names) if not hasattr(qlsched, name)] == []
+
+
+def test_benchmark_bellman_check_passes_on_solves(monkeypatch):
+    # the oracle_vi workload's own check, through action_values; (3, 4, 3)
+    # spans several kernel blocks
+    monkeypatch.syspath_prepend(str(PERFBENCH))      # run.py imports its siblings
+    run = _load_perfbench("run")
+    for shape in ((2, 2, 2), (3, 4, 3)):
+        model = mdp.build_oracle_mdp(*shape)
+        run.bellman_check(model, mdp.value_iteration(model, tol=1e-8), 1e-8)
 
 
 def test_oracle_process_loads_no_run_path_layer():

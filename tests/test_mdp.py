@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -215,22 +216,47 @@ def test_entry_count_of_one_slot_vms(k):
     # k VMs of one buffer slot and one class: a state with m busy VMs has
     # k - m rows of 2^m entries, and the all-busy state a defer row of 2^k
     want = k * 3 ** (k - 1) + 2**k
-    assert mdp._max_entries(k, 1, 1) == want
     assert build_oracle_mdp(k, 1, 1).csr_cols.size == want
 
 
 def test_entry_limit(monkeypatch):
-    # (10, 1, 1) has 1,024 states and 197,854 entries; the guard counts
-    # them before any per-busy-set table or entry array exists
+    # (10, 1, 1) has 1,024 states and 197,854 entries; the guard reads
+    # csr_indptr's count before any entry array exists
     monkeypatch.setattr(mdp, "MAX_ORACLE_ENTRIES", 197_853)
     with pytest.raises(CapacityError, match="197854 transition entries"):
         build_oracle_mdp(10, 1, 1)
     monkeypatch.setattr(mdp, "MAX_ORACLE_ENTRIES", 197_854)
     assert build_oracle_mdp(10, 1, 1).csr_cols.size == 197_854
     # (16, 1, 1) is under the state limit but would take 3.7 GB of
-    # entries: only its count is checked here, never a build
+    # entries; its per-kind table's 2^32 padded slots refuse it first
     assert 2**16 < mdp.MAX_ORACLE_STATES
-    assert mdp._max_entries(16, 1, 1) == 16 * 3**15 + 2**16 > mdp.MAX_ORACLE_ENTRIES
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="padded slots of the per-kind table"):
+        build_oracle_mdp(16, 1, 1)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_entry_limit_refuses_before_any_entry_array(monkeypatch):
+    # (3, 9, 4) has 4,713,728 entries: its csr_cols and csr_probs would
+    # take 56.6 MB, and a refused build peaks at about 9.3 MB
+    monkeypatch.setattr(mdp, "MAX_ORACLE_ENTRIES", 4_713_727)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="4713728 transition entries"):
+            build_oracle_mdp(3, 9, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_713_728 * 12 / 4
+
+
+def test_entry_limit_counts_the_exact_entries(monkeypatch):
+    # at p_c = 1 every busy VM departs, so a row keeps one departure mask:
+    # (3, 3, 2) has 2,312 entries, though its worst case (0 < p_c < 1) has 11,824
+    monkeypatch.setattr(mdp, "MAX_ORACLE_ENTRIES", 2_312)
+    assert build_oracle_mdp(3, 3, 2, p_c=1.0).csr_cols.size == 2_312
+    with pytest.raises(CapacityError, match="11824 transition entries"):
+        build_oracle_mdp(3, 3, 2, p_c=0.5)
 
 
 def test_padded_layout_limit(monkeypatch):
@@ -692,21 +718,28 @@ def test_greedy_ties_pick_lowest_row():
     assert value_iteration(m).policy[0] == 0
 
 
-def test_out_buffer_gives_the_same_bits_and_allocates_little():
+def test_kernel_call_allocates_only_q():
     m = build_oracle_mdp(3, 3, 3)
+    assert len(mdp._row_blocks(m.csr_indptr)) > 2          # more than one block
     v = np.random.default_rng(2).normal(size=m.num_states)
-    buf = np.empty(m.csr_cols.size)
-    index = np.empty(m.csr_cols.size, dtype=np.intp)
-    want = action_values(m, v)
-    got = action_values(m, v, out=buf, index=index)
-    assert got.tobytes() == want.tobytes()
     tracemalloc.start()
     try:
-        action_values(m, v, out=buf, index=index)
+        q_of = mdp._kernel(m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # a float64 and an intp buffer the size of one block, not of the kernel
+    assert held < 16 * mdp.KERNEL_BLOCK + 4096 < 16 * m.csr_cols.size
+    assert q_of(v).tobytes() == action_values(m, v).tobytes()
+    tracemalloc.start()
+    try:
+        q = q_of(v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < m.csr_probs.nbytes / 2
+    # no per-block gather, index or offset array: a block's rows alone
+    # would take several KiB
+    assert peak - q.nbytes < 4096
 
 
 def test_bad_transition_column_raises():
@@ -734,6 +767,21 @@ def test_value_iteration_rejects_a_tolerance_not_above_zero(tol):
         value_iteration(build_oracle_mdp(2, 2, 2), tol=tol)
 
 
+@pytest.mark.parametrize("max_sweeps", [0, -1])
+def test_value_iteration_rejects_max_sweeps_below_one(max_sweeps):
+    with pytest.raises(ValueError, match="max_sweeps"):
+        value_iteration(build_oracle_mdp(2, 2, 2), max_sweeps=max_sweeps)
+
+
+@pytest.mark.parametrize("size", [35, 37])
+def test_a_value_vector_of_the_wrong_shape_raises(size):
+    # the gather clips its indices, so a short vector would give wrong q
+    m = build_oracle_mdp(2, 2, 2)
+    assert m.num_states == 36
+    with pytest.raises(ValueError, match=r"shape \(36,\)"):
+        action_values(m, np.zeros(size))
+
+
 def solve_bytes(m):
     res = value_iteration(m)
     return res.values.tobytes(), res.policy.tobytes(), np.array(res.deltas).tobytes()
@@ -755,9 +803,6 @@ def test_kernel_bits_do_not_depend_on_the_block_size(monkeypatch):
         monkeypatch.setattr(mdp, "KERNEL_BLOCK", block)
         for m, v, q in zip(models, values, want_q):
             assert action_values(m, v).tobytes() == q, block
-            buf = np.empty(m.csr_cols.size)
-            index = np.empty(m.csr_cols.size, dtype=np.intp)
-            assert action_values(m, v, out=buf, index=index).tobytes() == q, block
         for m, want in zip(solved, want_solve):
             assert solve_bytes(m) == want, block
 
@@ -813,32 +858,21 @@ def test_state_max_matches_reduceat_bit_for_bit():
             assert state_max(q).tobytes() == want.tobytes()
 
 
-def test_value_iteration_reuses_one_buffer(monkeypatch):
-    def spy(mdp_, values, out=None, index=None, bounds=None):
-        buffers.append(out)
-        index_buffers.append(index)
-        bound_lists.append(bounds)
-        return action_values(mdp_, values, out, index, bounds)
+def test_value_iteration_builds_one_kernel(monkeypatch):
+    # the blocks, the column check and the buffers are set up once per
+    # solve; every sweep and the greedy extraction call that one kernel
+    def spy(mdp_):
+        q_of = kernel(mdp_)
+        kernels.append(q_of)
 
-    monkeypatch.setattr(mdp, "action_values", spy)
-    m = build_oracle_mdp(2, 2, 2)             # one block
-    buffers, index_buffers, bound_lists = [], [], []
-    res = value_iteration(m)
-    assert len(buffers) == res.sweeps + 1      # every sweep and the extraction
-    assert all(out is buffers[0] for out in buffers)
-    assert all(index is index_buffers[0] for index in index_buffers)
-    assert buffers[0].size == index_buffers[0].size == m.csr_probs.size
-    assert index_buffers[0].dtype == np.intp
+        def counted(values):
+            calls.append(len(kernels))
+            return q_of(values)
+        return counted
 
-    m = build_oracle_mdp(3, 4, 3)             # several blocks
-    assert m.csr_probs.size > mdp.KERNEL_BLOCK
-    buffers, index_buffers, bound_lists = [], [], []
-    res = value_iteration(m)
-    assert len(buffers) == res.sweeps + 1
-    assert all(out is buffers[0] for out in buffers)
-    assert all(index is index_buffers[0] for index in index_buffers)
-    # the block bounds are computed once per solve, not once per sweep
-    assert all(b is bound_lists[0] for b in bound_lists)
-    assert bound_lists[0] == mdp._row_blocks(m.csr_indptr)
-    largest = np.diff(m.csr_indptr[mdp._row_blocks(m.csr_indptr)]).max()
-    assert buffers[0].size == index_buffers[0].size == largest <= mdp.KERNEL_BLOCK
+    kernel = mdp._kernel
+    monkeypatch.setattr(mdp, "_kernel", spy)
+    for shape_ in ((2, 2, 2), (3, 4, 3)):          # one block, several blocks
+        kernels, calls = [], []
+        res = value_iteration(build_oracle_mdp(*shape_))
+        assert len(kernels) == 1 and calls == [1] * (res.sweeps + 1), shape_

@@ -228,6 +228,14 @@ def test_env_reuses_a_fresh_state(view):
     assert any(r.attempts > 1 for r in env.sim.records)
 
 
+@pytest.mark.parametrize("weights, message", [
+    ((2, 0.5), r"w_buffer must lie in \[0, 1\], got 2"),
+    ((0.5, -0.1), r"w_wait must lie in \[0, 1\], got -0.1")])
+def test_free_buffer_view_names_the_bad_weight(weights, message):
+    with pytest.raises(ValueError, match=message):
+        FreeBufferView(*weights)
+
+
 @pytest.mark.parametrize("ratio", [0.0, 0.3])
 def test_env_reset_draws_two_seeds_at_every_ratio(ratio):
     # the workload seed and the failure seed, even at ratio 0 where no
