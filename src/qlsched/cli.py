@@ -13,8 +13,8 @@ import sys
 import traceback
 from dataclasses import fields, replace
 
+from .config import ExperimentPlan, parse_config
 from .errors import ConfigError
-from .runner import ExperimentPlan, parse_config, run_plan
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,6 +62,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    from .runner import run_plan  # numpy and the simulator load here
     try:
         outputs = run_plan(plan)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

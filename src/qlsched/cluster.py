@@ -16,10 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_MAX_ATTEMPTS
 from .errors import BufferFullError
 from .workload import TaskSpec
-
-DEFAULT_MAX_ATTEMPTS = 10
 
 # Uniforms a failure hook takes from its generator per rng.random(n) call.
 FAILURE_DRAW_BLOCK = 64

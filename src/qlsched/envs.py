@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import DEFAULT_D_MAX, DEFAULT_L_CAP, DEFAULT_RANGE_MI, ScenarioConfig
 from .metrics import _mean_wait, completed
 from .simulate import Simulation
-from .workload import DEFAULT_D_MAX, ScenarioConfig, generate_workload
-
-DEFAULT_RANGE_MI = 10_000
-DEFAULT_L_CAP = 40
+from .workload import generate_workload
 
 
 def encode_state(cluster, range_mi: int = DEFAULT_RANGE_MI,

@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .envs import DEFAULT_L_CAP, DEFAULT_RANGE_MI, FreeBufferView, LengthAwareView
+from .config import DEFAULT_L_CAP, DEFAULT_RANGE_MI, POLICY_NAMES
+from .envs import FreeBufferView, LengthAwareView
 from .qlearn import QTable, select_action
 
 
@@ -108,7 +109,7 @@ def _qsch_selector(plan, trained):
     return lambda cluster, rng: agent.select(cluster, rng)
 
 
-# Append only: a policy's index in POLICY_NAMES seeds its generators.
+# Append only, in config.POLICY_NAMES order: a policy's index seeds its draws.
 POLICIES = {
     "random": Policy(None, lambda plan, trained: random_select),
     "fifo": Policy(None, lambda plan, trained: fifo_select),
@@ -122,4 +123,5 @@ POLICIES = {
         lambda plan, trained: QlearnPolicy(trained.table, plan.range_mi,
                                            plan.l_cap)),
 }
-POLICY_NAMES = tuple(POLICIES)
+if tuple(POLICIES) != POLICY_NAMES:
+    raise RuntimeError(f"POLICIES {tuple(POLICIES)} != POLICY_NAMES {POLICY_NAMES}")

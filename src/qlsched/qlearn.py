@@ -13,32 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_fields
-
-DEFAULT_LR_EXPONENT = 0.65
-
-
-@dataclass
-class LearnerConfig:
-    gamma: float = 0.9
-    epsilon0: float = 1.0
-    total_cycles: int = 10_000
-    repeater_threshold: int = 500
-    lr_exponent: float = DEFAULT_LR_EXPONENT
-
-    def __post_init__(self):
-        check_fields(self)
-        # range checks are written so that NaN fails them
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError("gamma must be in (0, 1)")
-        if not (0.0 <= self.epsilon0 <= 1.0):
-            raise ConfigError("epsilon0 must be in [0, 1]")
-        if not self.total_cycles >= 1:
-            raise ConfigError("total_cycles must be a positive integer")
-        if not self.repeater_threshold >= 1:
-            raise ConfigError("repeater_threshold must be a positive integer")
-        if not self.lr_exponent > 0:
-            raise ConfigError("lr_exponent must be > 0")
+from .config import DEFAULT_LR_EXPONENT, LearnerConfig
 
 
 def learning_rate(visits: int, exponent: float = DEFAULT_LR_EXPONENT) -> float:

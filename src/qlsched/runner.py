@@ -1,4 +1,4 @@
-"""Experiment plans: config parsing, sweep execution and CSV reports.
+"""Experiment plans: sweep execution and CSV reports.
 
 A plan crosses task counts, buffer sizes and failure ratios over a set
 of policies. Learning policies are trained once per sweep point on
@@ -16,122 +16,21 @@ from __future__ import annotations
 import csv
 import logging
 import os
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import get_type_hints
 
 import numpy as np
-import yaml
 
-from .cluster import DEFAULT_MAX_ATTEMPTS, VmSpec
-from .envs import DEFAULT_L_CAP, DEFAULT_RANGE_MI, SimulationEnv
-from .errors import ConfigError, check_fields
+from .cluster import VmSpec
+from .config import POLICY_NAMES, ExperimentPlan, _fmt
+from .envs import SimulationEnv
 from .metrics import aggregate, build_report
-from .policies import POLICIES, POLICY_NAMES
-from .qlearn import LearnerConfig, export_qtable, train
+from .policies import POLICIES
+from .qlearn import export_qtable, train
 from .simulate import run_policy_simulation
-from .workload import DEFAULT_D_MAX, ScenarioConfig, generate_workload
+from .workload import generate_workload
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class ExperimentPlan:
-    scenario: ScenarioConfig
-    policies: list[str] = field(default_factory=lambda: list(POLICY_NAMES))
-    task_counts: list[int] | None = None
-    buffer_sizes: list[int] | None = None
-    failure_ratios: list[float] = field(default_factory=lambda: [0.0])
-    replications: int = 20
-    seed: int = 1
-    learner: LearnerConfig = field(default_factory=LearnerConfig)
-    slot_seconds: float = 1.0
-    range_mi: int = DEFAULT_RANGE_MI
-    l_cap: int = DEFAULT_L_CAP
-    arrival_dmax: int = DEFAULT_D_MAX
-    qsch_w_buffer: float = 0.5
-    qsch_w_wait: float = 0.5
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
-    out_dir: str | None = None
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.task_counts is None:
-            self.task_counts = [self.scenario.num_tasks]
-        if self.buffer_sizes is None:
-            self.buffer_sizes = [self.scenario.buffer_max]
-        for name in self.policies:
-            if name not in POLICY_NAMES:
-                raise ConfigError(f"unknown policy {name!r} in policies "
-                                  f"(choose from {POLICY_NAMES})")
-        # range checks are written so that NaN fails them
-        if not all(t >= 1 for t in self.task_counts):
-            raise ConfigError("task_counts entries must be >= 1")
-        if not all(b >= 1 for b in self.buffer_sizes):
-            raise ConfigError("buffer_sizes entries must be >= 1")
-        if any(not (0.0 <= f <= 1.0) for f in self.failure_ratios):
-            raise ConfigError("failure_ratios entries must lie in [0, 1]")
-        # a point's ratio reaches its CSV rows and its q-table file names
-        for spelled in ({_fmt(float(f)) for f in self.failure_ratios},
-                        {f"{f:g}" for f in self.failure_ratios}):
-            if len(spelled) < len(self.failure_ratios):
-                raise ConfigError(f"failure_ratios entries must print apart in "
-                                  f"the outputs, got {self.failure_ratios!r}")
-        if not (0.0 <= self.qsch_w_buffer <= 1.0):
-            raise ConfigError("qsch_w_buffer must lie in [0, 1]")
-        if not (0.0 <= self.qsch_w_wait <= 1.0):
-            raise ConfigError("qsch_w_wait must lie in [0, 1]")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if not self.slot_seconds > 0:
-            raise ConfigError("slot_seconds must be > 0")
-        if self.range_mi <= 0:
-            raise ConfigError("range_mi must be > 0")
-        if self.l_cap < 0:
-            raise ConfigError("l_cap must be >= 0")
-        if self.arrival_dmax < 1:
-            raise ConfigError("arrival_dmax must be >= 1")
-        if not self.scenario.arrival_mean <= self.arrival_dmax:
-            raise ConfigError(f"arrival_mean must be <= arrival_dmax "
-                              f"({self.arrival_dmax}): the per-slot count is "
-                              f"Binomial(arrival_dmax, mean / arrival_dmax)")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-
-
-def parse_config(path: str) -> ExperimentPlan:
-    """Load a YAML plan file; unknown and missing keys raise ConfigError
-    naming them by dotted path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    return _build(ExperimentPlan, raw, "")
-
-
-def _build(cls, raw, prefix: str):
-    """Construct dataclass `cls` from mapping `raw`, building each field
-    typed as a dataclass from its own sub-mapping."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a mapping "
-                          f"of keys to values, got {raw!r}")
-    hints = get_type_hints(cls)
-    for key in raw:
-        if key not in hints:
-            raise ConfigError(f"unknown config key: {prefix}{key}")
-    kwargs = dict(raw)
-    for f in fields(cls):
-        if f.name not in raw:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"missing config key: {prefix}{f.name}")
-        elif is_dataclass(hints[f.name]):
-            kwargs[f.name] = _build(hints[f.name], raw[f.name], f"{prefix}{f.name}.")
-    return cls(**kwargs)
 
 
 SUMMARY_COLS = ("policy", "tasks", "buffer", "failure_ratio", "replications",
@@ -277,14 +176,6 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
     if out_dir:
         _write_outputs(outputs, plan.scenario.num_vms, out_dir)
     return outputs
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.6f}"
-    return str(x)
 
 
 def _write_outputs(outputs: RunOutputs, num_vms: int, out_dir: str):

@@ -9,7 +9,6 @@ by a binomial count per slot, drawn iid or from a sticky Markov chain.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import comb
@@ -17,10 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, check_fields
-
-DEFAULT_D_MAX = 5
-ARRIVAL_MODES = ("iid", "markov")
+from .config import DEFAULT_D_MAX, ScenarioConfig
+from .errors import ConfigError
 
 # generate_workload gives up if the arrival rows yield this many empty
 # slots in a row (e.g. a mean so small the count is always zero).
@@ -36,42 +33,6 @@ class TaskSpec(NamedTuple):
     id: int
     arrival_slot: int
     length: int
-
-
-@dataclass
-class ScenarioConfig:
-    """Static description of one simulated scenario."""
-
-    num_tasks: int
-    length_min: int
-    length_max: int
-    num_vms: int
-    vm_mips: float
-    buffer_min: int = 5
-    buffer_max: int = 15
-    num_pes: int = 1
-    arrival_mode: str = "iid"
-    arrival_mean: float = 1.0
-
-    def __post_init__(self):
-        check_fields(self)
-        # range checks are written so that NaN fails them
-        if not self.num_tasks >= 1:
-            raise ConfigError("num_tasks must be >= 1")
-        if not (0 < self.length_min <= self.length_max):
-            raise ConfigError("need 0 < length_min <= length_max")
-        if not self.num_vms >= 1:
-            raise ConfigError("num_vms must be >= 1")
-        if not self.vm_mips > 0:
-            raise ConfigError("vm_mips must be > 0")
-        if not (1 <= self.buffer_min <= self.buffer_max):
-            raise ConfigError("need 1 <= buffer_min <= buffer_max")
-        if not self.num_pes >= 1:
-            raise ConfigError("num_pes must be >= 1")
-        if self.arrival_mode not in ARRIVAL_MODES:
-            raise ConfigError(f"arrival_mode must be one of {ARRIVAL_MODES}")
-        if not self.arrival_mean > 0:
-            raise ConfigError("arrival_mean must be > 0")
 
 
 # Weight of the previous slot's count in a sticky Markov arrival row.

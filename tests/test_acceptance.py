@@ -19,21 +19,21 @@ from oracle_helpers import (
     reachable_from_empty,
 )
 from qlsched.cluster import ClusterState, CompletionRecord, VmSpec
+from qlsched.config import LearnerConfig, ScenarioConfig, parse_config
 from qlsched.envs import encode_state, reward
 from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.metrics import build_report
 from qlsched.policies import fifo_select
 from qlsched.qlearn import (
-    LearnerConfig,
     QTable,
     decay_epsilon,
     learning_rate,
     train,
     update_q,
 )
-from qlsched.runner import parse_config, run_plan
+from qlsched.runner import run_plan
 from qlsched.simulate import run_policy_simulation
-from qlsched.workload import ScenarioConfig, TaskSpec, generate_workload
+from qlsched.workload import TaskSpec, generate_workload
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 

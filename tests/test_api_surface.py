@@ -21,16 +21,22 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 RUN_PATH = {f"qlsched.{name}" for name in ("cluster", "envs", "metrics", "policies",
                                            "qlearn", "runner", "simulate", "workload")}
+# what parsing a plan may load besides the standard library and PyYAML
+PARSE_PATH = {"qlsched", "qlsched.config", "qlsched.errors"}
 
 
-def _modules_after(code):
-    """The sys.modules keys of a fresh interpreter that imported qlsched
-    and then ran `code` from the repository root."""
+def _child(code, check=True):
+    """A fresh interpreter, run on `code` from the repository root."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", f"import sys\nimport qlsched\n{code}\nprint(*sys.modules)"],
-        cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=check)
+
+
+def _modules_after(code, prelude="import qlsched"):
+    """The sys.modules keys of a fresh interpreter that ran `prelude` and
+    then `code` from the repository root."""
+    out = _child(f"import sys\n{prelude}\n{code}\nprint(*sys.modules)")
     return set(out.stdout.split())
 
 
@@ -85,13 +91,37 @@ def test_benchmark_bellman_check_passes_on_solves(monkeypatch):
 def test_oracle_process_loads_no_run_path_layer():
     loaded = _modules_after("qlsched.build_oracle_mdp(2, 2, 2)")
     assert "qlsched.mdp" in loaded
-    assert sorted(loaded & (RUN_PATH | {"yaml"})) == []
+    assert sorted(loaded & (RUN_PATH | {"qlsched.config", "yaml"})) == []
 
 
 def test_config_process_loads_no_oracle():
     loaded = _modules_after('qlsched.parse_config("configs/scenario1.yaml")')
-    assert {"qlsched.runner", "yaml"} <= loaded
-    assert "qlsched.mdp" not in loaded
+    assert {"qlsched.config", "yaml"} <= loaded
+    assert sorted(loaded & (RUN_PATH | {"numpy", "qlsched.mdp"})) == []
+    # everything else a bare interpreter loads on `import yaml` (which
+    # includes the start-up modules and PyYAML's extension) or the stdlib
+    allowed = PARSE_PATH | _modules_after("", prelude="import yaml")
+    extra = {name for name in loaded - allowed
+             if name.partition(".")[0] not in sys.stdlib_module_names}
+    assert sorted(extra) == []
+
+
+def test_bad_plan_exits_1_before_numpy(tmp_path):
+    plan = tmp_path / "plan.yaml"
+    plan.write_text("spindle: 3\n")
+    loaded = _modules_after("from qlsched.cli import main\n"
+                            f"assert main(['run', '--config', {str(plan)!r}]) == 1")
+    assert "qlsched.config" in loaded
+    assert sorted(loaded & (RUN_PATH | {"numpy"})) == []
+
+
+def test_registry_and_names_that_drift_apart_fail_the_import():
+    # a name added to config.POLICY_NAMES without its POLICIES entry
+    out = _child("import qlsched.config as config\n"
+                 "config.POLICY_NAMES += ('lwl',)\n"
+                 "import qlsched.policies", check=False)
+    assert out.returncode == 1
+    assert "RuntimeError" in out.stderr and "'lwl'" in out.stderr
 
 
 def test_exports_are_their_home_module_objects():

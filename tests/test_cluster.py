@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qlsched.cluster import (DEFAULT_MAX_ATTEMPTS, ClusterState,
-                             CompletionRecord, FailureOutcome, VmSpec,
-                             _fate, failure_hook)
+from qlsched.cluster import (ClusterState, CompletionRecord, FailureOutcome,
+                             VmSpec, _fate, failure_hook)
+from qlsched.config import DEFAULT_MAX_ATTEMPTS
 from qlsched.errors import BufferFullError
 from qlsched.workload import TaskSpec
 

@@ -17,7 +17,8 @@ from oracle_helpers import (feasible_actions, index_state, reachable_from_empty,
                             state_index)
 from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
-from qlsched.envs import DEFAULT_L_CAP, LengthAwareView, encode_state, reward
+from qlsched.config import DEFAULT_L_CAP
+from qlsched.envs import LengthAwareView, encode_state, reward
 from qlsched.errors import CapacityError
 from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.workload import TaskSpec

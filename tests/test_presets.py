@@ -16,7 +16,8 @@ import sys
 
 import pytest
 
-from qlsched.runner import parse_config, run_plan
+from qlsched.config import parse_config
+from qlsched.runner import run_plan
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 

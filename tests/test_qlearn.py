@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from oracle_helpers import OracleEnv, state_index
+from qlsched.config import LearnerConfig
 from qlsched.errors import ConfigError
 from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.qlearn import (
     ConvergenceMonitor,
-    LearnerConfig,
     QTable,
     check_convergence,
     decay_epsilon,
@@ -380,7 +380,7 @@ class TestTrain:
         # test comes first, so the stop is "stable", not "budget".
         from qlsched.cluster import VmSpec
         from qlsched.envs import LengthAwareView, SimulationEnv
-        from qlsched.workload import ScenarioConfig
+        from qlsched.config import ScenarioConfig
 
         scenario = ScenarioConfig(num_tasks=4, length_min=1000, length_max=5000,
                                   num_vms=2, vm_mips=1000, buffer_min=2, buffer_max=2)
@@ -531,7 +531,7 @@ class _ReferenceLearner:
 def test_train_matches_reference_learner(view_name, failure_ratio):
     from qlsched.cluster import VmSpec
     from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
-    from qlsched.workload import ScenarioConfig
+    from qlsched.config import ScenarioConfig
 
     scenario = ScenarioConfig(num_tasks=30, length_min=500, length_max=8000,
                               num_vms=3, vm_mips=1000, buffer_min=3, buffer_max=3,
@@ -566,7 +566,7 @@ def test_trained_rows_hold_one_slot_per_vm(view_name):
     from qlsched.cluster import VmSpec
     from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
     from qlsched.policies import QschAgent
-    from qlsched.workload import ScenarioConfig
+    from qlsched.config import ScenarioConfig
 
     scenario = ScenarioConfig(num_tasks=20, length_min=500, length_max=8000,
                               num_vms=3, vm_mips=1000, buffer_min=2, buffer_max=2)

@@ -12,11 +12,10 @@ import yaml
 
 from qlsched import runner
 from qlsched.cli import main
+from qlsched.config import (ExperimentPlan, LearnerConfig, ScenarioConfig, _build,
+                            parse_config)
 from qlsched.errors import ConfigError
-from qlsched.qlearn import LearnerConfig
-from qlsched.runner import (ExperimentPlan, RunOutputs, parse_config, run_plan,
-                            run_point, sweep_points)
-from qlsched.workload import ScenarioConfig
+from qlsched.runner import RunOutputs, run_plan, run_point, sweep_points
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -104,6 +103,37 @@ def test_learner_gamma_out_of_range_named(tmp_path):
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config("/nonexistent/plan.yaml")
+
+
+def test_cli_non_utf8_config_names_the_file(tmp_path, capsys):
+    path = tmp_path / "plan.yaml"
+    path.write_bytes(b"seed: 7\nreplications: \xff\n")
+    assert main(["run", "--config", str(path)]) == 1
+    assert f"config error: config file {path} is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("scenario: {num_tasks: 4, length_min: 1, length_max: 2, num_vms: 1, "
+     "vm_mips: 1}\nseed: 7\nreplications: 2\nseed: 8\n",
+     "duplicate config key 'seed' at line 4"),
+    ("seed: 7\nscenario:\n  num_tasks: 4\n  num_vms: 2\n  length_min: 1\n"
+     "  length_max: 2\n  vm_mips: 1\n  num_vms: 3\n",
+     "duplicate config key 'num_vms' at line 8"),
+], ids=["top_level", "in_scenario"])
+def test_repeated_key_named_with_its_line(tmp_path, text, message):
+    # yaml.safe_load would keep the last value silently
+    path = tmp_path / "plan.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(str(path))
+
+
+@pytest.mark.parametrize("preset", sorted(os.listdir(CONFIG_DIR)))
+def test_presets_parse_as_safe_load_reads_them(preset):
+    path = os.path.join(CONFIG_DIR, preset)
+    with open(path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    assert parse_config(path) == _build(ExperimentPlan, raw, "")
 
 
 def test_non_mapping_config_rejected(tmp_path):
@@ -480,7 +510,7 @@ def test_cli_schema_table_exit_1(tmp_path, capsys, monkeypatch, preset):
     def accepted(plan):
         raise RuntimeError("config accepted")
 
-    monkeypatch.setattr("qlsched.cli.run_plan", accepted)
+    monkeypatch.setattr("qlsched.runner.run_plan", accepted)
     with open(os.path.join(CONFIG_DIR, preset), encoding="utf-8") as fh:
         base = yaml.safe_load(fh)
     cases = []

@@ -11,11 +11,12 @@ import pytest
 import reference_sim
 from qlsched import simulate
 from qlsched.cluster import FAILURE_DRAW_BLOCK, VmSpec, _fate
+from qlsched.config import ScenarioConfig
 from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
 from qlsched.policies import (fifo_select, greedy_select, mixed_select,
                                random_select)
 from qlsched.simulate import Simulation, run_policy_simulation
-from qlsched.workload import ScenarioConfig, TaskSpec
+from qlsched.workload import TaskSpec
 
 
 def specs(num_vms=2, capacity=3, mips=1000.0, pes=1):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qlsched.config import ScenarioConfig
 from qlsched.errors import ConfigError
-from qlsched.workload import ScenarioConfig, TaskSpec, _cum_rows, generate_workload
+from qlsched.workload import TaskSpec, _cum_rows, generate_workload
 
 
 def scenario(**over):
