@@ -62,13 +62,10 @@ def _check(name: str, hint, value):
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
-def _fmt(x) -> str:
-    """A value as the output CSVs print it."""
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.6f}"
-    return str(x)
+def csv_cell(x) -> str:
+    """A value as the output CSVs print it: runner writes every cell with it,
+    and ExperimentPlan checks that failure_ratios stay apart in it."""
+    return "" if x is None else f"{x:.6f}" if isinstance(x, float) else str(x)
 
 
 @dataclass
@@ -167,7 +164,7 @@ class ExperimentPlan:
         if any(not (0.0 <= f <= 1.0) for f in self.failure_ratios):
             raise ConfigError("failure_ratios entries must lie in [0, 1]")
         # a point's ratio reaches its CSV rows and its q-table file names
-        for spelled in ({_fmt(float(f)) for f in self.failure_ratios},
+        for spelled in ({csv_cell(float(f)) for f in self.failure_ratios},
                         {f"{f:g}" for f in self.failure_ratios}):
             if len(spelled) < len(self.failure_ratios):
                 raise ConfigError(f"failure_ratios entries must print apart in "

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_D_MAX, DEFAULT_L_CAP, DEFAULT_RANGE_MI, ScenarioConfig
+from .config import (DEFAULT_D_MAX, DEFAULT_L_CAP, DEFAULT_MAX_ATTEMPTS,
+                     DEFAULT_RANGE_MI, ScenarioConfig)
 from .metrics import _mean_wait, completed
 from .simulate import Simulation
 from .workload import generate_workload
@@ -126,7 +127,7 @@ class SimulationEnv:
 
     def __init__(self, scenario: ScenarioConfig, vm_specs, view,
                  slot_seconds: float = 1.0, failure_ratio: float = 0.0,
-                 max_attempts: int = 10, d_max: int = DEFAULT_D_MAX):
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS, d_max: int = DEFAULT_D_MAX):
         self.scenario = scenario
         self.vm_specs = list(vm_specs)
         self.view = view

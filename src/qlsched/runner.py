@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .cluster import VmSpec
-from .config import POLICY_NAMES, ExperimentPlan, _fmt
+from .config import POLICY_NAMES, ExperimentPlan, csv_cell
 from .envs import SimulationEnv
 from .metrics import aggregate, build_report
 from .policies import POLICIES
@@ -188,7 +188,7 @@ def _write_outputs(outputs: RunOutputs, num_vms: int, out_dir: str):
                   encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(cols)
-            w.writerows([_fmt(r[c]) for c in cols] for r in rows)
+            w.writerows([csv_cell(r[c]) for c in cols] for r in rows)
     for fname, text in outputs.qtables.items():
         with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
             fh.write(text)

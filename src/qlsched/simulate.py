@@ -15,7 +15,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .cluster import DEFAULT_MAX_ATTEMPTS, ClusterState, VmSpec, failure_hook
+from .cluster import ClusterState, VmSpec, failure_hook
+from .config import DEFAULT_MAX_ATTEMPTS
 from .workload import TaskSpec
 
 

@@ -270,4 +270,6 @@ def test_policy_name_registry():
     # append only: a policy's index seeds its training and evaluation draws
     assert POLICY_NAMES[:6] == ("random", "fifo", "mixed", "greedy", "qsch", "qlearn")
     assert tuple(POLICIES) == POLICY_NAMES
+    # a new policy extends this pin and leaves the six indices above as they are
+    assert len(POLICY_NAMES) == 6
     assert {name for name, p in POLICIES.items() if p.learns} == {"qsch", "qlearn"}
