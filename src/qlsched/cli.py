@@ -65,6 +65,9 @@ def main(argv=None) -> int:
     from .runner import run_plan  # numpy and the simulator load here
     try:
         outputs = run_plan(plan)
+    except ConfigError as exc:    # an out_dir that is not a directory
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         if args.verbose:
             traceback.print_exc()

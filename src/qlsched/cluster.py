@@ -12,6 +12,8 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import compress
+from operator import lt, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -105,15 +107,17 @@ def failure_hook(failure_ratio: float, seed,
 
 
 class _Queued:
-    """One buffered task instance plus its service bookkeeping."""
+    """One buffered task instance plus its service bookkeeping.
+
+    admit builds each entry with object.__new__ and sets every slot, as
+    an __init__ would but without its Python-level frame; finish is the
+    completion instant once in service, else None.
+    """
 
     __slots__ = ("task", "admit_time", "attempt", "finish")
 
-    def __init__(self, task, admit_time, attempt):
-        self.task = task
-        self.admit_time = admit_time
-        self.attempt = attempt
-        self.finish = None    # completion instant once in service
+
+_alloc = object.__new__
 
 
 class VmState:
@@ -145,6 +149,7 @@ class ClusterState:
         # instant); admit and advance_to_next_event are its only writers.
         self.events: list[tuple] = []
         self._capacities = tuple(s.buffer_capacity for s in vm_specs)
+        self._indices = range(len(vm_specs))
         # The only record of each VM's occupied buffer count and queued
         # length; admit and advance_to_next_event keep both up to date.
         self._occupied = [0] * len(vm_specs)
@@ -165,14 +170,15 @@ class ClusterState:
         return self._occupied, self._assigned
 
     def free_counts(self) -> list[int]:
-        return [cap - n for cap, n in zip(self._capacities, self._occupied)]
+        return list(map(sub, self._capacities, self._occupied))
 
     def capacities(self) -> tuple[int, ...]:
         return self._capacities
 
     def feasible_vms(self) -> list[int]:
-        caps = self._capacities
-        return [i for i, n in enumerate(self._occupied) if n < caps[i]]
+        """Indices of the VMs with a free buffer slot, ascending."""
+        return list(compress(self._indices, map(lt, self._occupied,
+                                                self._capacities)))
 
     def has_free_buffer(self) -> bool:
         return self._free > 0
@@ -217,7 +223,11 @@ class ClusterState:
                 f"VM {vm_index} buffer at capacity {caps[vm_index]}")
         vm = self.vms[vm_index]
         clock = self.clock
-        entry = _Queued(task, clock, self._retries.pop(task.id, 1))
+        retries = self._retries
+        entry = _alloc(_Queued)
+        entry.task = task
+        entry.admit_time = clock
+        entry.attempt = retries.pop(task.id, 1) if retries else 1
         vm.queue.append(entry)
         occupied[vm_index] += 1
         self._assigned[vm_index] += task.length
@@ -230,6 +240,7 @@ class ClusterState:
             busy[pe] = entry
             heappush(self.events, (finish, vm_index, pe, entry))
         else:
+            entry.finish = None
             vm.waiting.append(entry)
         assert (0 <= occupied[vm_index] == len(vm.queue) <= caps[vm_index]
                 and self._assigned[vm_index] >= 0

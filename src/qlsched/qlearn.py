@@ -70,12 +70,20 @@ class QTable:
         return 0 if row is None else row[action]
 
     def greedy(self, state, actions=None) -> int:
-        """Lowest-index argmax over the state's feasible actions."""
+        """Lowest-index argmax over the state's feasible actions.
+
+        actions (by default the state's recorded feasible set) must be
+        distinct action indices in ascending order, as
+        ClusterState.feasible_vms returns them: when it is as long as the
+        row it is every action, and the argmax is taken over the row.
+        """
         if actions is None:
             actions = self._feasible[state]
         row = self._q.get(state)
         if row is None:
             return actions[0]
+        if len(actions) == len(row):
+            return row.index(max(row))
         return max(actions, key=row.__getitem__)   # the first maximum wins
 
 
@@ -85,6 +93,10 @@ def select_action(state, table: QTable, epsilon: float,
 
     With probability epsilon the action is uniform over `actions`;
     otherwise the q-argmax, with exact ties broken uniformly at random.
+    `actions` must be distinct action indices in ascending order, as
+    ClusterState.feasible_vms returns them: when it is as long as the
+    state's row it is every action, and a unique argmax is read off the
+    row without indexing it action by action.
     """
     if len(actions) == 1:
         return actions[0]
@@ -93,7 +105,12 @@ def select_action(state, table: QTable, epsilon: float,
     row = table._q.get(state)
     if row is None:
         return actions[int(rng.integers(len(actions)))]
-    best = max([row[a] for a in actions])
+    if len(actions) == len(row):
+        best = max(row)
+        if row.count(best) == 1:
+            return row.index(best)
+    else:
+        best = max([row[a] for a in actions])
     ties = [a for a in actions if row[a] == best]
     if len(ties) == 1:
         return ties[0]
@@ -109,14 +126,22 @@ def update_q(table: QTable, state, action, reward_value: float, next_state,
     the bootstrap is the max over the next state's feasible actions, and
     the visit count then increments. The state must have been ensure()d.
     The rows are read directly: an unseen next state bootstraps 0, and
-    the greedy action is QTable.greedy's, the first maximum.
+    the greedy action is QTable.greedy's, the first maximum. next_actions
+    and the state's recorded feasible set follow select_action's
+    contract: distinct, ascending, and every action when as long as the
+    row, in which case the max is taken over the whole row.
     """
     q_rows = table._q
     visits = table._visits[state]
     n = visits[action]
     beta = learning_rate(n, lr_exponent)
     next_row = q_rows.get(next_state)
-    best_next = 0.0 if next_row is None else max([next_row[a] for a in next_actions])
+    if next_row is None:
+        best_next = 0.0
+    elif len(next_actions) == len(next_row):
+        best_next = max(next_row)
+    else:
+        best_next = max([next_row[a] for a in next_actions])
     target = reward_value + gamma * best_next
     row = q_rows[state]
     new_q = (1.0 - beta) * row[action] + beta * target
@@ -124,7 +149,9 @@ def update_q(table: QTable, state, action, reward_value: float, next_state,
     visits[action] = n + 1
     assert abs(new_q) <= 1.0 / (1.0 - gamma) + 1e-9, \
         f"|q|={new_q} escapes the reward bound"
-    table.greedy_map[state] = max(table._feasible[state], key=row.__getitem__)
+    feasible = table._feasible[state]
+    table.greedy_map[state] = (row.index(max(row)) if len(feasible) == len(row)
+                               else max(feasible, key=row.__getitem__))
     return new_q
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .cluster import VmSpec
 from .config import POLICY_NAMES, ExperimentPlan, csv_cell
 from .envs import SimulationEnv
+from .errors import ConfigError
 from .metrics import aggregate, build_report
 from .policies import POLICIES
 from .qlearn import export_qtable, train
@@ -168,8 +169,14 @@ def run_point(plan: ExperimentPlan, point) -> RunOutputs:
 
 
 def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
-    """Execute the full sweep; write CSVs when an output directory is set."""
+    """Execute the full sweep; write CSVs when an output directory is set.
+
+    An output directory that exists as something other than a directory
+    raises ConfigError before the first point runs.
+    """
     out_dir = out_dir if out_dir is not None else plan.out_dir
+    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError(f"out_dir {out_dir!r} exists and is not a directory")
     outputs = RunOutputs()
     for point in sweep_points(plan):
         outputs.extend(run_point(plan, point))

@@ -84,12 +84,20 @@ class Simulation:
         self.cluster.admit(self._queue.popleft(), vm_index)
 
     def drain(self, policy, rng: np.random.Generator | None = None):
-        """Run to completion, consulting policy(cluster, rng) per admission."""
-        while True:
-            task = self.next_decision()
-            if task is None:
-                return self.records
-            self.apply(policy(self.cluster, rng))
+        """Run to completion, consulting policy(cluster, rng) per admission.
+
+        Each decision is next_decision(), the policy, then what apply()
+        does, with the methods bound once per run from the instance, so
+        a patch of ClusterState made before the run is the one called.
+        """
+        cluster = self.cluster
+        admit = cluster.admit
+        next_decision = self.next_decision
+        popleft = self._queue.popleft
+        while next_decision() is not None:
+            vm_index = policy(cluster, rng)
+            admit(popleft(), vm_index)
+        return self.records
 
 
 def run_policy_simulation(vm_specs, workload, policy,

@@ -13,9 +13,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import qlsched
 from qlsched import mdp
+from qlsched.cluster import ClusterState, VmSpec
+from qlsched.config import ScenarioConfig
+from qlsched.envs import LengthAwareView, SimulationEnv
+from qlsched.policies import random_select
 from qlsched.qlearn import QTable
+from qlsched.simulate import Simulation, run_policy_simulation
+from qlsched.workload import generate_workload
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -135,3 +143,58 @@ def test_exports_are_their_home_module_objects():
         # looked up at every use, never cached, so a patch of the home
         # module shows through the package and is gone once undone
         assert name not in vars(qlsched), name
+
+
+def test_patched_cluster_methods_see_every_admission_and_event(monkeypatch):
+    # perfbench counts admissions and events by patching these two
+    # methods on the class; a run path that bound them elsewhere (say at
+    # import) would drop calls from the traced counts
+    counts = {"admit": 0, "event": 0, "requeued": 0}
+    admit, advance = ClusterState.admit, ClusterState.advance_to_next_event
+
+    def counting_admit(self, task, vm_index):
+        counts["admit"] += 1
+        return admit(self, task, vm_index)
+
+    def counting_advance(self, outcome=None):
+        records, requeued = advance(self, outcome)
+        counts["event"] += 1
+        counts["requeued"] += len(requeued)
+        return records, requeued
+
+    monkeypatch.setattr(ClusterState, "admit", counting_admit)
+    monkeypatch.setattr(ClusterState, "advance_to_next_event", counting_advance)
+    scenario = ScenarioConfig(num_tasks=60, length_min=500, length_max=6000,
+                              num_vms=3, vm_mips=1000, buffer_min=2,
+                              buffer_max=2, num_pes=2)
+    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2, pes=2)
+                for i in range(3)]
+    workload = generate_workload(scenario, 5)
+
+    def expect_balanced(tasks):
+        assert counts["requeued"] > 0
+        assert counts["admit"] == tasks + counts["requeued"]
+        assert counts["event"] == counts["admit"]
+        counts.update(admit=0, event=0, requeued=0)
+
+    failures = dict(failure_ratio=0.3, failure_seed=[7, 1])
+    drained = run_policy_simulation(vm_specs, workload, random_select,
+                                    policy_rng=np.random.default_rng(7),
+                                    **failures)
+    expect_balanced(len(workload))
+
+    rng = np.random.default_rng(7)
+    sim = Simulation(vm_specs, workload, **failures)
+    while sim.next_decision() is not None:
+        sim.apply(random_select(sim.cluster, rng))
+    assert sim.records == drained
+    expect_balanced(len(workload))
+
+    env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 3),
+                        failure_ratio=0.3)
+    rng = np.random.default_rng(8)
+    _, actions = env.reset(rng)
+    terminal = False
+    while not terminal:
+        _, _, actions, terminal = env.step(actions[int(rng.integers(len(actions)))], rng)
+    expect_balanced(scenario.num_tasks)

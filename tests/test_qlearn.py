@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracle_helpers import OracleEnv, state_index
-from qlsched.config import LearnerConfig
+from qlsched.config import DEFAULT_LR_EXPONENT, LearnerConfig
 from qlsched.errors import ConfigError
 from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.qlearn import (
@@ -524,6 +526,68 @@ class _ReferenceLearner:
             monitor.best_action_snapshot = dict(self.greedy_map)
             monitor.repeater += 1
         return cycles, stop_reason, trace
+
+
+_VALUES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0])   # exact ties
+_MASKS = st.one_of(st.just([True] * 4),
+                   st.lists(st.booleans(), min_size=4, max_size=4).filter(any))
+
+
+def _hex_rows(rows):
+    return {state: [x.hex() for x in row] for state, row in rows.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_VALUES, min_size=4, max_size=4),
+       mask=_MASKS,
+       visits=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+       next_values=st.lists(_VALUES, min_size=4, max_size=4),
+       next_mask=_MASKS,
+       next_kind=st.sampled_from(["other", "self", "unseen"]),
+       epsilon=st.sampled_from([0.0, 0.5]),
+       reward_value=st.sampled_from([-1.0, 0.0, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+# every feasible entry negative while an infeasible one keeps its
+# untouched 0.0: a max over the whole row would pick the wrong action
+# and bootstrap 0
+@example(values=[-0.5, 0.0, -1.0, -0.5], mask=[True, False, True, True],
+         visits=[1, 0, 1, 1], next_values=[-0.5, 0.0, -1.0, -0.25],
+         next_mask=[True, False, True, True], next_kind="other", epsilon=0.0,
+         reward_value=0.0, seed=1)
+def test_row_shortcuts_match_reference_learner(values, mask, visits, next_values,
+                                               next_mask, next_kind, epsilon,
+                                               reward_value, seed):
+    table, ref = QTable(4), _ReferenceLearner(4)
+    rows = {}
+    for state, vals, feasible_mask, counts in (
+            (S, values, mask, visits), (NEXT, next_values, next_mask, visits)):
+        actions = [a for a in range(4) if feasible_mask[a]]
+        rows[state] = actions
+        for learner in (table, ref):
+            learner.ensure(state, actions)
+        for a in actions:       # only feasible actions are ever updated
+            table._q[state][a] = ref.q[state][a] = vals[a]
+            table._visits[state][a] = ref.visits[state][a] = counts[a]
+    actions = rows[S]
+    assert table.greedy(S) == max(actions, key=ref.q[S].__getitem__)
+    assert table.greedy(NEXT, rows[NEXT]) == max(rows[NEXT],
+                                                 key=ref.q[NEXT].__getitem__)
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    action = select_action(S, table, epsilon, rng, actions)
+    assert action == ref.select(S, epsilon, ref_rng, actions)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    next_state = {"other": NEXT, "self": S, "unseen": ("unseen",)}[next_kind]
+    next_actions = rows.get(next_state, actions)
+    new_q = update_q(table, S, action, reward_value, next_state, next_actions, 0.9)
+    ref.update(S, action, reward_value, next_state, next_actions, 0.9,
+               DEFAULT_LR_EXPONENT)
+    assert new_q.hex() == ref.q[S][action].hex()
+    assert _hex_rows(table._q) == _hex_rows(ref.q)
+    assert table._visits == ref.visits
+    assert table.greedy_map == ref.greedy_map
+    assert table.greedy(S) == ref.greedy_map[S]
 
 
 @pytest.mark.parametrize("failure_ratio", [0.0, 0.2])

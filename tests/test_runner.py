@@ -377,6 +377,23 @@ def test_cli_config_error_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_out_naming_a_file_exits_1_before_any_point(tmp_path, capsys,
+                                                        monkeypatch):
+    # it used to run the whole sweep, then fail to write with exit 2
+    ran = []
+    monkeypatch.setattr(runner, "run_point",
+                        lambda plan, point: ran.append(point))
+    out = tmp_path / "results"
+    out.write_text("keep\n")
+    config = write_config(tmp_path, task_counts=[4], replications=1)
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "out_dir" in err
+    assert ran == []
+    assert out.read_text() == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["plan.yaml", "results"]
+
+
 def test_cli_bad_override_exit_1(tmp_path, capsys):
     config = write_config(tmp_path)
     code = main(["run", "--config", config, "--gamma", "1.5"])
