@@ -4,11 +4,11 @@ encode_state gives the scheduler's state (B_1..B_K, L-class_1..L-class_K),
 per-VM occupied buffers then per-VM classes of total assigned length;
 reward is the +1/-1/0 placement rule.
 
-A learner env walks decision points: observe a state, pick a feasible
-action, collect the reward and the state at the next decision point.
-SimulationEnv wraps the discrete-event simulator (fresh workload per
-episode). The state and reward it exposes come from a pluggable view so
-the length-aware scheduler and the buffer-only baseline share the loop.
+A learner env runs episodes: each decision point hands an agent the
+previous action's reward, the state and the feasible actions. SimulationEnv
+drains the simulator (fresh workload per episode) through Simulation.drain,
+the loop evaluation runs; its state and reward come from a pluggable view
+shared by the length-aware scheduler and the buffer-only baseline.
 """
 
 from __future__ import annotations
@@ -118,11 +118,10 @@ class FreeBufferView:
 class SimulationEnv:
     """Q-learning episodes over freshly generated workloads.
 
-    Each reset draws a new workload from the scenario's generator (seeded
-    off the training stream, so evaluation workloads stay held out). The
-    episode ends when the run has fully drained; completions that the
-    final next_decision() sweep processes are included, so
-    episode_metrics() sees the whole horizon.
+    Each reset builds a Simulation of a new workload from the scenario's
+    generator (seeded off the training stream, so evaluation workloads
+    stay held out); episode drains it with step as the policy, so
+    episode_metrics() sees every completion of the horizon.
     """
 
     def __init__(self, scenario: ScenarioConfig, vm_specs, view,
@@ -137,7 +136,7 @@ class SimulationEnv:
         self.d_max = d_max
         self.num_actions = len(self.vm_specs)   # one action per VM
         self.sim: Simulation | None = None
-        self.state = None   # view state last returned by reset or step
+        self._agent = self._reward = None   # episode's agent, last reward
 
     def reset(self, rng: np.random.Generator):
         workload = generate_workload(self.scenario, int(rng.integers(2**63)),
@@ -149,26 +148,25 @@ class SimulationEnv:
                               failure_ratio=self.failure_ratio,
                               max_attempts=self.max_attempts,
                               failure_seed=int(rng.integers(2**63)))
-        task = self.sim.next_decision()
-        assert task is not None
-        cluster = self.sim.cluster
-        self.state = self.view.state(cluster)
-        return self.state, cluster.feasible_vms()
 
-    def step(self, action: int, rng: np.random.Generator):
-        sim = self.sim
+    def episode(self, agent, rng: np.random.Generator):
+        """Drain reset's run, asking agent(reward, state, actions) for each
+        action (reward None at the first); return the drained cluster's
+        (last reward, state, actions)."""
+        self._agent, self._reward = agent, None
+        self.sim.drain(self.step, rng)   # looked up now: a patched step runs
+        cluster = self.sim.cluster
+        return self._reward, self.view.state(cluster), cluster.feasible_vms()
+
+    def step(self, cluster, rng: np.random.Generator):
+        """drain's policy: the agent's action, whose reward is taken
+        before drain admits it (drain asks only while a buffer has space)."""
         view = self.view
-        cluster = sim.cluster
-        # the cluster has not changed since self.state was encoded
-        reward_value = view.reward(cluster, action, self.state)
-        sim.apply(action)
-        terminal = sim.next_decision() is None
-        # next_decision only pauses when some buffer has space (or the run
-        # drained, leaving everything free), so the action set is never empty
-        self.state = state = view.state(cluster)
-        return reward_value, state, cluster.feasible_vms(), terminal
+        state = view.state(cluster)
+        action = self._agent(self._reward, state, cluster.feasible_vms())
+        self._reward = view.reward(cluster, action, state)
+        return action
 
     def episode_metrics(self):
         done = completed(self.sim.records)
         return {"avg_wait_s": _mean_wait(done)} if done else None
-

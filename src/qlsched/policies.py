@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_L_CAP, DEFAULT_RANGE_MI, POLICY_NAMES
+from .config import POLICY_NAMES
 from .envs import FreeBufferView, LengthAwareView
 from .qlearn import QTable, select_action
 
@@ -55,16 +55,16 @@ def greedy_select(cluster, rng=None):
 class QschAgent:
     """Buffer-state-only Q-learning baseline.
 
-    The table is keyed by the free-buffer vector alone. Training explores
-    through SimulationEnv; select is the greedy evaluation choice and
-    breaks ties by lowest index (unlike the length-aware scheduler, whose
-    ties are resolved at random).
+    The table is keyed by the state of a FreeBufferView, the free-buffer
+    vector alone. Training explores through SimulationEnv with the same
+    view; select is the greedy evaluation choice and breaks ties by
+    lowest index (unlike the length-aware scheduler, whose ties are
+    resolved at random).
     """
 
-    def __init__(self, num_vms: int, w_buffer: float = 0.5, w_wait: float = 0.5,
-                 table: QTable | None = None):
-        self.view = FreeBufferView(w_buffer, w_wait)
-        self.table = table if table is not None else QTable(num_vms)
+    def __init__(self, view: FreeBufferView, table: QTable):
+        self.view = view
+        self.table = table
 
     def select(self, cluster, rng: np.random.Generator):
         return self.table.greedy(self.view.state(cluster),
@@ -72,12 +72,11 @@ class QschAgent:
 
 
 class QlearnPolicy:
-    """Greedy evaluation wrapper around a trained length-aware table."""
+    """Greedy evaluation wrapper around a table trained on a LengthAwareView."""
 
-    def __init__(self, table: QTable, range_mi: int = DEFAULT_RANGE_MI,
-                 l_cap: int = DEFAULT_L_CAP):
+    def __init__(self, view: LengthAwareView, table: QTable):
+        self.view = view
         self.table = table
-        self.view = LengthAwareView(range_mi, l_cap)
 
     def __call__(self, cluster, rng: np.random.Generator):
         return select_action(self.view.state(cluster), self.table, 0.0, rng,
@@ -87,12 +86,13 @@ class QlearnPolicy:
 class Policy(NamedTuple):
     """Registry entry: how to train a policy, if it learns, and how to run it.
 
-    view(plan) is the training view of a learning policy (None for the
-    fixed baselines). selector(plan, trained) returns the select function
-    for evaluation runs; trained is the TrainResult, or None when the
-    policy does not learn. The selectors look their functions up by name
-    when called, so a function patched on this module or on its class
-    is the one that runs.
+    view(plan) builds a learning policy's view (None for the fixed
+    baselines), once per sweep point: training and evaluation share it.
+    selector(view, table) returns the select function for evaluation
+    runs; view and table are the view and the trained QTable, or None
+    when the policy does not learn. The selectors look their functions
+    up by name when called, so a function patched on this module or on
+    its class is the one that runs.
     """
 
     view: Callable | None
@@ -103,25 +103,18 @@ class Policy(NamedTuple):
         return self.view is not None
 
 
-def _qsch_selector(plan, trained):
-    agent = QschAgent(plan.scenario.num_vms, plan.qsch_w_buffer,
-                      plan.qsch_w_wait, table=trained.table)
-    return lambda cluster, rng: agent.select(cluster, rng)
-
-
 # Append only, in config.POLICY_NAMES order: a policy's index seeds its draws.
 POLICIES = {
-    "random": Policy(None, lambda plan, trained: random_select),
-    "fifo": Policy(None, lambda plan, trained: fifo_select),
-    "mixed": Policy(None, lambda plan, trained: mixed_select),
-    "greedy": Policy(None, lambda plan, trained: greedy_select),
+    "random": Policy(None, lambda view, table: random_select),
+    "fifo": Policy(None, lambda view, table: fifo_select),
+    "mixed": Policy(None, lambda view, table: mixed_select),
+    "greedy": Policy(None, lambda view, table: greedy_select),
     "qsch": Policy(
         lambda plan: FreeBufferView(plan.qsch_w_buffer, plan.qsch_w_wait),
-        _qsch_selector),
+        lambda view, table: QschAgent(view, table).select),
     "qlearn": Policy(
         lambda plan: LengthAwareView(plan.range_mi, plan.l_cap),
-        lambda plan, trained: QlearnPolicy(trained.table, plan.range_mi,
-                                           plan.l_cap)),
+        lambda view, table: QlearnPolicy(view, table)),
 }
 if tuple(POLICIES) != POLICY_NAMES:
     raise RuntimeError(f"POLICIES {tuple(POLICIES)} != POLICY_NAMES {POLICY_NAMES}")

@@ -194,37 +194,43 @@ class TrainResult:
 def train(env, cfg: LearnerConfig, seed) -> TrainResult:
     """Run epsilon-greedy Q-learning episodes until convergence.
 
-    env protocol: num_actions; reset(rng) -> (state, actions);
-    step(action, rng) -> (reward, next_state, next_actions, terminal);
-    episode_metrics() -> dict or None, called after each episode for the
-    convergence trace.
+    env protocol: num_actions; reset(rng); episode(agent, rng) calls
+    agent(previous action's reward or None, state, actions) -> action per
+    decision and returns the final (reward, state, actions), which backs
+    up the last action; episode_metrics() -> dict or None, called after
+    each episode for the convergence trace.
     """
     rng = np.random.default_rng(seed)
     table = QTable(env.num_actions)
+    ensure, rows = table.ensure, table._q
     monitor = ConvergenceMonitor()
     trace = []
     stop_reason = "schedule"
     cycles = 0
     gamma = cfg.gamma
     lr_exponent = cfg.lr_exponent
+    prev_state = prev_action = None
     for cycle in range(cfg.total_cycles):
         epsilon = decay_epsilon(cfg.epsilon0, cycle, cfg.total_cycles)
-        state, actions = env.reset(rng)
-        step = env.step
-        ensure = table.ensure
-        while True:
-            ensure(state, actions)
-            action = select_action(state, table, epsilon, rng, actions)
-            reward_value, next_state, next_actions, terminal = step(action, rng)
-            update_q(table, state, action, reward_value, next_state,
-                     next_actions, gamma, lr_exponent)
-            state, actions = next_state, next_actions
-            if terminal:
-                break
+
+        def agent(reward_value, state, actions):
+            nonlocal prev_state, prev_action
+            if reward_value is not None:
+                update_q(table, prev_state, prev_action, reward_value, state,
+                         actions, gamma, lr_exponent)
+            if state not in rows:
+                ensure(state, actions)
+            prev_state = state
+            prev_action = select_action(state, table, epsilon, rng, actions)
+            return prev_action
+
+        env.reset(rng)
+        reward_value, state, actions = env.episode(agent, rng)
+        update_q(table, prev_state, prev_action, reward_value, state, actions,
+                 gamma, lr_exponent)
         cycles = cycle + 1
         metrics = env.episode_metrics()
-        row = {"cycle": cycle, "epsilon": epsilon,
-               "states_seen": len(table)}
+        row = {"cycle": cycle, "epsilon": epsilon, "states_seen": len(table)}
         if metrics:
             row.update(metrics)
         trace.append(row)

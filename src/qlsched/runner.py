@@ -89,9 +89,9 @@ class RunOutputs:
         return out
 
 
-def _train_policy(plan: ExperimentPlan, name: str, scenario_pt, vm_specs,
+def _train_policy(plan: ExperimentPlan, name: str, view, scenario_pt, vm_specs,
                   failure_ratio: float, point_idx: int):
-    env = SimulationEnv(scenario_pt, vm_specs, POLICIES[name].view(plan),
+    env = SimulationEnv(scenario_pt, vm_specs, view,
                         slot_seconds=plan.slot_seconds,
                         failure_ratio=failure_ratio,
                         max_attempts=plan.max_attempts,
@@ -128,17 +128,19 @@ def run_point(plan: ExperimentPlan, point) -> RunOutputs:
     at = (tasks, buf, float(fr))    # every row's (tasks, buffer, failure_ratio)
     for name in plan.policies:
         policy = POLICIES[name]
-        trained = None
+        view = table = trained = None   # free the last learner's table now
         if policy.learns:
-            trained = _train_policy(plan, name, scenario_pt, vm_specs,
+            view = policy.view(plan)
+            trained = _train_policy(plan, name, view, scenario_pt, vm_specs,
                                     fr, point_idx)
             out.convergence += [
                 dict(zip(CONVERGENCE_COLS, (name, *at, row["cycle"], row["epsilon"],
                                             row.get("avg_wait_s")), strict=True))
                 for row in trained.trace]
+            table = trained.table
             fname = f"qtable_{name}_t{tasks}_b{buf}_f{fr:g}.csv"
-            out.qtables[fname] = export_qtable(trained.table)
-        policy_fn = policy.selector(plan, trained)
+            out.qtables[fname] = export_qtable(table)
+        policy_fn = policy.selector(view, table)
         reports = []
         for rep in range(plan.replications):
             workload = generate_workload(scenario_pt, plan.seed + rep,

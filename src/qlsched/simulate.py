@@ -84,7 +84,8 @@ class Simulation:
         self.cluster.admit(self._queue.popleft(), vm_index)
 
     def drain(self, policy, rng: np.random.Generator | None = None):
-        """Run to completion, consulting policy(cluster, rng) per admission.
+        """Run to completion, consulting policy(cluster, rng) per admission:
+        evaluation runs, and training episodes with SimulationEnv.step.
 
         Each decision is next_decision(), the policy, then what apply()
         does, with the methods bound once per run from the instance, so

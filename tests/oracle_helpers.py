@@ -56,24 +56,25 @@ class OracleEnv:
         self.mdp = oracle
         self.horizon = horizon
         self.num_actions = oracle.num_vms + 1
-        self._idx = None
-        self._steps = 0
 
-    def _observe(self):
-        state = index_state(self.mdp, self._idx)
+    def _observe(self, idx):
+        state = index_state(self.mdp, idx)
         return state, feasible_actions(self.mdp, state)
 
     def reset(self, rng):
-        self._idx = state_index(self.mdp, (0,) * (2 * self.mdp.num_vms))
-        self._steps = 0
-        return self._observe()
+        """Every episode starts from the empty state: nothing to draw."""
 
-    def step(self, action, rng):
+    def episode(self, agent, rng):
+        """horizon decisions: the agent's pick, its reward, then the draw
+        of the successor state."""
         m = self.mdp
-        reward_value = float(m.row_reward[row_of(m, self._idx, action)])
-        self._idx = sample_next(m, self._idx, action, rng)
-        self._steps += 1
-        return (reward_value, *self._observe(), self._steps >= self.horizon)
+        idx = state_index(m, (0,) * (2 * m.num_vms))
+        reward_value = None
+        for _ in range(self.horizon):
+            action = agent(reward_value, *self._observe(idx))
+            reward_value = float(m.row_reward[row_of(m, idx, action)])
+            idx = sample_next(m, idx, action, rng)
+        return (reward_value, *self._observe(idx))
 
     def episode_metrics(self):
         return None

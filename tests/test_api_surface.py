@@ -18,10 +18,10 @@ import numpy as np
 import qlsched
 from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
-from qlsched.config import ScenarioConfig
+from qlsched.config import LearnerConfig, ScenarioConfig
 from qlsched.envs import LengthAwareView, SimulationEnv
 from qlsched.policies import random_select
-from qlsched.qlearn import QTable
+from qlsched.qlearn import QTable, train
 from qlsched.simulate import Simulation, run_policy_simulation
 from qlsched.workload import generate_workload
 
@@ -193,8 +193,41 @@ def test_patched_cluster_methods_see_every_admission_and_event(monkeypatch):
     env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 3),
                         failure_ratio=0.3)
     rng = np.random.default_rng(8)
-    _, actions = env.reset(rng)
-    terminal = False
-    while not terminal:
-        _, _, actions, terminal = env.step(actions[int(rng.integers(len(actions)))], rng)
+    env.reset(rng)
+    env.episode(lambda reward, state, actions:
+                actions[int(rng.integers(len(actions)))], rng)
     expect_balanced(scenario.num_tasks)
+
+
+def test_patched_env_methods_count_every_training_decision(monkeypatch):
+    # perfbench's tracer patches SimulationEnv.reset and step on the class
+    # and gates env_steps == q_updates: one reset per cycle, one step per
+    # Q-update, and every training admission made by a step's action
+    counts = {"reset": 0, "step": 0, "admit": 0}
+    reset, step, admit = SimulationEnv.reset, SimulationEnv.step, ClusterState.admit
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(SimulationEnv, "reset", counting("reset", reset))
+    monkeypatch.setattr(SimulationEnv, "step", counting("step", step))
+    monkeypatch.setattr(ClusterState, "admit", counting("admit", admit))
+    scenario = ScenarioConfig(num_tasks=30, length_min=500, length_max=6000,
+                              num_vms=3, vm_mips=1000, buffer_min=2,
+                              buffer_max=2, num_pes=2)
+    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2, pes=2)
+                for i in range(3)]
+    env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 3),
+                        failure_ratio=0.3)
+    result = train(env, LearnerConfig(epsilon0=0.5, total_cycles=40,
+                                      repeater_threshold=10), 3)
+    table = result.table
+    updates = sum(table.visits(s, a) for s in table.states()
+                  for a in range(table.num_actions))
+    assert result.cycles_run > 1
+    assert counts["reset"] == result.cycles_run
+    assert counts["step"] == updates > result.cycles_run * scenario.num_tasks
+    assert counts["admit"] == counts["step"]

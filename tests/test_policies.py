@@ -6,7 +6,7 @@ from scipy import stats
 
 from qlsched.cluster import ClusterState, VmSpec
 from qlsched.config import DEFAULT_L_CAP, DEFAULT_RANGE_MI, POLICY_NAMES
-from qlsched.envs import encode_state
+from qlsched.envs import FreeBufferView, LengthAwareView, encode_state
 from qlsched.policies import (
     POLICIES,
     QlearnPolicy,
@@ -166,7 +166,7 @@ def test_random_redraw_stays_uniform_over_free():
 
 def test_every_policy_returns_a_feasible_vm():
     rng = np.random.default_rng(5)
-    qlearn = QlearnPolicy(QTable(5))
+    qlearn = QlearnPolicy(LengthAwareView(), QTable(5))
     checks = 0
     for _ in range(300):
         k = int(rng.integers(1, 5))
@@ -181,7 +181,7 @@ def test_every_policy_returns_a_feasible_vm():
         free = set(c.feasible_vms())
         if not free:
             continue    # the driver never asks about a full cluster
-        agent = QschAgent(k)
+        agent = QschAgent(FreeBufferView(), QTable(k))
         picks = [random_select(c, rng), fifo_select(c), mixed_select(c, rng),
                  greedy_select(c), agent.select(c, rng), qlearn(c, rng)]
         for pick in picks:
@@ -194,42 +194,42 @@ def test_every_policy_returns_a_feasible_vm():
 
 def test_qsch_state_is_free_buffer_vector():
     c = fill(make_cluster([2, 2, 2]), [0, 2, 1])
-    agent = QschAgent(3)
+    agent = QschAgent(FreeBufferView(), QTable(3))
     assert agent.view.state(c) == (2, 0, 1)
 
 
 def test_qsch_state_ignores_task_lengths():
     a = fill(make_cluster([2, 2, 2]), [1, 0, 0], length=1000)
     b = fill(make_cluster([2, 2, 2]), [1, 0, 0], length=90_000)
-    agent = QschAgent(3)
+    agent = QschAgent(FreeBufferView(), QTable(3))
     assert agent.view.state(a) == agent.view.state(b)
 
 
 def test_qsch_reward_free_vm_no_backlog():
     # full free buffer and zero queueing delay: 0.5*1 - 0.5*0
     c = make_cluster([3, 3, 3])
-    agent = QschAgent(3)
+    agent = QschAgent(FreeBufferView(), QTable(3))
     assert agent.view.reward(c, 0, agent.view.state(c)) == 0.5
 
 
 def test_qsch_reward_penalizes_backlog():
     c = make_cluster([2, 2, 2])
     c.admit(TaskSpec(0, 0, 4000), 0)  # VM 0 carries all the backlog
-    agent = QschAgent(3)
+    agent = QschAgent(FreeBufferView(), QTable(3))
     state = agent.view.state(c)
     assert agent.view.reward(c, 0, state) == pytest.approx(0.5 * 0.5 - 0.5 * 1.0)
     assert agent.view.reward(c, 1, state) == pytest.approx(0.5 * 1.0 - 0.5 * 0.0)
 
 
 def test_qsch_zero_table_picks_lowest_index():
-    agent = QschAgent(3)
+    agent = QschAgent(FreeBufferView(), QTable(3))
     rng = np.random.default_rng(6)
     assert agent.select(make_cluster([3, 3, 3]), rng) == 0
 
 
 def test_qsch_exploits_learned_values():
     c = make_cluster([3, 3, 3])
-    agent = QschAgent(3)
+    agent = QschAgent(FreeBufferView(), QTable(3))
     state = agent.view.state(c)
     agent.table.ensure(state, (0, 1, 2))
     update_q(agent.table, state, 2, 1.0, ("void",), [0], 0.9)
@@ -245,14 +245,14 @@ def test_qlearn_policy_follows_trained_table():
     state = encode_state(c, DEFAULT_RANGE_MI, DEFAULT_L_CAP)
     table.ensure(state, (0, 1, 2))
     update_q(table, state, 1, 1.0, ("void",), [0], 0.9)
-    policy = QlearnPolicy(table)
+    policy = QlearnPolicy(LengthAwareView(), table)
     rng = np.random.default_rng(10)
     assert all(policy(c, rng) == 1 for _ in range(50))
 
 
 def test_qlearn_policy_unseen_state_uniform_fallback():
     c = make_cluster([2, 2])
-    policy = QlearnPolicy(QTable(3))
+    policy = QlearnPolicy(LengthAwareView(), QTable(3))
     rng = np.random.default_rng(11)
     picks = {policy(c, rng) for _ in range(200)}
     assert picks == {0, 1}
@@ -260,7 +260,7 @@ def test_qlearn_policy_unseen_state_uniform_fallback():
 
 def test_qlearn_policy_state_tracks_cluster_changes():
     c = make_cluster([2, 2])
-    policy = QlearnPolicy(QTable(3), range_mi=10_000, l_cap=5)
+    policy = QlearnPolicy(LengthAwareView(10_000, 5), QTable(3))
     empty_state = policy.view.state(c)
     c.admit(TaskSpec(0, 0, 25_000), 0)
     assert policy.view.state(c) != empty_state

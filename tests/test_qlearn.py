@@ -1,5 +1,7 @@
 """Q-learning primitives: step sizes, action selection, backups, stopping."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -335,13 +337,24 @@ def tiny_mdp():
 
 class TestTrain:
     def test_same_seed_reproduces_table(self):
-        oracle = tiny_mdp()
-        cfg = LearnerConfig(total_cycles=300, repeater_threshold=20)
-        runs = [train(OracleEnv(oracle, horizon=30), cfg, seed=123)
-                for _ in range(2)]
-        assert export_qtable(runs[0].table) == export_qtable(runs[1].table)
-        assert runs[0].cycles_run == runs[1].cycles_run
-        assert runs[0].stop_reason == runs[1].stop_reason
+        # the digests pin OracleEnv's draw order: the pick, then the
+        # successor draw, decision by decision
+        for dims, horizon, cfg, seed, cycles, digest in (
+                ((2, 2, 2), 30, LearnerConfig(total_cycles=300, repeater_threshold=20),
+                 123, 8, "421463a819a6dff1d588153dc10a5c51"
+                         "7e623578c463f8577c5464b26375efbf"),
+                ((3, 3, 2), 40, LearnerConfig(epsilon0=0.5, total_cycles=400,
+                                              repeater_threshold=40),
+                 2024, 16, "0cb6eedf48645f0bfd0e2e788fcc0f3d"
+                           "42eb0da5de3221644ab5153fddb903cd")):
+            oracle = build_oracle_mdp(*dims)
+            runs = [train(OracleEnv(oracle, horizon=horizon), cfg, seed=seed)
+                    for _ in range(2)]
+            text = export_qtable(runs[0].table)
+            assert text == export_qtable(runs[1].table)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, dims
+            for run in runs:
+                assert (run.cycles_run, run.stop_reason) == (cycles, "stable")
 
     def test_learned_greedy_matches_value_iteration(self):
         oracle = tiny_mdp()
@@ -498,16 +511,25 @@ class _ReferenceLearner:
         self.greedy_map[state] = max(self.feasible[state], key=row.__getitem__)
 
     def train(self, env, cfg, seed):
+        """Train on a SimulationEnv, driving its Simulation and view by
+        hand: next_decision, the pick, the reward, then apply."""
         rng = np.random.default_rng(seed)
         monitor = ConvergenceMonitor()
         trace, stop_reason, cycles = [], "schedule", 0
         for cycle in range(cfg.total_cycles):
             epsilon = decay_epsilon(cfg.epsilon0, cycle, cfg.total_cycles)
-            state, actions = env.reset(rng)
+            env.reset(rng)
+            sim, view = env.sim, env.view
+            cluster = sim.cluster
+            assert sim.next_decision() is not None
+            state, actions = view.state(cluster), cluster.feasible_vms()
             while True:
                 self.ensure(state, actions)
                 action = self.select(state, epsilon, rng, actions)
-                reward_value, next_state, next_actions, terminal = env.step(action, rng)
+                reward_value = view.reward(cluster, action, state)
+                sim.apply(action)
+                terminal = sim.next_decision() is None
+                next_state, next_actions = view.state(cluster), cluster.feasible_vms()
                 self.update(state, action, reward_value, next_state, next_actions,
                             cfg.gamma, cfg.lr_exponent)
                 state, actions = next_state, next_actions
@@ -629,7 +651,6 @@ def test_trained_rows_hold_one_slot_per_vm(view_name):
     # every action comes from cluster.feasible_vms(): no defer slot
     from qlsched.cluster import VmSpec
     from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
-    from qlsched.policies import QschAgent
     from qlsched.config import ScenarioConfig
 
     scenario = ScenarioConfig(num_tasks=20, length_min=500, length_max=8000,
@@ -643,7 +664,6 @@ def test_trained_rows_hold_one_slot_per_vm(view_name):
     assert table.num_actions == len(vm_specs) and len(table) > 0
     for state in table.states():
         assert len(table._q[state]) == len(table._visits[state]) == len(vm_specs)
-    assert QschAgent(len(vm_specs)).table.num_actions == len(vm_specs)
 
 
 class TestUpdateQEdges:

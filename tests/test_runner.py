@@ -334,6 +334,31 @@ def test_trained_tables_are_freed_and_only_their_text_kept(tmp_path, monkeypatch
         assert (out_dir / fname).read_text(encoding="utf-8") == text, fname
 
 
+def test_training_leaves_no_reference_cycle():
+    # with the cyclic collector off, the trained table and the episode's
+    # Simulation die as soon as the result and the env are dropped: no
+    # env <-> agent cycle keeps a point's table alive until a collection
+    from qlsched.cluster import VmSpec
+    from qlsched.envs import LengthAwareView, SimulationEnv
+    from qlsched.qlearn import train
+
+    scenario = ScenarioConfig(num_tasks=12, length_min=500, length_max=6000,
+                              num_vms=2, vm_mips=1000, buffer_min=2,
+                              buffer_max=2)
+    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2) for i in range(2)]
+    gc.collect()
+    gc.disable()
+    try:
+        env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 3),
+                            failure_ratio=0.3)
+        result = train(env, LearnerConfig(total_cycles=10, repeater_threshold=3), 6)
+        refs = [weakref.ref(result.table), weakref.ref(env.sim)]
+        del result, env
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_runs_csv_layout(tmp_path):
     out_dir = tmp_path / "results"
     plan = parse_config(write_config(tmp_path, task_counts=[4],

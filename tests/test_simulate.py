@@ -204,28 +204,36 @@ def test_failure_ratio_above_zero_needs_a_seed():
     assert Simulation(specs(), [TaskSpec(0, 0, 1)])._outcome is None
 
 
-@pytest.mark.parametrize("view", [LengthAwareView(2000, 3), FreeBufferView(0.5, 0.5)],
+@pytest.mark.parametrize("make_view", [lambda: LengthAwareView(2000, 3),
+                                       lambda: FreeBufferView(0.5, 0.5)],
                          ids=["length_aware", "free_buffer"])
-def test_env_reuses_a_fresh_state(view):
-    # The env hands the state it encoded at the last decision to the
-    # reward; it must equal a fresh encoding of the unchanged cluster,
-    # requeues included.
+def test_env_reuses_a_fresh_state(make_view):
+    # The env encodes each decision's state once and hands it to the
+    # agent and to the reward; each must equal a fresh encoding of the
+    # unchanged cluster, requeues included. The reward of an action
+    # reaches the agent at the next decision, or in the episode's result.
     scenario = ScenarioConfig(num_tasks=40, length_min=500, length_max=6000,
                               num_vms=3, vm_mips=1000, buffer_min=3, buffer_max=3,
                               num_pes=2)
+    view, fresh = make_view(), make_view()   # fresh has no remembered rewards
     env = SimulationEnv(scenario, specs(num_vms=3, pes=2), view,
                         failure_ratio=0.2)
     rng = np.random.default_rng(12)
-    state, actions = env.reset(rng)
-    terminal = False
-    while not terminal:
-        cluster = env.sim.cluster
-        assert env.state == state == view.state(cluster)
+    env.reset(rng)
+    cluster = env.sim.cluster
+    expect = [None]     # the reward the agent's next call must get
+
+    def agent(reward, state, actions):
+        assert reward == expect[0]
+        assert state == fresh.state(cluster)
         assert actions == cluster.feasible_vms()
         action = actions[int(rng.integers(len(actions)))]
-        expect = view.reward(cluster, action, view.state(cluster))
-        reward, state, actions, terminal = env.step(action, rng)
-        assert reward == expect
+        expect[0] = fresh.reward(cluster, action, fresh.state(cluster))
+        return action
+
+    final = env.episode(agent, rng)
+    assert final == (expect[0], fresh.state(cluster), cluster.feasible_vms())
+    assert expect[0] is not None
     assert any(r.attempts > 1 for r in env.sim.records)
 
 
