@@ -42,6 +42,16 @@ def reward(state: tuple, action: int, capacities) -> int:
     when it has the maximal length class, else 0. `capacities` holds one
     buffer capacity per VM. Raises on infeasible actions (buffer at
     capacity).
+
+    At failure ratio 0 with equal capacities the optimal actions are
+    exactly the least-occupied VMs (test_simulate.py checks the premises):
+    - a decision comes only while some VM has space, so a least-occupied
+      VM has space too and gets +1, the largest reward;
+    - every task is decided exactly once, so the decisions left do not
+      depend on the policy;
+    - so the best return from a state is the sum of gamma^t over them,
+      reached exactly by least-occupied placements; any other placement
+      loses at least gamma^t. Above ratio 0 a requeue adds a decision.
     """
     k = len(state) // 2
     b, l = state[:k], state[k:]
@@ -151,12 +161,11 @@ class SimulationEnv:
 
     def episode(self, agent, rng: np.random.Generator):
         """Drain reset's run, asking agent(reward, state, actions) for each
-        action (reward None at the first); return the drained cluster's
-        (last reward, state, actions)."""
+        action (reward None at the first); return the last action's reward
+        and the drained cluster's state."""
         self._agent, self._reward = agent, None
         self.sim.drain(self.step, rng)   # looked up now: a patched step runs
-        cluster = self.sim.cluster
-        return self._reward, self.view.state(cluster), cluster.feasible_vms()
+        return self._reward, self.view.state(self.sim.cluster)
 
     def step(self, cluster, rng: np.random.Generator):
         """drain's policy: the agent's action, whose reward is taken

@@ -1,10 +1,11 @@
 """Tabular Q-learning with visit-count learning rates.
 
-The table is sparse: a state's row materializes on first touch. The
-learning rate for the t-th update of a pair is 1 / (1 + visits^0.65),
-exploration is epsilon-greedy with a linearly decaying epsilon, and
-training stops when the greedy action of every visited state survives a
-whole cycle unchanged or when the repeater budget runs out.
+The table is sparse: a state's row materializes on first touch, -inf at
+the actions the state cannot take. The learning rate for the t-th update
+of a pair is 1 / (1 + visits^0.65), exploration is epsilon-greedy with a
+linearly decaying epsilon, and training stops when the greedy action of
+every visited state survives a whole cycle unchanged or when the repeater
+budget runs out.
 """
 
 from __future__ import annotations
@@ -36,16 +37,16 @@ class QTable:
     """Sparse q/visit store keyed by state tuples.
 
     num_actions is the number of action slots in a state's row: for a
-    scheduler, one per VM. greedy_map holds the lowest-index greedy action
-    of every state that has received at least one update; it is
-    maintained incrementally so the convergence check stays cheap.
+    scheduler, one per VM. A row holds -inf at the actions its state
+    cannot take, so its max is the feasible max. greedy_map holds the
+    lowest-index greedy action of every updated state, maintained
+    incrementally so the convergence check stays cheap.
     """
 
     def __init__(self, num_actions: int):
         self.num_actions = num_actions
         self._q: dict = {}
         self._visits: dict = {}
-        self._feasible: dict = {}
         self.greedy_map: dict = {}
 
     def __len__(self):
@@ -55,13 +56,14 @@ class QTable:
         return self._q.keys()
 
     def ensure(self, state, feasible):
-        """Materialize a state row; records its feasible action set."""
+        """Materialize a state row: 0.0 at its feasible actions, else -inf."""
         if state not in self._q:
-            self._q[state] = [0.0] * self.num_actions
+            self._q[state] = [0.0 if a in feasible else -np.inf
+                              for a in range(self.num_actions)]
             self._visits[state] = [0] * self.num_actions
-            self._feasible[state] = tuple(feasible)
 
     def q(self, state, action) -> float:
+        """0.0 for an unseen state; -inf at an action the state cannot take."""
         row = self._q.get(state)
         return 0.0 if row is None else row[action]
 
@@ -69,22 +71,13 @@ class QTable:
         row = self._visits.get(state)
         return 0 if row is None else row[action]
 
-    def greedy(self, state, actions=None) -> int:
-        """Lowest-index argmax over the state's feasible actions.
-
-        actions (by default the state's recorded feasible set) must be
-        distinct action indices in ascending order, as
-        ClusterState.feasible_vms returns them: when it is as long as the
-        row it is every action, and the argmax is taken over the row.
-        """
-        if actions is None:
-            actions = self._feasible[state]
+    def greedy(self, state, actions) -> int:
+        """Lowest-index argmax over the state's feasible actions; the first
+        of `actions` (its feasible actions, ascending) when it is unseen."""
         row = self._q.get(state)
         if row is None:
             return actions[0]
-        if len(actions) == len(row):
-            return row.index(max(row))
-        return max(actions, key=row.__getitem__)   # the first maximum wins
+        return row.index(max(row))
 
 
 def select_action(state, table: QTable, epsilon: float,
@@ -93,65 +86,45 @@ def select_action(state, table: QTable, epsilon: float,
 
     With probability epsilon the action is uniform over `actions`;
     otherwise the q-argmax, with exact ties broken uniformly at random.
-    `actions` must be distinct action indices in ascending order, as
-    ClusterState.feasible_vms returns them: when it is as long as the
-    state's row it is every action, and a unique argmax is read off the
-    row without indexing it action by action.
+    `actions` are the state's feasible actions in ascending order, as
+    ClusterState.feasible_vms returns them; a seen state's row holds -inf
+    at every other action, so its max is the feasible max.
     """
     if len(actions) == 1:
         return actions[0]
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return actions[int(rng.integers(len(actions)))]
     row = table._q.get(state)
-    if row is None:
-        return actions[int(rng.integers(len(actions)))]
-    if len(actions) == len(row):
-        best = max(row)
-        if row.count(best) == 1:
-            return row.index(best)
-    else:
-        best = max([row[a] for a in actions])
+    if (epsilon > 0.0 and rng.random() < epsilon) or row is None:
+        return actions[int(rng.integers(len(actions)))]   # explore, or unseen
+    best = max(row)
+    if row.count(best) == 1:
+        return row.index(best)
     ties = [a for a in actions if row[a] == best]
-    if len(ties) == 1:
-        return ties[0]
     return ties[int(rng.integers(len(ties)))]
 
 
 def update_q(table: QTable, state, action, reward_value: float, next_state,
-             next_actions, gamma: float,
-             lr_exponent: float = DEFAULT_LR_EXPONENT) -> float:
+             gamma: float, lr_exponent: float = DEFAULT_LR_EXPONENT) -> float:
     """One Q-learning backup; returns the new q(state, action).
 
     The step size comes from the pair's visit count before this update,
-    the bootstrap is the max over the next state's feasible actions, and
-    the visit count then increments. The state must have been ensure()d.
-    The rows are read directly: an unseen next state bootstraps 0, and
-    the greedy action is QTable.greedy's, the first maximum. next_actions
-    and the state's recorded feasible set follow select_action's
-    contract: distinct, ascending, and every action when as long as the
-    row, in which case the max is taken over the whole row.
+    the bootstrap is the max of the next state's row (0 when unseen), and
+    the visit count then increments. The state must have been ensure()d
+    and the action be feasible there: a masked one fails the reward-bound
+    assert. The greedy action is QTable.greedy's, the first maximum.
     """
     q_rows = table._q
     visits = table._visits[state]
     n = visits[action]
     beta = learning_rate(n, lr_exponent)
     next_row = q_rows.get(next_state)
-    if next_row is None:
-        best_next = 0.0
-    elif len(next_actions) == len(next_row):
-        best_next = max(next_row)
-    else:
-        best_next = max([next_row[a] for a in next_actions])
-    target = reward_value + gamma * best_next
+    target = reward_value + gamma * (0.0 if next_row is None else max(next_row))
     row = q_rows[state]
     new_q = (1.0 - beta) * row[action] + beta * target
     row[action] = new_q
     visits[action] = n + 1
     assert abs(new_q) <= 1.0 / (1.0 - gamma) + 1e-9, \
         f"|q|={new_q} escapes the reward bound"
-    feasible = table._feasible[state]
-    table.greedy_map[state] = (row.index(max(row)) if len(feasible) == len(row)
-                               else max(feasible, key=row.__getitem__))
+    table.greedy_map[state] = row.index(max(row))
     return new_q
 
 
@@ -196,19 +169,15 @@ def train(env, cfg: LearnerConfig, seed) -> TrainResult:
 
     env protocol: num_actions; reset(rng); episode(agent, rng) calls
     agent(previous action's reward or None, state, actions) -> action per
-    decision and returns the final (reward, state, actions), which backs
-    up the last action; episode_metrics() -> dict or None, called after
-    each episode for the convergence trace.
+    decision and returns the final (reward, state), which backs up the
+    last action; episode_metrics() -> dict or None, for the trace.
     """
     rng = np.random.default_rng(seed)
     table = QTable(env.num_actions)
     ensure, rows = table.ensure, table._q
     monitor = ConvergenceMonitor()
-    trace = []
-    stop_reason = "schedule"
-    cycles = 0
-    gamma = cfg.gamma
-    lr_exponent = cfg.lr_exponent
+    trace, stop_reason, cycles = [], "schedule", 0
+    gamma, lr_exponent = cfg.gamma, cfg.lr_exponent
     prev_state = prev_action = None
     for cycle in range(cfg.total_cycles):
         epsilon = decay_epsilon(cfg.epsilon0, cycle, cfg.total_cycles)
@@ -217,7 +186,7 @@ def train(env, cfg: LearnerConfig, seed) -> TrainResult:
             nonlocal prev_state, prev_action
             if reward_value is not None:
                 update_q(table, prev_state, prev_action, reward_value, state,
-                         actions, gamma, lr_exponent)
+                         gamma, lr_exponent)
             if state not in rows:
                 ensure(state, actions)
             prev_state = state
@@ -225,15 +194,12 @@ def train(env, cfg: LearnerConfig, seed) -> TrainResult:
             return prev_action
 
         env.reset(rng)
-        reward_value, state, actions = env.episode(agent, rng)
-        update_q(table, prev_state, prev_action, reward_value, state, actions,
-                 gamma, lr_exponent)
+        reward_value, state = env.episode(agent, rng)
+        update_q(table, prev_state, prev_action, reward_value, state, gamma,
+                 lr_exponent)
         cycles = cycle + 1
-        metrics = env.episode_metrics()
-        row = {"cycle": cycle, "epsilon": epsilon, "states_seen": len(table)}
-        if metrics:
-            row.update(metrics)
-        trace.append(row)
+        trace.append({"cycle": cycle, "epsilon": epsilon, "states_seen": len(table),
+                      **(env.episode_metrics() or {})})
         if reason := check_convergence(monitor, table, cfg.repeater_threshold):
             stop_reason = reason
             break

@@ -57,24 +57,22 @@ class OracleEnv:
         self.horizon = horizon
         self.num_actions = oracle.num_vms + 1
 
-    def _observe(self, idx):
-        state = index_state(self.mdp, idx)
-        return state, feasible_actions(self.mdp, state)
-
     def reset(self, rng):
         """Every episode starts from the empty state: nothing to draw."""
 
     def episode(self, agent, rng):
         """horizon decisions: the agent's pick, its reward, then the draw
-        of the successor state."""
+        of the successor state; returns the last reward and the state the
+        rollout ends in."""
         m = self.mdp
         idx = state_index(m, (0,) * (2 * m.num_vms))
         reward_value = None
         for _ in range(self.horizon):
-            action = agent(reward_value, *self._observe(idx))
+            state = index_state(m, idx)
+            action = agent(reward_value, state, feasible_actions(m, state))
             reward_value = float(m.row_reward[row_of(m, idx, action)])
             idx = sample_next(m, idx, action, rng)
-        return (reward_value, *self._observe(idx))
+        return reward_value, index_state(m, idx)
 
     def episode_metrics(self):
         return None

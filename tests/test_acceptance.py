@@ -270,7 +270,7 @@ def q_bound_suite(rng, cases=2000):
         s = states[rng.integers(len(states))]
         n = states[rng.integers(len(states))]
         new = update_q(table, s, int(rng.integers(3)),
-                       float(rng.integers(-1, 2)), n, [0, 1, 2], gamma)
+                       float(rng.integers(-1, 2)), n, gamma)
         if abs(new) > bound:
             return False
     return True

@@ -232,7 +232,7 @@ def test_qsch_exploits_learned_values():
     agent = QschAgent(FreeBufferView(), QTable(3))
     state = agent.view.state(c)
     agent.table.ensure(state, (0, 1, 2))
-    update_q(agent.table, state, 2, 1.0, ("void",), [0], 0.9)
+    update_q(agent.table, state, 2, 1.0, ("void",), 0.9)
     rng = np.random.default_rng(7)
     assert agent.select(c, rng) == 2
 
@@ -244,7 +244,7 @@ def test_qlearn_policy_follows_trained_table():
     table = QTable(4)
     state = encode_state(c, DEFAULT_RANGE_MI, DEFAULT_L_CAP)
     table.ensure(state, (0, 1, 2))
-    update_q(table, state, 1, 1.0, ("void",), [0], 0.9)
+    update_q(table, state, 1, 1.0, ("void",), 0.9)
     policy = QlearnPolicy(LengthAwareView(), table)
     rng = np.random.default_rng(10)
     assert all(policy(c, rng) == 1 for _ in range(50))

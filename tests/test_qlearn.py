@@ -35,7 +35,7 @@ def set_q(table, state, action, value, gamma=0.9):
     """
     assert table.visits(state, action) == 0
     fresh = ("__void__", action, len(table._q))
-    update_q(table, state, action, value, fresh, [0], gamma)
+    update_q(table, state, action, value, fresh, gamma)
 
 
 class TestLearningRate:
@@ -136,19 +136,28 @@ class TestSelectAction:
 
     def test_partial_feasible_set_respected(self):
         table = QTable(4)
-        table.ensure(S, (0, 1, 2, 3))
-        set_q(table, S, 0, 5.0)  # best overall, but infeasible now
+        table.ensure(S, (1, 2, 3))
+        assert table.q(S, 0) == -np.inf   # masked: the state cannot take it
         set_q(table, S, 2, 1.0)
         rng = np.random.default_rng(6)
         for _ in range(50):
             assert select_action(S, table, 0.0, rng, [1, 2, 3]) == 2
+        # every feasible q negative: the masked slot still never wins
+        negative = QTable(4)
+        negative.ensure(S, (1, 2, 3))
+        for action, value in ((1, -0.5), (2, -0.25), (3, -0.25)):
+            set_q(negative, S, action, value)
+        assert negative.q(S, 0) == -np.inf
+        picks = {select_action(S, negative, 0.0, rng, [1, 2, 3]) for _ in range(200)}
+        assert picks == {2, 3}
+        assert negative.greedy(S, [1, 2, 3]) == 2
 
 
 class TestUpdateQ:
     def test_first_visit_takes_reward(self):
         table = QTable(2)
         table.ensure(S, (0, 1))
-        new = update_q(table, S, 0, 1.0, NEXT, [0, 1], 0.9)
+        new = update_q(table, S, 0, 1.0, NEXT, 0.9)
         assert new == 1.0
         assert table.q(S, 0) == 1.0
         assert table.visits(S, 0) == 1
@@ -156,9 +165,9 @@ class TestUpdateQ:
     def test_second_visit_blends(self):
         table = QTable(2)
         table.ensure(S, (0, 1))
-        update_q(table, S, 0, 1.0, NEXT, [0, 1], 0.9)
+        update_q(table, S, 0, 1.0, NEXT, 0.9)
         # beta = 1/(1+1) = 0.5, zero target: q' = (1-beta) * 1.0
-        new = update_q(table, S, 0, 0.0, NEXT, [0, 1], 0.9)
+        new = update_q(table, S, 0, 0.0, NEXT, 0.9)
         assert new == 0.5
         assert table.visits(S, 0) == 2
 
@@ -168,16 +177,17 @@ class TestUpdateQ:
         table.ensure(NEXT, (0, 1, 2))
         set_q(table, NEXT, 0, 0.2)
         set_q(table, NEXT, 1, 0.7)
-        new = update_q(table, S, 2, 0.1, NEXT, [0, 1], 0.8)
+        new = update_q(table, S, 2, 0.1, NEXT, 0.8)
         assert new == pytest.approx(0.1 + 0.8 * 0.7)
-        # restricting the next action set changes the bootstrap
+        # every feasible entry of NEXT negative: the bootstrap is their
+        # max, not the 0 of an untouched or masked slot
         table2 = QTable(3)
         table2.ensure(S, (0, 1, 2))
-        table2.ensure(NEXT, (0, 1, 2))
-        set_q(table2, NEXT, 0, 0.2)
-        set_q(table2, NEXT, 1, 0.7)
-        only_0 = update_q(table2, S, 2, 0.1, NEXT, [0], 0.8)
-        assert only_0 == pytest.approx(0.1 + 0.8 * 0.2)
+        table2.ensure(NEXT, (0, 2))
+        set_q(table2, NEXT, 0, -0.5)
+        set_q(table2, NEXT, 2, -0.25)
+        negative = update_q(table2, S, 2, 0.1, NEXT, 0.8)
+        assert negative == pytest.approx(0.1 + 0.8 * -0.25)
 
     def test_fixed_point_is_preserved(self):
         table = QTable(2)
@@ -187,12 +197,12 @@ class TestUpdateQ:
         set_q(table, S, 0, 0.5)
         # q(S,0) already equals r + gamma * max_a q(NEXT, a) = 0.1 + 0.8 * 0.5
         for _ in range(5):
-            assert update_q(table, S, 0, 0.1, NEXT, [0, 1], 0.8) == 0.5
+            assert update_q(table, S, 0, 0.1, NEXT, 0.8) == 0.5
 
     def test_unseen_next_state_reads_zero(self):
         table = QTable(2)
         table.ensure(S, (0, 1))
-        new = update_q(table, S, 1, -1.0, ("never",), [0, 1], 0.9)
+        new = update_q(table, S, 1, -1.0, ("never",), 0.9)
         assert new == -1.0
 
     def test_q_stays_within_reward_bound(self):
@@ -209,7 +219,7 @@ class TestUpdateQ:
             n = states[rng.integers(len(states))]
             a = int(rng.integers(3))
             r = float(rng.integers(-1, 2))
-            update_q(table, s, a, r, n, [0, 1, 2], gamma)
+            update_q(table, s, a, r, n, gamma)
         for s in states:
             for a in range(3):
                 assert abs(table.q(s, a)) <= bound
@@ -225,9 +235,9 @@ class TestUpdateQ:
             s = states[rng.integers(len(states))]
             a = feas[s][rng.integers(len(feas[s]))]
             n = states[rng.integers(len(states))]
-            update_q(table, s, a, float(rng.integers(-1, 2)), n, feas[n], 0.9)
+            update_q(table, s, a, float(rng.integers(-1, 2)), n, 0.9)
         for s in states:
-            assert table.greedy_map[s] == table.greedy(s)
+            assert table.greedy_map[s] == table.greedy(s, feas[s])
             assert table.greedy_map[s] in feas[s]
 
 
@@ -243,7 +253,8 @@ class TestQTable:
         table = QTable(3)
         table.ensure(S, [1, 2])
         table.ensure(S, [0])  # second call must not clobber
-        assert table.greedy(S) == 1   # over the first call's actions
+        assert table.greedy(S, [1, 2]) == 1   # the first call's mask
+        assert table.q(S, 0) == -np.inf
         assert len(table) == 1
         assert list(table.states()) == [S]
 
@@ -252,8 +263,7 @@ class TestQTable:
         table.ensure(S, (0, 1, 2))
         set_q(table, S, 1, 0.4)
         set_q(table, S, 2, 0.4)
-        assert table.greedy(S) == 1
-        assert table.greedy(S, actions=[2]) == 2
+        assert table.greedy(S, (0, 1, 2)) == 1
 
 
 class TestCheckConvergence:
@@ -380,7 +390,8 @@ class TestTrain:
         bound = 1.0 / (1.0 - cfg.gamma) + 1e-9
         for state in result.table.states():
             for action in range(result.table.num_actions):
-                assert abs(result.table.q(state, action)) <= bound
+                if result.table.visits(state, action):
+                    assert abs(result.table.q(state, action)) <= bound
         assert result.stop_reason in ("stable", "budget", "schedule")
         assert 1 <= result.cycles_run <= cfg.total_cycles
         assert len(result.trace) == result.cycles_run
@@ -411,16 +422,16 @@ class TestExportQtable:
     def test_single_entry_layout(self):
         table = QTable(2)
         table.ensure((1, 0), (0,))
-        update_q(table, (1, 0), 0, 1.0, (0, 0), [0], 0.9)
+        update_q(table, (1, 0), 0, 1.0, (0, 0), 0.9)
         assert export_qtable(table) == "state,action,q,visits\n1-0,0,1,1\n"
 
     def test_sorting_and_unvisited_rows_omitted(self):
         table = QTable(3)
         for state in [(2, 1), (0, 3)]:
             table.ensure(state, (0, 1, 2))
-        update_q(table, (2, 1), 2, 0.5, (0, 0), [0], 0.9)
-        update_q(table, (2, 1), 0, -0.25, (0, 0), [0], 0.9)
-        update_q(table, (0, 3), 1, 0.125, (0, 0), [0], 0.9)
+        update_q(table, (2, 1), 2, 0.5, (0, 0), 0.9)
+        update_q(table, (2, 1), 0, -0.25, (0, 0), 0.9)
+        update_q(table, (0, 3), 1, 0.125, (0, 0), 0.9)
         text = export_qtable(table)
         assert text.splitlines() == [
             "state,action,q,visits",
@@ -432,7 +443,7 @@ class TestExportQtable:
     def test_nine_significant_digits(self):
         table = QTable(1)
         table.ensure((4,), (0,))
-        update_q(table, (4,), 0, 0.123456789012, ("x",), [0], 0.9)
+        update_q(table, (4,), 0, 0.123456789012, ("x",), 0.9)
         assert "4,0,0.123456789,1" in export_qtable(table)
 
     @staticmethod
@@ -462,7 +473,7 @@ class TestExportQtable:
                     updates = int(rng.integers(1, 3)) if rng.random() < 0.6 else 0
                     for _ in range(updates):
                         update_q(table, state, action, float(rng.uniform(-1.0, 1.0)),
-                                 state, actions, 0.9)
+                                 state, 0.9)
             assert export_qtable(table) == self._reference_export(table)
 
 
@@ -555,8 +566,16 @@ _MASKS = st.one_of(st.just([True] * 4),
                    st.lists(st.booleans(), min_size=4, max_size=4).filter(any))
 
 
-def _hex_rows(rows):
-    return {state: [x.hex() for x in row] for state, row in rows.items()}
+def _assert_rows_match(table, ref):
+    """The table's rows equal the reference's bit for bit at each state's
+    feasible actions, and hold -inf at every other action."""
+    assert table._q.keys() == ref.q.keys()
+    for state, ref_row in ref.q.items():
+        feasible = ref.feasible[state]
+        row = table._q[state]
+        assert [row[a].hex() for a in feasible] == [ref_row[a].hex() for a in feasible]
+        assert all(row[a] == -np.inf
+                   for a in range(ref.num_actions) if a not in feasible)
 
 
 @settings(max_examples=300, deadline=None)
@@ -569,9 +588,9 @@ def _hex_rows(rows):
        epsilon=st.sampled_from([0.0, 0.5]),
        reward_value=st.sampled_from([-1.0, 0.0, 1.0]),
        seed=st.integers(0, 2**32 - 1))
-# every feasible entry negative while an infeasible one keeps its
-# untouched 0.0: a max over the whole row would pick the wrong action
-# and bootstrap 0
+# every feasible entry negative while the reference's infeasible slot
+# keeps its untouched 0.0: a table row without -inf at that slot would
+# pick the wrong action and bootstrap 0
 @example(values=[-0.5, 0.0, -1.0, -0.5], mask=[True, False, True, True],
          visits=[1, 0, 1, 1], next_values=[-0.5, 0.0, -1.0, -0.25],
          next_mask=[True, False, True, True], next_kind="other", epsilon=0.0,
@@ -591,7 +610,7 @@ def test_row_shortcuts_match_reference_learner(values, mask, visits, next_values
             table._q[state][a] = ref.q[state][a] = vals[a]
             table._visits[state][a] = ref.visits[state][a] = counts[a]
     actions = rows[S]
-    assert table.greedy(S) == max(actions, key=ref.q[S].__getitem__)
+    assert table.greedy(S, actions) == max(actions, key=ref.q[S].__getitem__)
     assert table.greedy(NEXT, rows[NEXT]) == max(rows[NEXT],
                                                  key=ref.q[NEXT].__getitem__)
 
@@ -602,14 +621,14 @@ def test_row_shortcuts_match_reference_learner(values, mask, visits, next_values
 
     next_state = {"other": NEXT, "self": S, "unseen": ("unseen",)}[next_kind]
     next_actions = rows.get(next_state, actions)
-    new_q = update_q(table, S, action, reward_value, next_state, next_actions, 0.9)
+    new_q = update_q(table, S, action, reward_value, next_state, 0.9)
     ref.update(S, action, reward_value, next_state, next_actions, 0.9,
                DEFAULT_LR_EXPONENT)
     assert new_q.hex() == ref.q[S][action].hex()
-    assert _hex_rows(table._q) == _hex_rows(ref.q)
+    _assert_rows_match(table, ref)
     assert table._visits == ref.visits
     assert table.greedy_map == ref.greedy_map
-    assert table.greedy(S) == ref.greedy_map[S]
+    assert table.greedy(S, actions) == ref.greedy_map[S]
 
 
 @pytest.mark.parametrize("failure_ratio", [0.0, 0.2])
@@ -638,7 +657,7 @@ def test_train_matches_reference_learner(view_name, failure_ratio):
     cycles, stop_reason, trace = ref.train(env(), cfg, seed)
 
     table = result.table
-    assert table._q == ref.q
+    _assert_rows_match(table, ref)
     assert table._visits == ref.visits
     assert table.greedy_map == ref.greedy_map
     assert (result.cycles_run, result.stop_reason) == (cycles, stop_reason)
@@ -670,9 +689,9 @@ class TestUpdateQEdges:
     def test_unseen_next_state_bootstraps_zero(self):
         table = QTable(2)
         table.ensure(S, (0, 1))
-        assert update_q(table, S, 0, 1.0, ("unseen",), [0, 1], 0.9) == 1.0
+        assert update_q(table, S, 0, 1.0, ("unseen",), 0.9) == 1.0
         # second visit: step 1/2, target 0.5 + 0.9 * 0
-        assert update_q(table, S, 0, 0.5, ("unseen",), [0, 1], 0.9) == 0.75
+        assert update_q(table, S, 0, 0.5, ("unseen",), 0.9) == 0.75
         assert table.visits(S, 0) == 2
         assert ("unseen",) not in table.states()
 
@@ -681,11 +700,109 @@ class TestUpdateQEdges:
         table.ensure(NEXT, (0, 1))
         set_q(table, NEXT, 1, 0.5)
         table.ensure(S, (2,))
-        new = update_q(table, S, 2, -1.0, NEXT, [0, 1], 0.8)
+        new = update_q(table, S, 2, -1.0, NEXT, 0.8)
         assert new == -1.0 + 0.8 * 0.5
         assert table.greedy_map[S] == 2
-        assert table.q(S, 0) == table.q(S, 1) == 0.0
+        assert table.q(S, 0) == table.q(S, 1) == -np.inf
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
         assert select_action(S, table, 1.0, rng, [2]) == 2
         assert rng.bit_generator.state == before
+
+
+# -- the mask: a state determines its feasible actions --------------------------
+
+def _check_masks(monkeypatch):
+    """Wrap select_action and QTable.greedy so that every call on a state
+    already in the table asserts that the actions passed are exactly the
+    row's non -inf indices. Returns the counts of checked calls."""
+    from qlsched import policies, qlearn
+
+    checked = {"select": 0, "greedy": 0, "partial": 0}
+    real_select, real_greedy = qlearn.select_action, QTable.greedy
+
+    def check(kind, table, state, actions):
+        row = table._q.get(state)
+        if row is None:
+            return
+        mask = [a for a, q in enumerate(row) if q != -np.inf]
+        assert list(actions) == mask, \
+            f"{kind} at {state}: actions {list(actions)} are not the row's mask {mask}"
+        checked[kind] += 1
+        checked["partial"] += len(mask) < len(row)
+
+    def select_action(state, table, epsilon, rng, actions):
+        check("select", table, state, actions)
+        return real_select(state, table, epsilon, rng, actions)
+
+    def greedy(self, state, actions):
+        check("greedy", self, state, actions)
+        return real_greedy(self, state, actions)
+
+    monkeypatch.setattr(qlearn, "select_action", select_action)
+    monkeypatch.setattr(policies, "select_action", select_action)
+    monkeypatch.setattr(QTable, "greedy", greedy)
+    return checked
+
+
+def _mask_plan():
+    from qlsched.config import ExperimentPlan, ScenarioConfig
+
+    scenario = ScenarioConfig(num_tasks=12, length_min=500, length_max=6000,
+                              num_vms=3, vm_mips=1000, buffer_min=2, buffer_max=2,
+                              num_pes=1)
+    return ExperimentPlan(scenario=scenario, policies=["qsch", "qlearn"],
+                          failure_ratios=[0.0, 0.2], replications=3, seed=17,
+                          learner=LearnerConfig(total_cycles=40, repeater_threshold=10),
+                          range_mi=3000, l_cap=2)
+
+
+def test_the_state_determines_the_feasible_actions(monkeypatch):
+    # The one record of a state's feasible actions is the -inf mask of its
+    # row, set at the state's first ensure. That is exact only if every
+    # later visit of the state has the same feasible set: checked here for
+    # both learning views, in training and evaluation, with and without
+    # requeues, and on the oracle, whose full states take only the defer
+    # action.
+    from qlsched.runner import run_point, sweep_points
+
+    checked = _check_masks(monkeypatch)
+    plan = _mask_plan()
+    for point in sweep_points(plan):
+        run_point(plan, point)
+    cfg = LearnerConfig(total_cycles=60, repeater_threshold=20)
+    train(OracleEnv(build_oracle_mdp(2, 2, 2), horizon=30), cfg, seed=5)
+    assert checked["select"] > 500 and checked["greedy"] > 50, checked
+    assert checked["partial"] > 100, checked
+
+
+def test_the_mask_check_catches_a_state_blind_to_feasibility(monkeypatch):
+    # The check above has teeth: a view that drops the occupancies from
+    # its state meets one state with different feasible sets.
+    from qlsched.cluster import VmSpec
+    from qlsched.envs import LengthAwareView, SimulationEnv
+
+    class LengthOnlyView(LengthAwareView):
+        def state(self, cluster):
+            return super().state(cluster)[len(cluster.vms):]
+
+        def reward(self, cluster, action, state):
+            return super().reward(cluster, action, super().state(cluster))
+
+    _check_masks(monkeypatch)
+    plan = _mask_plan()
+    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=1) for i in range(3)]
+    env = SimulationEnv(plan.scenario, vm_specs, LengthOnlyView(3000, 2))
+    with pytest.raises(AssertionError, match="not the row's mask"):
+        train(env, plan.learner, 3)
+
+
+@pytest.mark.parametrize("prior_visits", [0, 2])
+def test_update_on_a_masked_action_raises(prior_visits):
+    # A masked slot holds -inf: a first visit's step of 1 makes 0 * -inf,
+    # NaN, and a later one keeps -inf. The reward-bound assert refuses both.
+    table = QTable(3)
+    table.ensure(S, (0, 1))
+    table._visits[S][2] = prior_visits
+    with pytest.raises(AssertionError, match="reward bound"):
+        update_q(table, S, 2, 1.0, NEXT, 0.9)

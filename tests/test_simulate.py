@@ -7,12 +7,15 @@ per admission.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_sim
 from qlsched import simulate
 from qlsched.cluster import FAILURE_DRAW_BLOCK, VmSpec, _fate
 from qlsched.config import ScenarioConfig
-from qlsched.envs import FreeBufferView, LengthAwareView, SimulationEnv
+from qlsched.envs import (FreeBufferView, LengthAwareView, SimulationEnv,
+                          encode_state, reward)
 from qlsched.policies import (fifo_select, greedy_select, mixed_select,
                                random_select)
 from qlsched.simulate import Simulation, run_policy_simulation
@@ -232,9 +235,45 @@ def test_env_reuses_a_fresh_state(make_view):
         return action
 
     final = env.episode(agent, rng)
-    assert final == (expect[0], fresh.state(cluster), cluster.feasible_vms())
+    assert final == (expect[0], fresh.state(cluster))
     assert expect[0] is not None
     assert any(r.attempts > 1 for r in env.sim.records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.integers(1, 3),
+       vms=st.lists(st.tuples(st.sampled_from([500.0, 1000.0, 2500.0]),
+                              st.integers(1, 2)), min_size=1, max_size=4),
+       tasks=st.lists(st.tuples(st.integers(0, 5), st.integers(100, 20_000)),
+                      min_size=1, max_size=30),
+       slot_seconds=st.sampled_from([0.5, 1.0, 4.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_least_occupied_vm_is_always_feasible_and_rewarded(
+        capacity, vms, tasks, slot_seconds, seed):
+    # The premises of the placement reward's ceiling (envs.reward): at
+    # failure ratio 0 with equal buffer capacities, whatever the feasible
+    # policy, every decision has a least-occupied VM with space, reward
+    # gives it +1, and there is exactly one decision per task.
+    specs_ = [VmSpec(index=v, mips=mips, buffer_capacity=capacity, pes=pes)
+              for v, (mips, pes) in enumerate(vms)]
+    sim = Simulation(specs_, [TaskSpec(i, slot, length)
+                              for i, (slot, length) in enumerate(tasks)],
+                     slot_seconds=slot_seconds)
+    decisions = 0
+
+    def random_feasible(cluster, rng):
+        nonlocal decisions
+        decisions += 1
+        state = encode_state(cluster)
+        occupied = state[:len(specs_)]
+        feasible = cluster.feasible_vms()
+        least = [v for v in feasible if occupied[v] == min(occupied)]
+        assert least, (occupied, feasible)
+        assert all(reward(state, v, cluster.capacities()) == 1 for v in least)
+        return feasible[int(rng.integers(len(feasible)))]
+
+    records = sim.drain(random_feasible, np.random.default_rng(seed))
+    assert decisions == len(tasks) == len(records)
 
 
 @pytest.mark.parametrize("weights, message", [
