@@ -4,12 +4,11 @@ Each VM owns one FIFO buffer of capacity N shared by `pes` independent
 single-server processing elements. A task's service time is
 length / mips seconds, deterministic. Time inside a run is continuous
 (seconds); scheduling happens at discrete instants chosen by the driver.
+ClusterState also owns a run's attempt rule; failure_hook is its stream.
 """
 
 from __future__ import annotations
 
-import enum
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
@@ -55,55 +54,31 @@ class CompletionRecord(NamedTuple):
 _new = tuple.__new__
 
 
-class FailureOutcome(enum.Enum):
-    COMPLETE = "complete"
-    REQUEUE = "requeue"
-    ABORT = "abort"
+def failure_hook(failure_ratio: float, seed):
+    """The run's failure stream for ClusterState, or None at ratio 0.
 
-
-def _fate(u: float, failure_ratio: float, attempts: int,
-          max_attempts: int) -> FailureOutcome:
-    """The one fate rule: u < failure_ratio fails the attempt, which is
-    requeued while attempts < max_attempts and aborted after that."""
-    if u >= failure_ratio:
-        return FailureOutcome.COMPLETE
-    return FailureOutcome.REQUEUE if attempts < max_attempts else FailureOutcome.ABORT
-
-
-def _check_ratio(failure_ratio: float):
-    if not (0.0 <= failure_ratio <= 1.0):
-        raise ValueError("failure_ratio must be in [0, 1]")
-
-
-def failure_hook(failure_ratio: float, seed,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
-    """Outcome hook for advance_to_next_event, or None at ratio 0.
-
-    At ratio 0 every attempt completes and no generator is built. Above
-    0 the hook builds its own, np.random.default_rng(seed), and gives the
-    k-th event it sees the fate _fate gives the k-th uniform of that
+    At ratio 0 no generator is built and every attempt completes. Above
+    0 the hook builds its own, np.random.default_rng(seed), and its k-th
+    call returns u_k < failure_ratio for the k-th uniform u_k of that
     stream: one Bernoulli(failure_ratio) draw per finishing attempt. It
     takes the uniforms in blocks of FAILURE_DRAW_BLOCK via rng.random(n),
     which yields the same doubles as n scalar calls. Above 0 a seed of
     None raises ValueError.
     """
-    _check_ratio(failure_ratio)
+    if not (0.0 <= failure_ratio <= 1.0):
+        raise ValueError("failure_ratio must be in [0, 1]")
     if failure_ratio == 0.0:
         return None
     if seed is None:
         raise ValueError("a failure_ratio above 0 needs a failure_seed")
     rng = np.random.default_rng(seed)
 
-    def uniforms():
+    def fails():
         while True:
-            yield from rng.random(FAILURE_DRAW_BLOCK).tolist()
+            for u in rng.random(FAILURE_DRAW_BLOCK).tolist():
+                yield u < failure_ratio
 
-    draws = uniforms()
-
-    def outcome(attempt):
-        return _fate(next(draws), failure_ratio, attempt, max_attempts)
-
-    return outcome
+    return fails().__next__
 
 
 class _Queued:
@@ -123,11 +98,9 @@ _alloc = object.__new__
 class VmState:
     def __init__(self, spec: VmSpec):
         self.spec = spec
-        self.queue: list[_Queued] = []      # admission order; in-service entries carry finish
-        # Admitted, not yet in service, FIFO. While anything waits, no PE
-        # is idle, so a freed PE takes the head and an admission starts
-        # at once or waits, never both.
-        self.waiting: deque[_Queued] = deque()
+        # Admission order. Service starts in this order and no PE idles
+        # while an entry waits: queue[:pes] are in service, the rest wait.
+        self.queue: list[_Queued] = []
         self.pe_busy: list[_Queued | None] = [None] * spec.pes
 
     def available_at(self, clock: float) -> float:
@@ -138,9 +111,15 @@ class VmState:
 
 
 class ClusterState:
-    """All VMs plus the simulation clock."""
+    """All VMs, the simulation clock and the run's attempt rule.
 
-    def __init__(self, vm_specs: list[VmSpec]):
+    fails, failure_hook's stream, is called once per finishing attempt
+    (None: every attempt completes). A failed attempt is requeued while
+    its number is below max_attempts, and recorded as aborted after that.
+    """
+
+    def __init__(self, vm_specs: list[VmSpec],
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS, fails=None):
         self.vms = [VmState(s) for s in vm_specs]
         self.clock = 0.0
         # In-service completions keyed (finish, vm index, pe): the heap
@@ -158,6 +137,8 @@ class ClusterState:
         self._free = self._capacity         # free buffer slots, all VMs
         # task id -> attempt number of its next admission, once requeued
         self._retries: dict[int, int] = {}
+        self._max_attempts = max_attempts
+        self._fails = fails
 
     # -- observation helpers used by schedulers ---------------------------
 
@@ -234,30 +215,28 @@ class ClusterState:
         self._free -= 1
         busy = vm.pe_busy
         if None in busy:
-            assert not vm.waiting, "a PE is idle while an entry waits"
+            assert len(vm.queue) <= vm.spec.pes, "a PE is idle while an entry waits"
             pe = busy.index(None)
             entry.finish = finish = clock + task.length / vm.spec.mips
             busy[pe] = entry
             heappush(self.events, (finish, vm_index, pe, entry))
         else:
             entry.finish = None
-            vm.waiting.append(entry)
         assert (0 <= occupied[vm_index] == len(vm.queue) <= caps[vm_index]
                 and self._assigned[vm_index] >= 0
                 and 0 <= self._free <= self._capacity), \
             f"occupancy counters of VM {vm_index} out of step with its buffer"
 
-    def advance_to_next_event(self, outcome=None):
+    def advance_to_next_event(self):
         """Process the single earliest completion event.
 
-        outcome(attempt) returns the FailureOutcome of the finishing
-        attempt: completions yield a CompletionRecord, aborts yield a
-        record flagged aborted, and requeues hand the task back to the
-        caller, whose next admit of it numbers the next attempt. With no
-        outcome hook every event completes. Ties on the finish instant
-        go to the lowest VM index, then the lowest PE. The freed PE takes
-        the head of the VM's waiting entries. Returns
-        (records, requeued_tasks). No-op when every PE is idle.
+        Ties on the finish instant go to the lowest VM index, then the
+        lowest PE. The freed PE takes the VM's oldest waiting entry. The
+        finishing attempt yields its CompletionRecord, aborted if it
+        failed, unless it failed below max_attempts: then the task goes
+        back to the caller, whose next admit of it numbers the next
+        attempt. Returns (records, requeued_tasks). No-op when every PE
+        is idle.
         """
         events = self.events
         if not events:
@@ -273,8 +252,8 @@ class ClusterState:
         self._free += 1
         mips = vm.spec.mips
         busy = vm.pe_busy
-        if vm.waiting:
-            head = vm.waiting.popleft()
+        if len(vm.queue) >= vm.spec.pes:
+            head = vm.queue[vm.spec.pes - 1]
             head.finish = head_finish = finish + head.task.length / mips
             busy[pe] = head
             heappush(events, (head_finish, vi, pe, head))
@@ -286,14 +265,10 @@ class ClusterState:
                 and 0 <= self._free <= self._capacity), \
             f"occupancy counters of VM {vi} out of step with its buffer"
 
-        if outcome is None:
-            return [_new(CompletionRecord, (task.id, entry.admit_time, finish,
-                                            task.length / mips, vi,
-                                            entry.attempt, False))], []
-        fate = outcome(entry.attempt)
-        if fate is FailureOutcome.REQUEUE:
+        failed = self._fails is not None and self._fails()
+        if failed and entry.attempt < self._max_attempts:
             self._retries[task.id] = entry.attempt + 1
             return [], [task]
         return [_new(CompletionRecord, (task.id, entry.admit_time, finish,
                                         task.length / mips, vi, entry.attempt,
-                                        fate is FailureOutcome.ABORT))], []
+                                        failed))], []

@@ -109,8 +109,9 @@ def update_q(table: QTable, state, action, reward_value: float, next_state,
     The step size comes from the pair's visit count before this update,
     the bootstrap is the max of the next state's row (0 when unseen), and
     the visit count then increments. The state must have been ensure()d
-    and the action be feasible there: a masked one fails the reward-bound
-    assert. The greedy action is QTable.greedy's, the first maximum.
+    and the action be feasible there: a masked one breaks the reward bound
+    and raises ValueError before the table changes. The greedy action is
+    QTable.greedy's, the first maximum.
     """
     q_rows = table._q
     visits = table._visits[state]
@@ -120,10 +121,10 @@ def update_q(table: QTable, state, action, reward_value: float, next_state,
     target = reward_value + gamma * (0.0 if next_row is None else max(next_row))
     row = q_rows[state]
     new_q = (1.0 - beta) * row[action] + beta * target
+    if not abs(new_q) <= 1.0 / (1.0 - gamma) + 1e-9:
+        raise ValueError(f"|q|={new_q} escapes the reward bound")
     row[action] = new_q
     visits[action] = n + 1
-    assert abs(new_q) <= 1.0 / (1.0 - gamma) + 1e-9, \
-        f"|q|={new_q} escapes the reward bound"
     table.greedy_map[state] = row.index(max(row))
     return new_q
 

@@ -27,11 +27,11 @@ class Simulation:
     be admitted somewhere (returning that task) or the run is fully
     drained (returning None); apply(vm_index) admits the pending task.
 
-    failure_ratio is checked here, once. At ratio 0 no failure generator
-    is built. Above 0 the run builds its own from failure_seed (anything
-    np.random.default_rng takes), so no caller can share it, and the k-th
-    finishing attempt fails when the k-th uniform falls below the ratio.
-    A ratio above 0 with no failure_seed raises ValueError.
+    failure_hook(failure_ratio, failure_seed) and max_attempts go to the
+    ClusterState, which applies them. At ratio 0 no failure generator is
+    built. Above 0 the run builds its own from failure_seed (anything
+    np.random.default_rng takes), so no caller can share it; a ratio
+    above 0 with no failure_seed raises ValueError.
     """
 
     def __init__(self, vm_specs: list[VmSpec], workload: list[TaskSpec],
@@ -40,10 +40,9 @@ class Simulation:
                  failure_seed=None):
         if slot_seconds <= 0:
             raise ValueError("slot_seconds must be > 0")
-        self.cluster = ClusterState(vm_specs)
+        self.cluster = ClusterState(vm_specs, max_attempts,
+                                    failure_hook(failure_ratio, failure_seed))
         self.slot_seconds = slot_seconds
-        # None at ratio 0, so every event completes without a draw
-        self._outcome = failure_hook(failure_ratio, failure_seed, max_attempts)
         self._pending = deque(sorted(workload, key=attrgetter("arrival_slot", "id")))
         self._queue: deque[TaskSpec] = deque()
         self.records = []
@@ -64,7 +63,7 @@ class Simulation:
                 return queue[0]
             if events and (not pending
                            or events[0][0] <= pending[0].arrival_slot * slot_seconds):
-                records, requeued = cluster.advance_to_next_event(self._outcome)
+                records, requeued = cluster.advance_to_next_event()
                 self.records.extend(records)
                 queue.extend(requeued)
             elif pending:

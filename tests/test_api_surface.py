@@ -156,8 +156,8 @@ def test_patched_cluster_methods_see_every_admission_and_event(monkeypatch):
         counts["admit"] += 1
         return admit(self, task, vm_index)
 
-    def counting_advance(self, outcome=None):
-        records, requeued = advance(self, outcome)
+    def counting_advance(self):
+        records, requeued = advance(self)
         counts["event"] += 1
         counts["requeued"] += len(requeued)
         return records, requeued

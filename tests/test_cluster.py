@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from qlsched.cluster import (ClusterState, CompletionRecord, FailureOutcome,
-                             VmSpec, _fate, failure_hook)
+from qlsched import cluster
+from qlsched.cluster import (FAILURE_DRAW_BLOCK, ClusterState, CompletionRecord,
+                             VmSpec, failure_hook)
 from qlsched.config import DEFAULT_MAX_ATTEMPTS
 from qlsched.errors import BufferFullError
 from qlsched.workload import TaskSpec
 
 
-def make_cluster(num_vms=3, capacity=5, mips=1000.0, pes=1):
+def make_cluster(num_vms=3, capacity=5, mips=1000.0, pes=1, **attempt_rule):
     specs = [VmSpec(index=i, mips=mips, buffer_capacity=capacity, pes=pes)
              for i in range(num_vms)]
-    return ClusterState(specs)
+    return ClusterState(specs, **attempt_rule)
 
 
 def task(tid, length, slot=0):
@@ -154,10 +155,13 @@ def test_assigned_length_matches_queue_and_clock_monotone():
                                         if n < vm.spec.buffer_capacity]
             for vm in c.vms:
                 # FIFO service: the in-service entries are the oldest
-                # admitted ones, and a PE idles only when none is waiting
+                # admitted ones, and a PE idles only when none is waiting,
+                # so queue[:pes] are the entries with a finish instant
                 busy = [q for q in vm.pe_busy if q is not None]
                 n = min(len(vm.queue), vm.spec.pes)
                 assert len(busy) == n and all(q in vm.queue[:n] for q in busy)
+                assert [q.finish is not None for q in vm.queue] == [
+                    i < vm.spec.pes for i in range(len(vm.queue))]
 
     # Six completions tie at t = 1 s; admission order differs from
     # (vm, pe) order, and the events must pop in (vm, pe) order.
@@ -179,17 +183,18 @@ def test_records_are_completion_records(failure_ratio):
     # are requeued and aborted too, and the cluster numbers each task's
     # attempts as this test counts them
     rng = np.random.default_rng(31)
-    hook = failure_hook(failure_ratio, 32, max_attempts=2)
-    fates = []
+    hook = failure_hook(failure_ratio, 32)
+    draws = []
 
-    def outcome(attempt):
-        fates.append(hook(attempt))
-        return fates[-1]
+    def fails():
+        draws.append(hook())
+        return draws[-1]
 
-    c = make_cluster(num_vms=3, capacity=3, pes=2)
+    c = make_cluster(num_vms=3, capacity=3, pes=2, max_attempts=2,
+                     fails=fails if hook is not None else None)
     admitted = {}      # task id -> (admit instant, attempt)
     retry = []         # (task, attempt) to admit again
-    seen = {fate: 0 for fate in FailureOutcome}
+    seen = {"complete": 0, "requeue": 0, "abort": 0}
     tid = 0
     for _ in range(3000):
         if c.has_free_buffer() and (retry or not c.events or rng.random() < 0.55):
@@ -202,28 +207,30 @@ def test_records_are_completion_records(failure_ratio):
             admitted[t.id] = (c.clock, attempt)
             continue
         finish, vi, _, entry = c.events[0]
-        fates.clear()
-        records, requeued = c.advance_to_next_event(
-            outcome if hook is not None else None)
-        fate = fates[0] if fates else FailureOutcome.COMPLETE
-        seen[fate] += 1
+        draws.clear()
+        records, requeued = c.advance_to_next_event()
+        # one draw per finishing attempt, none without a stream
+        assert len(draws) == (hook is not None)
+        failed = bool(draws) and draws[0]
         submit, attempt = admitted[entry.task.id]
-        if fate is FailureOutcome.REQUEUE:
+        if failed and attempt < 2:
+            seen["requeue"] += 1
             assert records == [] and requeued == [entry.task]
             retry.append((entry.task, attempt + 1))
             continue
+        seen["abort" if failed else "complete"] += 1
         (r,) = records
         assert requeued == []
         assert type(r) is CompletionRecord
         assert r == CompletionRecord(
             task_id=entry.task.id, submit_time=submit, finish_time=finish,
             exec_time=entry.task.length / c.vms[vi].spec.mips, vm_index=vi,
-            attempts=attempt, aborted=fate is FailureOutcome.ABORT)
-        assert r.aborted is (fate is FailureOutcome.ABORT)
+            attempts=attempt, aborted=failed)
+        assert r.aborted is failed
     if failure_ratio:
-        assert seen[FailureOutcome.REQUEUE] and seen[FailureOutcome.ABORT]
+        assert seen["requeue"] and seen["abort"]
     else:
-        assert seen[FailureOutcome.COMPLETE] > 1000
+        assert seen["complete"] > 1000
 
 
 def _reference_backlog(c, vm_index):
@@ -268,30 +275,51 @@ def test_backlogs_match_per_vm_loop():
 # -- failure draws ---------------------------------------------------------------
 
 def test_failure_ratio_zero_always_completes():
-    # no hook at ratio 0, so every event completes and no seed is needed;
-    # the fate rule itself completes every uniform in [0, 1) too
+    # no stream at ratio 0, so every event completes and no seed is needed
     assert failure_hook(0.0, None) is None
     assert failure_hook(0.0, 0) is None
-    us = np.random.default_rng(1).random(500).tolist() + [0.0, 1.0 - 2.0**-53]
-    assert {_fate(u, 0.0, 1, DEFAULT_MAX_ATTEMPTS) for u in us} == {FailureOutcome.COMPLETE}
 
 
 def test_failure_ratio_one_requeues_then_aborts():
-    hook = failure_hook(1.0, 0, max_attempts=3)
-    fates = [hook(attempts) for attempts in (1, 2, 3)]
-    assert fates == [FailureOutcome.REQUEUE, FailureOutcome.REQUEUE,
-                     FailureOutcome.ABORT]
-    # the boundary: u < ratio fails, u == ratio completes
-    assert _fate(0.25, 0.25, 1, 3) is FailureOutcome.COMPLETE
-    assert _fate(np.nextafter(0.25, 0.0), 0.25, 3, 3) is FailureOutcome.ABORT
+    c = make_cluster(num_vms=1, max_attempts=3, fails=failure_hook(1.0, 0))
+    t = task(0, 1000)
+    for attempt in (1, 2):
+        c.admit(t, 0)
+        assert c.advance_to_next_event() == ([], [t])
+    c.admit(t, 0)
+    (r,), requeued = c.advance_to_next_event()
+    assert requeued == [] and r.aborted and r.attempts == 3
+
+
+def test_failure_boundary(monkeypatch):
+    # u < ratio fails, u == ratio completes: a stub generator feeds the
+    # stream the ratio itself, then the double just below it
+    blocks = []
+
+    class Stub:
+        def __init__(self, seed):
+            pass
+
+        def random(self, n):
+            blocks.append(n)
+            return np.array([0.25, np.nextafter(0.25, 0.0)] * (n // 2))
+
+    monkeypatch.setattr(cluster.np.random, "default_rng", Stub)
+    c = make_cluster(num_vms=1, pes=2, max_attempts=1,
+                     fails=failure_hook(0.25, 0))
+    c.admit(task(0, 1000), 0)
+    c.admit(task(1, 2000), 0)
+    first, _ = c.advance_to_next_event()
+    second, _ = c.advance_to_next_event()
+    assert [(r.task_id, r.attempts, r.aborted) for r in first + second] == [
+        (0, 1, False), (1, 1, True)]
+    assert blocks == [FAILURE_DRAW_BLOCK]
 
 
 def test_failure_frequency_matches_ratio():
-    hook = failure_hook(0.2, 123)
+    fails = failure_hook(0.2, 123)
     n = 100_000
-    fails = sum(hook(1) is not FailureOutcome.COMPLETE
-                for _ in range(n))
-    assert abs(fails / n - 0.2) <= 0.01
+    assert abs(sum(fails() for _ in range(n)) / n - 0.2) <= 0.01
 
 
 @pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
@@ -311,22 +339,23 @@ def _busy_cluster():
     c = make_cluster(num_vms=1, capacity=4, pes=2)
     for tid, length in enumerate([1000, 3000, 2000]):
         c.admit(task(tid, length), 0)
-    assert len(c.vms[0].waiting) == 1 and None not in c.vms[0].pe_busy
+    assert c.vms[0].queue[2].finish is None and None not in c.vms[0].pe_busy
     return c
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda c: c._occupied.__setitem__(0, c._occupied[0] - 1),
-    lambda c: c._assigned.__setitem__(0, -10**9),
-    lambda c: setattr(c, "_free", -5),
-    lambda c: setattr(c, "_free", c._capacity + 5),
-    lambda c: c.vms[0].pe_busy.__setitem__(1, None),   # a PE idles while task 2 waits
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda c: c._occupied.__setitem__(0, c._occupied[0] - 1), "out of step"),
+    (lambda c: c._assigned.__setitem__(0, -10**9), "out of step"),
+    (lambda c: setattr(c, "_free", -5), "out of step"),
+    (lambda c: setattr(c, "_free", c._capacity + 5), "out of step"),
+    # a PE idles while task 2 waits
+    (lambda c: c.vms[0].pe_busy.__setitem__(1, None), "a PE is idle"),
 ], ids=["occupied", "assigned", "free_low", "free_high", "idle_pe"])
 @pytest.mark.parametrize("op", ["admit", "advance"])
-def test_inline_checks_fire(corrupt, op):
+def test_inline_checks_fire(corrupt, message, op):
     c = _busy_cluster()
     corrupt(c)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=message):
         if op == "admit":
             c.admit(task(9, 500), 0)
         else:
@@ -338,7 +367,7 @@ def test_freed_pe_takes_the_waiting_head():
     records, _ = c.advance_to_next_event()
     assert [r.task_id for r in records] == [0]
     vm = c.vms[0]
-    assert not vm.waiting
+    assert [q.task.id for q in vm.queue] == [1, 2]
     assert [q.task.id for q in vm.pe_busy] == [2, 1]
     assert vm.pe_busy[0].finish == 1.0 + 2.0
     assert c.events[0][0] == 3.0

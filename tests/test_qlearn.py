@@ -1,6 +1,9 @@
 """Q-learning primitives: step sizes, action selection, backups, stopping."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -797,12 +800,36 @@ def test_the_mask_check_catches_a_state_blind_to_feasibility(monkeypatch):
         train(env, plan.learner, 3)
 
 
+MASKED_UPDATE = """
+from qlsched.qlearn import QTable, update_q
+table = QTable(3)
+table.ensure(("s",), (0, 1))
+update_q(table, ("s",), 1, 1.0, ("n",), 0.9)
+try:
+    update_q(table, ("s",), 2, 1.0, ("n",), 0.9)
+except ValueError:
+    print((table._q[("s",)], table._visits[("s",)], table.greedy_map))
+"""
+
+
 @pytest.mark.parametrize("prior_visits", [0, 2])
 def test_update_on_a_masked_action_raises(prior_visits):
     # A masked slot holds -inf: a first visit's step of 1 makes 0 * -inf,
-    # NaN, and a later one keeps -inf. The reward-bound assert refuses both.
+    # NaN, and a later one keeps -inf. The reward-bound check refuses both
+    # before it writes, so the row, the visits and greedy_map stay as they
+    # were, also under python -O, which strips asserts.
     table = QTable(3)
     table.ensure(S, (0, 1))
+    update_q(table, S, 1, 1.0, NEXT, 0.9)
     table._visits[S][2] = prior_visits
-    with pytest.raises(AssertionError, match="reward bound"):
+    before = (list(table._q[S]), list(table._visits[S]), dict(table.greedy_map))
+    with pytest.raises(ValueError, match="reward bound"):
         update_q(table, S, 2, 1.0, NEXT, 0.9)
+    assert (table._q[S], table._visits[S], table.greedy_map) == before
+    if prior_visits == 0:
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-O", "-c", MASKED_UPDATE], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == repr(before) + "\n"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_sim
 from qlsched import simulate
-from qlsched.cluster import FAILURE_DRAW_BLOCK, VmSpec, _fate
+from qlsched.cluster import FAILURE_DRAW_BLOCK, VmSpec
 from qlsched.config import ScenarioConfig
 from qlsched.envs import (FreeBufferView, LengthAwareView, SimulationEnv,
                           encode_state, reward)
@@ -104,10 +104,10 @@ def _failure_run(ratio, seed, max_attempts=2):
         policy_rng=np.random.default_rng(seed + 2), failure_seed=seed + 1)
 
 
-def maybe_fail(failure_ratio, attempt, rng, max_attempts):
+def maybe_fail(failure_ratio, rng):
     """The scalar reference for the block-drawing failure hook: one
     rng.random() draw per finishing attempt, at every ratio."""
-    return _fate(rng.random(), failure_ratio, attempt, max_attempts)
+    return rng.random() < failure_ratio
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.2, 1.0])
@@ -130,13 +130,13 @@ def test_block_failure_draws_match_one_maybe_fail_per_event(monkeypatch, ratio):
         assert built == [seed, seed + 2] + ([seed + 1] if ratio else [])
         draws = []
 
-        def scalar_hook(failure_ratio, failure_seed, max_attempts):
+        def scalar_hook(failure_ratio, failure_seed):
             rng = default_rng(failure_seed)
 
-            def outcome(attempt):
-                draws.append(attempt)
-                return maybe_fail(failure_ratio, attempt, rng, max_attempts)
-            return outcome
+            def fails():
+                draws.append(maybe_fail(failure_ratio, rng))
+                return draws[-1]
+            return fails
 
         with monkeypatch.context() as m:
             m.setattr(simulate, "failure_hook", scalar_hook)
@@ -204,7 +204,7 @@ def test_failure_ratio_above_zero_needs_a_seed():
     # no hidden default stream: a failing run names its own seed
     with pytest.raises(ValueError, match="failure_seed"):
         Simulation(specs(), [TaskSpec(0, 0, 1)], failure_ratio=0.1)
-    assert Simulation(specs(), [TaskSpec(0, 0, 1)])._outcome is None
+    assert Simulation(specs(), [TaskSpec(0, 0, 1)]).cluster._fails is None
 
 
 @pytest.mark.parametrize("make_view", [lambda: LengthAwareView(2000, 3),
@@ -297,7 +297,7 @@ def test_env_reset_draws_two_seeds_at_every_ratio(ratio):
     env.reset(rng)
     twin.integers(2**63, size=2)
     assert rng.bit_generator.state == twin.bit_generator.state
-    assert (env.sim._outcome is None) == (ratio == 0.0)
+    assert (env.sim.cluster._fails is None) == (ratio == 0.0)
 
 
 @pytest.mark.parametrize("policy", sorted(reference_sim.POLICIES))
