@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     from .runner import run_plan  # numpy and the simulator load here
     try:
         outputs = run_plan(plan)
-    except ConfigError as exc:    # an out_dir that is not a directory
+    except ConfigError as exc:    # an out_dir at or under a file
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -27,7 +27,8 @@ FAILURE_DRAW_BLOCK = 64
 
 @dataclass(frozen=True)
 class VmSpec:
-    index: int
+    """One VM's speed, buffer capacity and PE count; its index is its
+    position in the run's vm_specs list."""
     mips: float
     buffer_capacity: int
     pes: int = 1

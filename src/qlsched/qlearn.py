@@ -4,8 +4,8 @@ The table is sparse: a state's row materializes on first touch, -inf at
 the actions the state cannot take. The learning rate for the t-th update
 of a pair is 1 / (1 + visits^0.65), exploration is epsilon-greedy with a
 linearly decaying epsilon, and training stops when the greedy action of
-every visited state survives a whole cycle unchanged or when the repeater
-budget runs out.
+every visited state survives a whole cycle unchanged or when the cycle
+cap runs out.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ class QTable:
 
     num_actions is the number of action slots in a state's row: for a
     scheduler, one per VM. A row holds -inf at the actions its state
-    cannot take, so its max is the feasible max. greedy_map holds the
-    lowest-index greedy action of every updated state, maintained
-    incrementally so the convergence check stays cheap.
+    cannot take, so its max is the feasible max. greedy_map is the one
+    record of each updated state's greedy action, its row's first argmax:
+    update_q keeps it, greedy reads it and the stop rule compares it.
     """
 
     def __init__(self, num_actions: int):
@@ -72,12 +72,11 @@ class QTable:
         return 0 if row is None else row[action]
 
     def greedy(self, state, actions) -> int:
-        """Lowest-index argmax over the state's feasible actions; the first
-        of `actions` (its feasible actions, ascending) when it is unseen."""
-        row = self._q.get(state)
-        if row is None:
-            return actions[0]
-        return row.index(max(row))
+        """The state's greedy_map entry; the first of `actions` (its
+        feasible actions, ascending) when it has none. Rows change only
+        through update_q, and an ensured row that was never updated has its
+        first argmax at actions[0], so this is the row's first argmax."""
+        return self.greedy_map.get(state, actions[0])
 
 
 def select_action(state, table: QTable, epsilon: float,
@@ -129,44 +128,40 @@ def update_q(table: QTable, state, action, reward_value: float, next_state,
     return new_q
 
 
-@dataclass
-class ConvergenceMonitor:
-    repeater: int = 0
-    best_action_snapshot: dict | None = None
-
-
-def check_convergence(monitor: ConvergenceMonitor, table: QTable,
+def check_convergence(previous: dict | None, current: dict, cycle: int,
                       threshold: int) -> str | None:
     """End-of-cycle stop test: the stop reason, or None to go on.
 
-    "stable" when the greedy action of every visited state matches the
-    previous cycle's snapshot (newly visited states count as mismatches),
-    else "budget" when the repeater exceeds the threshold. Otherwise
-    refreshes the snapshot and increments the repeater, which counts every
-    cycle that did not stop: the threshold is a cycle cap, not a count of
-    stable cycles, and training that is never stable stops after
-    threshold + 2 cycles.
+    "stable" when the greedy map `current` equals `previous`, the map
+    after the last cycle that did not stop (None before the first check;
+    newly visited states count as mismatches), else "budget" when the
+    0-based `cycle` exceeds the threshold. The threshold is a cycle cap,
+    not a count of stable cycles: training that is never stable stops
+    after threshold + 2 cycles.
     """
-    current = table.greedy_map
-    if monitor.best_action_snapshot is not None and monitor.best_action_snapshot == current:
+    if previous == current:
         return "stable"
-    if monitor.repeater > threshold:
+    if cycle > threshold:
         return "budget"
-    monitor.best_action_snapshot = dict(current)
-    monitor.repeater += 1
     return None
 
 
 @dataclass
 class TrainResult:
+    """A trained table, why training stopped ("stable", "budget" or
+    "schedule") and one trace row per cycle run."""
     table: QTable
-    cycles_run: int
-    stop_reason: str                 # "stable", "budget" or "schedule"
+    stop_reason: str
     trace: list = field(default_factory=list)
+
+    @property
+    def cycles_run(self) -> int:
+        return len(self.trace)
 
 
 def train(env, cfg: LearnerConfig, seed) -> TrainResult:
-    """Run epsilon-greedy Q-learning episodes until convergence.
+    """Run epsilon-greedy Q-learning episodes until check_convergence stops
+    them, or for cfg.total_cycles ("schedule").
 
     env protocol: num_actions; reset(rng); episode(agent, rng) calls
     agent(previous action's reward or None, state, actions) -> action per
@@ -176,8 +171,7 @@ def train(env, cfg: LearnerConfig, seed) -> TrainResult:
     rng = np.random.default_rng(seed)
     table = QTable(env.num_actions)
     ensure, rows = table.ensure, table._q
-    monitor = ConvergenceMonitor()
-    trace, stop_reason, cycles = [], "schedule", 0
+    trace, stop_reason, previous = [], "schedule", None
     gamma, lr_exponent = cfg.gamma, cfg.lr_exponent
     prev_state = prev_action = None
     for cycle in range(cfg.total_cycles):
@@ -198,14 +192,14 @@ def train(env, cfg: LearnerConfig, seed) -> TrainResult:
         reward_value, state = env.episode(agent, rng)
         update_q(table, prev_state, prev_action, reward_value, state, gamma,
                  lr_exponent)
-        cycles = cycle + 1
         trace.append({"cycle": cycle, "epsilon": epsilon, "states_seen": len(table),
                       **(env.episode_metrics() or {})})
-        if reason := check_convergence(monitor, table, cfg.repeater_threshold):
+        if reason := check_convergence(previous, table.greedy_map, cycle,
+                                       cfg.repeater_threshold):
             stop_reason = reason
             break
-    return TrainResult(table=table, cycles_run=cycles,
-                       stop_reason=stop_reason, trace=trace)
+        previous = dict(table.greedy_map)
+    return TrainResult(table=table, stop_reason=stop_reason, trace=trace)
 
 
 def export_qtable(table: QTable) -> str:

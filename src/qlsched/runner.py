@@ -13,6 +13,7 @@ dump per trained policy and point.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import os
@@ -64,30 +65,6 @@ class RunOutputs:
         self.convergence += other.convergence
         self.qtables.update(other.qtables)
 
-    @staticmethod
-    def _match(rows, policy, tasks, buffer, failure):
-        return [r for r in rows
-                if r["policy"] == policy
-                and (tasks is None or r["tasks"] == tasks)
-                and (buffer is None or r["buffer"] == buffer)
-                and (failure is None or r["failure_ratio"] == failure)]
-
-    def summary_row(self, policy: str, tasks=None, buffer=None, failure=None):
-        rows = self._match(self.summary, policy, tasks, buffer, failure)
-        if len(rows) != 1:
-            raise KeyError(f"{len(rows)} summary rows match "
-                           f"({policy}, {tasks}, {buffer}, {failure})")
-        return rows[0]
-
-    def run_values(self, policy: str, metric: str, tasks=None, buffer=None,
-                   failure=None):
-        """Per-replication metric values, ordered by (sweep point, seed)."""
-        out = [r[metric] for r in self._match(self.runs, policy, tasks, buffer,
-                                              failure)]
-        if not out:
-            raise KeyError(f"no runs match ({policy}, {tasks}, {buffer}, {failure})")
-        return out
-
 
 def _train_policy(plan: ExperimentPlan, name: str, view, scenario_pt, vm_specs,
                   failure_ratio: float, point_idx: int):
@@ -121,8 +98,8 @@ def run_point(plan: ExperimentPlan, point) -> RunOutputs:
     """
     point_idx, ti, bi, tasks, buf, fr = point
     scenario_pt = replace(plan.scenario, num_tasks=tasks)
-    vm_specs = [VmSpec(index=i, mips=scenario_pt.vm_mips, buffer_capacity=buf,
-                       pes=scenario_pt.num_pes) for i in range(scenario_pt.num_vms)]
+    vm_specs = [VmSpec(mips=scenario_pt.vm_mips, buffer_capacity=buf,
+                       pes=scenario_pt.num_pes)] * scenario_pt.num_vms
     cols = run_cols(len(vm_specs))
     out = RunOutputs()
     at = (tasks, buf, float(fr))    # every row's (tasks, buffer, failure_ratio)
@@ -173,12 +150,18 @@ def run_point(plan: ExperimentPlan, point) -> RunOutputs:
 def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
     """Execute the full sweep; write CSVs when an output directory is set.
 
-    An output directory that exists as something other than a directory
-    raises ConfigError before the first point runs.
+    An output directory whose nearest existing ancestor (itself, if it
+    exists) is not a directory raises ConfigError before the first point
+    runs.
     """
     out_dir = out_dir if out_dir is not None else plan.out_dir
-    if out_dir and os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise ConfigError(f"out_dir {out_dir!r} exists and is not a directory")
+    if out_dir:
+        ancestor = os.path.abspath(out_dir)
+        while not os.path.lexists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise ConfigError(f"out_dir {out_dir!r}: {ancestor!r} exists and "
+                              "is not a directory")
     outputs = RunOutputs()
     for point in sweep_points(plan):
         outputs.extend(run_point(plan, point))
@@ -188,16 +171,29 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
 
 
 def _write_outputs(outputs: RunOutputs, num_vms: int, out_dir: str):
+    """Write every file as <name>.partial, then rename each onto its name.
+    On any error the partials are deleted and the error re-raised, so no
+    file is left half written."""
     os.makedirs(out_dir, exist_ok=True)
-    for fname, cols, rows in (("runs.csv", run_cols(num_vms), outputs.runs),
-                              ("summary.csv", SUMMARY_COLS, outputs.summary),
-                              ("convergence.csv", CONVERGENCE_COLS,
-                               outputs.convergence)):
-        with open(os.path.join(out_dir, fname), "w", newline="",
-                  encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            w.writerows([csv_cell(r[c]) for c in cols] for r in rows)
-    for fname, text in outputs.qtables.items():
-        with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    partials = []
+    try:
+        for fname, cols, rows in (("runs.csv", run_cols(num_vms), outputs.runs),
+                                  ("summary.csv", SUMMARY_COLS, outputs.summary),
+                                  ("convergence.csv", CONVERGENCE_COLS,
+                                   outputs.convergence)):
+            partials.append(os.path.join(out_dir, fname + ".partial"))
+            with open(partials[-1], "w", newline="", encoding="utf-8") as fh:
+                w = csv.writer(fh)
+                w.writerow(cols)
+                w.writerows([csv_cell(r[c]) for c in cols] for r in rows)
+        for fname, text in outputs.qtables.items():
+            partials.append(os.path.join(out_dir, fname + ".partial"))
+            with open(partials[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for path in partials:
+            os.replace(path, path.removesuffix(".partial"))
+    except BaseException:
+        for path in partials:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise

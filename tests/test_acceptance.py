@@ -18,6 +18,7 @@ from oracle_helpers import (
     index_state,
     reachable_from_empty,
 )
+from outputs_helpers import run_values, summary_row
 from qlsched.cluster import ClusterState, CompletionRecord, VmSpec
 from qlsched.config import LearnerConfig, ScenarioConfig, parse_config
 from qlsched.envs import encode_state, reward
@@ -103,7 +104,7 @@ def test_criterion_1_oracle_optimality():
 
 def length_class(total_mi: int, range_mi: int) -> int:
     """encode_state's length class of one VM holding total_mi of work."""
-    cluster = ClusterState([VmSpec(index=0, mips=1000.0, buffer_capacity=1)])
+    cluster = ClusterState([VmSpec(mips=1000.0, buffer_capacity=1)])
     if total_mi:
         cluster.admit(TaskSpec(0, 0, total_mi), 0)
     return encode_state(cluster, range_mi)[1]
@@ -132,7 +133,7 @@ def test_criterion_2_formula_checks():
 # -- 3: metric oracle ----------------------------------------------------------------
 
 def test_criterion_3_metric_oracle():
-    vm = [VmSpec(index=0, mips=1000.0, buffer_capacity=5)]
+    vm = [VmSpec(mips=1000.0, buffer_capacity=5)]
     workload = [TaskSpec(0, 0, 1000), TaskSpec(1, 0, 2000)]
     report = build_report(run_policy_simulation(vm, workload, fifo_select), vm)
     finish(3, [
@@ -149,10 +150,10 @@ def test_criterion_4_small_scenario_margins():
     plan = load_plan("scenario1.yaml", task_counts=[20],
                      policies=["qlearn", "random", "fifo", "mixed", "greedy"])
     outputs = run_plan(plan)
-    ql = outputs.summary_row("qlearn", tasks=20)
+    ql = summary_row(outputs, "qlearn", tasks=20)
     clauses = []
     for name in ("random", "fifo", "mixed", "greedy"):
-        base = outputs.summary_row(name, tasks=20)
+        base = summary_row(outputs, name, tasks=20)
         for metric, label in (("mean_response_s", "response"),
                               ("mean_makespan_s", "makespan")):
             gap = pct_below(base[metric], ql[metric])
@@ -170,26 +171,26 @@ def test_criterion_5_large_scenario_margins():
                      policies=["qlearn", "qsch", "random", "fifo", "mixed",
                                "greedy"])
     outputs = run_plan(plan)
-    ql = outputs.summary_row("qlearn", tasks=100)
+    ql = summary_row(outputs, "qlearn", tasks=100)
     clauses = []
     for metric, label in (("mean_response_s", "response"),
                           ("mean_makespan_s", "makespan")):
-        gap = pct_below(outputs.summary_row("random", tasks=100)[metric],
+        gap = pct_below(summary_row(outputs, "random", tasks=100)[metric],
                         ql[metric])
         clauses.append((gap >= 0.10,
                         f"{label} vs random {gap:+.1%} (needs >=10%)"))
     for name in ("fifo", "mixed", "greedy"):
-        base = outputs.summary_row(name, tasks=100)
+        base = summary_row(outputs, name, tasks=100)
         for metric, label in (("mean_response_s", "response"),
                               ("mean_makespan_s", "makespan")):
             gap = pct_below(base[metric], ql[metric])
             clauses.append((gap > 0.0,
                             f"{label} below {name} {gap:+.1%} (needs >0%)"))
     # paired per-replication margin over the buffer-state-only learner
-    ql_runs = np.array(outputs.run_values("qlearn", "avg_response_s",
-                                          tasks=100))
-    qsch_runs = np.array(outputs.run_values("qsch", "avg_response_s",
-                                            tasks=100))
+    ql_runs = np.array(run_values(outputs, "qlearn", "avg_response_s",
+                                  tasks=100))
+    qsch_runs = np.array(run_values(outputs, "qsch", "avg_response_s",
+                                    tasks=100))
     diff = qsch_runs - ql_runs
     se = diff.std(ddof=1) / np.sqrt(diff.size)
     z = diff.mean() / se
@@ -203,7 +204,7 @@ def test_criterion_5_large_scenario_margins():
 def test_criterion_6_failure_robustness():
     plan = load_plan("failure_sweep.yaml")
     outputs = run_plan(plan)
-    spans = [outputs.summary_row("qlearn", failure=f)["mean_makespan_s"]
+    spans = [summary_row(outputs, "qlearn", failure=f)["mean_makespan_s"]
              for f in (0.0, 0.1, 0.2)]
     rise = (spans[2] - spans[0]) / spans[0]
     finish(6, [
@@ -221,14 +222,14 @@ def test_criterion_7_buffer_insensitivity():
                      policies=["qlearn", "random", "mixed"])
     outputs = run_plan(plan)
     sizes = plan.buffer_sizes
-    ql = {b: outputs.summary_row("qlearn", buffer=b)["mean_response_s"]
+    ql = {b: summary_row(outputs, "qlearn", buffer=b)["mean_response_s"]
           for b in sizes}
     variation = (max(ql.values()) - min(ql.values())) / min(ql.values())
     clauses = [(variation <= 0.15,
                 f"response varies {variation:.1%} across buffer sizes "
                 f"{sizes} (needs <=15%)")]
     for name in ("random", "mixed"):
-        base = {b: outputs.summary_row(name, buffer=b)["mean_response_s"]
+        base = {b: summary_row(outputs, name, buffer=b)["mean_response_s"]
                 for b in sizes}
         worst = min(pct_below(base[b], ql[b]) for b in sizes)
         clauses.append((worst > 0.0,
@@ -243,7 +244,7 @@ def occupancy_suite(rng, cases=1000):
     for _ in range(cases):
         k = int(rng.integers(1, 5))
         cap = int(rng.integers(1, 6))
-        specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=cap)
+        specs = [VmSpec(mips=1000.0, buffer_capacity=cap)
                  for i in range(k)]
         cluster = ClusterState(specs)
         for tid in range(int(rng.integers(0, 3 * k * cap))):
@@ -294,7 +295,7 @@ def kernel_rows_suite(rng, min_rows=1000):
 def load_share_suite(rng, cases=1000):
     for _ in range(cases):
         k = int(rng.integers(1, 5))
-        specs = [VmSpec(index=i, mips=float(rng.integers(500, 3000)),
+        specs = [VmSpec(mips=float(rng.integers(500, 3000)),
                         buffer_capacity=5) for i in range(k)]
         records = []
         for tid in range(int(rng.integers(1, 10))):
@@ -315,7 +316,7 @@ def determinism_suite(rng, cases=1000):
             length_min=100, length_max=int(rng.integers(2000, 20_000)),
             num_vms=int(rng.integers(1, 4)), vm_mips=1000,
             buffer_min=1, buffer_max=int(rng.integers(1, 4)))
-        specs = [VmSpec(index=i, mips=1000.0,
+        specs = [VmSpec(mips=1000.0,
                         buffer_capacity=scenario.buffer_max)
                  for i in range(scenario.num_vms)]
         seed = int(rng.integers(2**31))

@@ -167,7 +167,7 @@ def test_patched_cluster_methods_see_every_admission_and_event(monkeypatch):
     scenario = ScenarioConfig(num_tasks=60, length_min=500, length_max=6000,
                               num_vms=3, vm_mips=1000, buffer_min=2,
                               buffer_max=2, num_pes=2)
-    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2, pes=2)
+    vm_specs = [VmSpec(mips=1000.0, buffer_capacity=2, pes=2)
                 for i in range(3)]
     workload = generate_workload(scenario, 5)
 
@@ -218,7 +218,7 @@ def test_patched_env_methods_count_every_training_decision(monkeypatch):
     scenario = ScenarioConfig(num_tasks=30, length_min=500, length_max=6000,
                               num_vms=3, vm_mips=1000, buffer_min=2,
                               buffer_max=2, num_pes=2)
-    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2, pes=2)
+    vm_specs = [VmSpec(mips=1000.0, buffer_capacity=2, pes=2)
                 for i in range(3)]
     env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 3),
                         failure_ratio=0.3)

@@ -12,7 +12,7 @@ from qlsched.workload import TaskSpec
 
 
 def make_cluster(num_vms=3, capacity=5, mips=1000.0, pes=1, **attempt_rule):
-    specs = [VmSpec(index=i, mips=mips, buffer_capacity=capacity, pes=pes)
+    specs = [VmSpec(mips=mips, buffer_capacity=capacity, pes=pes)
              for i in range(num_vms)]
     return ClusterState(specs, **attempt_rule)
 
@@ -119,7 +119,7 @@ def test_assigned_length_matches_queue_and_clock_monotone():
     rng = np.random.default_rng(8)
     for _ in range(200):
         pes = int(rng.integers(1, 4))
-        c = ClusterState([VmSpec(index=i, mips=1000.0, pes=pes,
+        c = ClusterState([VmSpec(mips=1000.0, pes=pes,
                                  buffer_capacity=int(rng.integers(1, 5)))
                           for i in range(int(rng.integers(1, 4)))])
         tid = 0
@@ -248,7 +248,7 @@ def _reference_backlog(c, vm_index):
 def test_backlogs_match_per_vm_loop():
     rng = np.random.default_rng(17)
     for pes in (1, 3):
-        c = ClusterState([VmSpec(index=i, mips=mips, buffer_capacity=4, pes=pes)
+        c = ClusterState([VmSpec(mips=mips, buffer_capacity=4, pes=pes)
                           for i, mips in enumerate((1000.0, 733.0, 2500.0))])
         for tid in range(400):
             free = c.feasible_vms()

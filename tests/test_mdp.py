@@ -27,7 +27,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def cluster3():
-    return ClusterState([VmSpec(index=i, mips=1000.0, buffer_capacity=10)
+    return ClusterState([VmSpec(mips=1000.0, buffer_capacity=10)
                          for i in range(3)])
 
 
@@ -98,7 +98,7 @@ def test_encode_mixed_occupancy():
 def test_encode_matches_discretize_over_random_runs():
     rng = np.random.default_rng(41)
     for range_mi, l_cap in [(1, 0), (3000, 2), (7919, 5), (10000, 40)]:
-        c = ClusterState([VmSpec(index=i, mips=1000.0, buffer_capacity=4, pes=2)
+        c = ClusterState([VmSpec(mips=1000.0, buffer_capacity=4, pes=2)
                           for i in range(3)])
         for tid in range(80):
             free = c.feasible_vms()

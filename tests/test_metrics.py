@@ -19,7 +19,7 @@ def rec(tid, submit, finish, exec_time, vm=0, aborted=False):
 
 
 def specs(*caps, mips=1000.0, pes=1):
-    return [VmSpec(index=i, mips=mips, buffer_capacity=c, pes=pes)
+    return [VmSpec(mips=mips, buffer_capacity=c, pes=pes)
             for i, c in enumerate(caps)]
 
 
@@ -116,8 +116,8 @@ def test_idle_cluster_all_zero():
 
 
 def test_load_share_weights_by_mips():
-    vm_specs = [VmSpec(index=0, mips=1000.0, buffer_capacity=5),
-                VmSpec(index=1, mips=3000.0, buffer_capacity=5)]
+    vm_specs = [VmSpec(mips=1000.0, buffer_capacity=5),
+                VmSpec(mips=3000.0, buffer_capacity=5)]
     # equal busy seconds, but VM 1 ground through 3x the instructions
     records = [rec(0, 0.0, 10.0, 10.0, vm=0), rec(1, 0.0, 10.0, 10.0, vm=1)]
     assert report_of(records, vm_specs).load_share == pytest.approx([0.25, 0.75])
@@ -240,7 +240,7 @@ def test_build_report_equals_public_functions(seed):
     # (module docstring) computed here from the records with plain numpy
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 5))
-    vm_specs = [VmSpec(index=i, mips=float(rng.choice([500.0, 1000.0, 2500.0])),
+    vm_specs = [VmSpec(mips=float(rng.choice([500.0, 1000.0, 2500.0])),
                        buffer_capacity=5, pes=int(rng.integers(1, 4)))
                 for i in range(k)]
     records = []

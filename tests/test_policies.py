@@ -21,7 +21,7 @@ from qlsched.workload import TaskSpec
 
 
 def make_cluster(capacities, mips=1000.0):
-    specs = [VmSpec(index=i, mips=mips, buffer_capacity=c, pes=1)
+    specs = [VmSpec(mips=mips, buffer_capacity=c, pes=1)
              for i, c in enumerate(capacities)]
     return ClusterState(specs)
 

@@ -15,7 +15,6 @@ from qlsched.config import DEFAULT_LR_EXPONENT, LearnerConfig
 from qlsched.errors import ConfigError
 from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.qlearn import (
-    ConvergenceMonitor,
     QTable,
     check_convergence,
     decay_epsilon,
@@ -240,7 +239,8 @@ class TestUpdateQ:
             n = states[rng.integers(len(states))]
             update_q(table, s, a, float(rng.integers(-1, 2)), n, 0.9)
         for s in states:
-            assert table.greedy_map[s] == table.greedy(s, feas[s])
+            row = table._q[s]
+            assert table.greedy_map[s] == row.index(max(row))
             assert table.greedy_map[s] in feas[s]
 
 
@@ -256,8 +256,7 @@ class TestQTable:
         table = QTable(3)
         table.ensure(S, [1, 2])
         table.ensure(S, [0])  # second call must not clobber
-        assert table.greedy(S, [1, 2]) == 1   # the first call's mask
-        assert table.q(S, 0) == -np.inf
+        assert [table.q(S, a) for a in range(3)] == [-np.inf, 0.0, 0.0]
         assert len(table) == 1
         assert list(table.states()) == [S]
 
@@ -270,54 +269,39 @@ class TestQTable:
 
 
 class TestCheckConvergence:
-    def build_table(self):
-        table = QTable(2)
-        table.ensure(S, (0, 1))
-        set_q(table, S, 0, 0.3)
-        return table
+    GREEDY = {S: 0}
 
     def test_stable_map_stops(self):
-        table = self.build_table()
-        monitor = ConvergenceMonitor()
-        assert check_convergence(monitor, table, threshold=10) is None
-        # nothing changed between cycles: the snapshot matches
-        assert check_convergence(monitor, table, threshold=10) == "stable"
+        # before the first check there is no previous map: never stable
+        assert check_convergence(None, {}, 0, threshold=10) is None
+        assert check_convergence(None, self.GREEDY, 0, threshold=10) is None
+        # nothing changed between cycles: the previous map matches
+        assert check_convergence(dict(self.GREEDY), self.GREEDY, 1,
+                                 threshold=10) == "stable"
 
-    def test_repeater_overflow_stops(self):
-        table = self.build_table()
-        monitor = ConvergenceMonitor(repeater=11)
-        monitor.best_action_snapshot = {("other",): 1}
-        assert check_convergence(monitor, table, threshold=10) == "budget"
+    def test_cycle_past_the_cap_stops_as_budget(self):
+        assert check_convergence({("other",): 1}, self.GREEDY, 11,
+                                 threshold=10) == "budget"
 
     def test_stable_map_past_the_cap_stops_as_stable(self):
-        table = self.build_table()
-        monitor = ConvergenceMonitor(repeater=11)
-        monitor.best_action_snapshot = dict(table.greedy_map)
-        assert check_convergence(monitor, table, threshold=10) == "stable"
+        assert check_convergence(dict(self.GREEDY), self.GREEDY, 11,
+                                 threshold=10) == "stable"
 
     def test_changing_map_continues_until_budget(self):
-        table = self.build_table()
-        monitor = ConvergenceMonitor()
-        threshold = 3
+        # a fresh state every cycle, so the map never repeats: training
+        # goes on through cycle == threshold and stops at threshold + 1,
+        # after threshold + 2 cycles
+        threshold, previous, current = 3, None, dict(self.GREEDY)
         outcomes = []
-        for i in range(threshold + 1):
-            # touch a fresh state every cycle so the map never repeats
-            extra = ("extra", i)
-            table.ensure(extra, (0, 1))
-            set_q(table, extra, 1, 0.2)
-            outcomes.append(check_convergence(monitor, table, threshold))
-        assert outcomes == [None] * (threshold + 1)
-        table.ensure(("extra", 99), (0, 1))
-        set_q(table, ("extra", 99), 1, 0.2)
-        assert check_convergence(monitor, table, threshold) == "budget"
+        for cycle in range(threshold + 2):
+            current[("extra", cycle)] = 1
+            outcomes.append(check_convergence(previous, current, cycle, threshold))
+            previous = dict(current)
+        assert outcomes == [None] * (threshold + 1) + ["budget"]
 
-    def test_changed_map_with_low_repeater_continues(self):
-        table = self.build_table()
-        monitor = ConvergenceMonitor(repeater=3)
-        monitor.best_action_snapshot = {("other",): 1}
-        assert check_convergence(monitor, table, threshold=3) is None
-        assert monitor.repeater == 4
-        assert monitor.best_action_snapshot == table.greedy_map
+    def test_changed_map_at_the_cap_continues(self):
+        assert check_convergence({("other",): 1}, self.GREEDY, 3,
+                                 threshold=3) is None
 
 
 class TestLearnerConfig:
@@ -405,7 +389,7 @@ class TestTrain:
 
     def test_stable_stop_on_the_cycle_after_the_cap_is_stable(self):
         # At seed 48 the greedy map of cycle 3 equals cycle 2's, on the
-        # cycle where the repeater first exceeds the threshold: the map
+        # first cycle whose 0-based index exceeds the threshold: the map
         # test comes first, so the stop is "stable", not "budget".
         from qlsched.cluster import VmSpec
         from qlsched.envs import LengthAwareView, SimulationEnv
@@ -413,7 +397,7 @@ class TestTrain:
 
         scenario = ScenarioConfig(num_tasks=4, length_min=1000, length_max=5000,
                                   num_vms=2, vm_mips=1000, buffer_min=2, buffer_max=2)
-        vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2) for i in range(2)]
+        vm_specs = [VmSpec(mips=1000.0, buffer_capacity=2) for i in range(2)]
         env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 2),
                             slot_seconds=1.0)
         cfg = LearnerConfig(total_cycles=50, repeater_threshold=1)
@@ -528,8 +512,7 @@ class _ReferenceLearner:
         """Train on a SimulationEnv, driving its Simulation and view by
         hand: next_decision, the pick, the reward, then apply."""
         rng = np.random.default_rng(seed)
-        monitor = ConvergenceMonitor()
-        trace, stop_reason, cycles = [], "schedule", 0
+        trace, stop_reason, cycles, snapshot = [], "schedule", 0, None
         for cycle in range(cfg.total_cycles):
             epsilon = decay_epsilon(cfg.epsilon0, cycle, cfg.total_cycles)
             env.reset(rng)
@@ -553,14 +536,13 @@ class _ReferenceLearner:
             row = {"cycle": cycle, "epsilon": epsilon, "states_seen": len(self.q)}
             row.update(env.episode_metrics() or {})
             trace.append(row)
-            if monitor.best_action_snapshot == self.greedy_map:
+            if snapshot == self.greedy_map:
                 stop_reason = "stable"
                 break
-            if monitor.repeater > cfg.repeater_threshold:
+            if cycle > cfg.repeater_threshold:
                 stop_reason = "budget"
                 break
-            monitor.best_action_snapshot = dict(self.greedy_map)
-            monitor.repeater += 1
+            snapshot = dict(self.greedy_map)
         return cycles, stop_reason, trace
 
 
@@ -613,9 +595,6 @@ def test_row_shortcuts_match_reference_learner(values, mask, visits, next_values
             table._q[state][a] = ref.q[state][a] = vals[a]
             table._visits[state][a] = ref.visits[state][a] = counts[a]
     actions = rows[S]
-    assert table.greedy(S, actions) == max(actions, key=ref.q[S].__getitem__)
-    assert table.greedy(NEXT, rows[NEXT]) == max(rows[NEXT],
-                                                 key=ref.q[NEXT].__getitem__)
 
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     action = select_action(S, table, epsilon, rng, actions)
@@ -644,7 +623,7 @@ def test_train_matches_reference_learner(view_name, failure_ratio):
     scenario = ScenarioConfig(num_tasks=30, length_min=500, length_max=8000,
                               num_vms=3, vm_mips=1000, buffer_min=3, buffer_max=3,
                               num_pes=2)
-    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2 + i, pes=2)
+    vm_specs = [VmSpec(mips=1000.0, buffer_capacity=2 + i, pes=2)
                 for i in range(3)]
 
     def env():
@@ -677,7 +656,7 @@ def test_trained_rows_hold_one_slot_per_vm(view_name):
 
     scenario = ScenarioConfig(num_tasks=20, length_min=500, length_max=8000,
                               num_vms=3, vm_mips=1000, buffer_min=2, buffer_max=2)
-    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2, pes=1)
+    vm_specs = [VmSpec(mips=1000.0, buffer_capacity=2, pes=1)
                 for i in range(3)]
     view = (LengthAwareView(3000, 2) if view_name == "length_aware"
             else FreeBufferView(0.5, 0.5))
@@ -794,7 +773,7 @@ def test_the_mask_check_catches_a_state_blind_to_feasibility(monkeypatch):
 
     _check_masks(monkeypatch)
     plan = _mask_plan()
-    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=1) for i in range(3)]
+    vm_specs = [VmSpec(mips=1000.0, buffer_capacity=1) for i in range(3)]
     env = SimulationEnv(plan.scenario, vm_specs, LengthOnlyView(3000, 2))
     with pytest.raises(AssertionError, match="not the row's mask"):
         train(env, plan.learner, 3)

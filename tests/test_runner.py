@@ -2,7 +2,10 @@
 
 import csv
 import gc
+import hashlib
 import os
+import subprocess
+import sys
 import weakref
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
@@ -10,6 +13,7 @@ from typing import get_args, get_origin, get_type_hints
 import pytest
 import yaml
 
+from outputs_helpers import run_values, summary_row
 from qlsched import runner
 from qlsched.cli import main
 from qlsched.config import (ExperimentPlan, LearnerConfig, ScenarioConfig, _build,
@@ -187,10 +191,10 @@ def test_run_plan_row_counts(tmp_path):
     assert len(outputs.runs) == 30
     assert len(outputs.summary) == 6
     assert outputs.convergence == []  # no learning policy in the plan
-    row = outputs.summary_row("greedy", tasks=6)
+    row = summary_row(outputs, "greedy", tasks=6)
     assert row["replications"] == 5
     assert row["mean_response_s"] > 0
-    values = outputs.run_values("random", "makespan_s", tasks=8)
+    values = run_values(outputs, "random", "makespan_s", tasks=8)
     assert len(values) == 5
 
 
@@ -209,9 +213,9 @@ def test_summary_row_requires_unique_match(tmp_path):
     plan = parse_config(write_config(tmp_path))
     outputs = run_plan(plan)
     with pytest.raises(KeyError):
-        outputs.summary_row("greedy")  # three task counts match
+        summary_row(outputs, "greedy")  # three task counts match
     with pytest.raises(KeyError):
-        outputs.summary_row("qlearn", tasks=4)  # nothing matches
+        summary_row(outputs, "qlearn", tasks=4)  # nothing matches
 
 
 def learner_plan(tmp_path, **extra):
@@ -345,7 +349,7 @@ def test_training_leaves_no_reference_cycle():
     scenario = ScenarioConfig(num_tasks=12, length_min=500, length_max=6000,
                               num_vms=2, vm_mips=1000, buffer_min=2,
                               buffer_max=2)
-    vm_specs = [VmSpec(index=i, mips=1000.0, buffer_capacity=2) for i in range(2)]
+    vm_specs = [VmSpec(mips=1000.0, buffer_capacity=2) for i in range(2)]
     gc.collect()
     gc.disable()
     try:
@@ -417,6 +421,74 @@ def test_cli_out_naming_a_file_exits_1_before_any_point(tmp_path, capsys,
     assert ran == []
     assert out.read_text() == "keep\n"
     assert sorted(os.listdir(tmp_path)) == ["plan.yaml", "results"]
+
+
+def test_cli_out_under_a_file_exits_1_before_any_point(tmp_path, capsys,
+                                                       monkeypatch):
+    # os.makedirs would fail only at the write, after the whole sweep
+    ran = []
+    monkeypatch.setattr(runner, "run_point",
+                        lambda plan, point: ran.append(point))
+    blocker = tmp_path / "results"
+    blocker.write_text("keep\n")
+    config = write_config(tmp_path, task_counts=[4], replications=1)
+    out = blocker / "a" / "b"
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "out_dir" in err and str(out) in err
+    assert ran == []
+    assert blocker.read_text() == "keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["plan.yaml", "results"]
+
+
+def test_a_failed_write_leaves_the_earlier_outputs_whole(tmp_path, capsys,
+                                                         monkeypatch):
+    # the second file's write raises: the first file's new text must not
+    # replace the old, and no .partial file may stay behind
+    out_dir = tmp_path / "results"
+    config = learner_plan(tmp_path)
+    assert main(["run", "--config", config, "--out", str(out_dir)]) == 0
+    before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+    assert len(before) == 4
+    real_writer, opened = csv.writer, []
+
+    def failing_writer(fh, *args, **kwargs):
+        opened.append(fh.name)
+        writer = real_writer(fh, *args, **kwargs)
+        if len(opened) == 2:
+            writer.writerow(["half"])
+            fh.flush()
+            raise OSError("disk full")
+        return writer
+
+    monkeypatch.setattr(runner.csv, "writer", failing_writer)
+    code = main(["run", "--config", config, "--seed", "4", "--out", str(out_dir)])
+    assert code == 2
+    assert "disk full" in capsys.readouterr().err
+    assert {name: (out_dir / name).read_bytes()
+            for name in os.listdir(out_dir)} == before
+    assert [os.path.basename(name) for name in opened] == [
+        "runs.csv.partial", "summary.csv.partial"]
+
+
+def test_inline_checks_have_no_side_effect(tmp_path):
+    # cluster.py and simulate.py assert on every decision and event:
+    # stripping those checks with python -O must leave every CSV byte
+    config = write_config(tmp_path, policies=["random", "qlearn"], task_counts=[6],
+                          failure_ratios=[0.0, 0.3], replications=3,
+                          learner={"total_cycles": 40, "repeater_threshold": 10})
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    digests = []
+    for flags in ([], ["-O"]):
+        out_dir = tmp_path / ("optimized" if flags else "plain")
+        subprocess.run([sys.executable, *flags, "-m", "qlsched", "run",
+                        "--config", config, "--out", str(out_dir)],
+                       env=env, capture_output=True, check=True)
+        digests.append({name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                        for name in ("runs.csv", "summary.csv", "convergence.csv")})
+    assert digests[0] == digests[1]
 
 
 def test_cli_bad_override_exit_1(tmp_path, capsys):

@@ -23,7 +23,7 @@ from qlsched.workload import TaskSpec
 
 
 def specs(num_vms=2, capacity=3, mips=1000.0, pes=1):
-    return [VmSpec(index=i, mips=mips, buffer_capacity=capacity, pes=pes)
+    return [VmSpec(mips=mips, buffer_capacity=capacity, pes=pes)
             for i in range(num_vms)]
 
 
@@ -254,7 +254,7 @@ def test_a_least_occupied_vm_is_always_feasible_and_rewarded(
     # failure ratio 0 with equal buffer capacities, whatever the feasible
     # policy, every decision has a least-occupied VM with space, reward
     # gives it +1, and there is exactly one decision per task.
-    specs_ = [VmSpec(index=v, mips=mips, buffer_capacity=capacity, pes=pes)
+    specs_ = [VmSpec(mips=mips, buffer_capacity=capacity, pes=pes)
               for v, (mips, pes) in enumerate(vms)]
     sim = Simulation(specs_, [TaskSpec(i, slot, length)
                               for i, (slot, length) in enumerate(tasks)],
@@ -325,7 +325,7 @@ def test_drain_matches_the_reference_simulator(policy):
         ratio = float(rng.choice([0.0, 0.3, 1.0]))
         max_attempts = int(rng.integers(1, 4))
         seed = int(rng.integers(2**31))
-        specs_ = [VmSpec(index=v, mips=mips, buffer_capacity=cap, pes=pes)
+        specs_ = [VmSpec(mips=mips, buffer_capacity=cap, pes=pes)
                   for v, (mips, cap, pes) in enumerate(vms)]
         sim = Simulation(specs_, [TaskSpec(*t) for t in tasks],
                          slot_seconds=slot_seconds, failure_ratio=ratio,
