@@ -62,11 +62,6 @@ class QTable:
                               for a in range(self.num_actions)]
             self._visits[state] = [0] * self.num_actions
 
-    def q(self, state, action) -> float:
-        """0.0 for an unseen state; -inf at an action the state cannot take."""
-        row = self._q.get(state)
-        return 0.0 if row is None else row[action]
-
     def visits(self, state, action) -> int:
         row = self._visits.get(state)
         return 0 if row is None else row[action]

@@ -13,10 +13,11 @@ dump per trained policy and point.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import logging
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -152,7 +153,7 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
 
     An output directory whose nearest existing ancestor (itself, if it
     exists) is not a directory raises ConfigError before the first point
-    runs.
+    runs. The files are staged in that ancestor (see _write_outputs).
     """
     out_dir = out_dir if out_dir is not None else plan.out_dir
     if out_dir:
@@ -166,34 +167,33 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
     for point in sweep_points(plan):
         outputs.extend(run_point(plan, point))
     if out_dir:
-        _write_outputs(outputs, plan.scenario.num_vms, out_dir)
+        _write_outputs(outputs, plan.scenario.num_vms, out_dir, ancestor)
     return outputs
 
 
-def _write_outputs(outputs: RunOutputs, num_vms: int, out_dir: str):
-    """Write every file as <name>.partial, then rename each onto its name.
-    On any error the partials are deleted and the error re-raised, so no
-    file is left half written."""
-    os.makedirs(out_dir, exist_ok=True)
-    partials = []
+def _write_outputs(outputs: RunOutputs, num_vms: int, out_dir: str,
+                   ancestor: str):
+    """Write every file into a fresh staging directory in `ancestor`, the
+    nearest existing ancestor of out_dir (or out_dir itself), then create
+    out_dir and rename each file onto its name there. The staging
+    directory is removed however this ends, so an error before the
+    renames leaves no file half written and no directory created."""
+    stage = tempfile.mkdtemp(prefix=".qlsched-", dir=ancestor)
     try:
         for fname, cols, rows in (("runs.csv", run_cols(num_vms), outputs.runs),
                                   ("summary.csv", SUMMARY_COLS, outputs.summary),
                                   ("convergence.csv", CONVERGENCE_COLS,
                                    outputs.convergence)):
-            partials.append(os.path.join(out_dir, fname + ".partial"))
-            with open(partials[-1], "w", newline="", encoding="utf-8") as fh:
+            with open(os.path.join(stage, fname), "w", newline="",
+                      encoding="utf-8") as fh:
                 w = csv.writer(fh)
                 w.writerow(cols)
                 w.writerows([csv_cell(r[c]) for c in cols] for r in rows)
         for fname, text in outputs.qtables.items():
-            partials.append(os.path.join(out_dir, fname + ".partial"))
-            with open(partials[-1], "w", encoding="utf-8") as fh:
+            with open(os.path.join(stage, fname), "w", encoding="utf-8") as fh:
                 fh.write(text)
-        for path in partials:
-            os.replace(path, path.removesuffix(".partial"))
-    except BaseException:
-        for path in partials:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        raise
+        os.makedirs(out_dir, exist_ok=True)
+        for fname in os.listdir(stage):
+            os.replace(os.path.join(stage, fname), os.path.join(out_dir, fname))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)

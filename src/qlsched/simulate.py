@@ -24,8 +24,9 @@ class Simulation:
     """Single run of one workload against one cluster under one policy.
 
     The caller drives it: next_decision() advances time until a task can
-    be admitted somewhere (returning that task) or the run is fully
-    drained (returning None); apply(vm_index) admits the pending task.
+    be admitted somewhere and takes that task off the global queue
+    (returning it), or returns None once the run is fully drained; the
+    caller then admits the task with cluster.admit(task, vm_index).
 
     failure_hook(failure_ratio, failure_seed) and max_attempts go to the
     ClusterState, which applies them. At ratio 0 no failure generator is
@@ -48,7 +49,9 @@ class Simulation:
         self.records = []
 
     def next_decision(self):
-        """Advance until a task is admittable; return it, or None when drained.
+        """Advance until a task is admittable, then pop it off the global
+        queue and return it; return None when drained. The caller must
+        admit the returned task before the next call.
 
         A completion due no later than the next arrival slot comes first.
         """
@@ -60,7 +63,7 @@ class Simulation:
         slot_seconds = self.slot_seconds
         while True:
             if queue and has_free_buffer():
-                return queue[0]
+                return queue.popleft()
             if events and (not pending
                            or events[0][0] <= pending[0].arrival_slot * slot_seconds):
                 records, requeued = cluster.advance_to_next_event()
@@ -78,25 +81,19 @@ class Simulation:
                 assert not queue
                 return None
 
-    def apply(self, vm_index: int):
-        """Admit the pending decision task to vm_index at the current clock."""
-        self.cluster.admit(self._queue.popleft(), vm_index)
-
     def drain(self, policy, rng: np.random.Generator | None = None):
         """Run to completion, consulting policy(cluster, rng) per admission:
         evaluation runs, and training episodes with SimulationEnv.step.
 
-        Each decision is next_decision(), the policy, then what apply()
-        does, with the methods bound once per run from the instance, so
-        a patch of ClusterState made before the run is the one called.
+        Each decision is next_decision(), the policy, then cluster.admit,
+        with the methods bound once per run from the instance, so a patch
+        of ClusterState made before the run is the one called.
         """
         cluster = self.cluster
         admit = cluster.admit
         next_decision = self.next_decision
-        popleft = self._queue.popleft
-        while next_decision() is not None:
-            vm_index = policy(cluster, rng)
-            admit(popleft(), vm_index)
+        while (task := next_decision()) is not None:
+            admit(task, policy(cluster, rng))
         return self.records
 
 

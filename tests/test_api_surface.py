@@ -1,11 +1,13 @@
 """The names the package exports and the benchmark reaches must exist,
-and a process loads only the layers it runs.
+a process loads only the layers it runs, and no public function under
+src/ is called only by tests.
 
 perfbench/ patches qlsched attributes by name and calls package-root
 functions, so a deletion under src/ that drops one of them would only
 show when the benchmark runs. These checks make it show here.
 """
 
+import ast
 import importlib.util
 import os
 import re
@@ -185,8 +187,8 @@ def test_patched_cluster_methods_see_every_admission_and_event(monkeypatch):
 
     rng = np.random.default_rng(7)
     sim = Simulation(vm_specs, workload, **failures)
-    while sim.next_decision() is not None:
-        sim.apply(random_select(sim.cluster, rng))
+    while (task := sim.next_decision()) is not None:
+        sim.cluster.admit(task, random_select(sim.cluster, rng))
     assert sim.records == drained
     expect_balanced(len(workload))
 
@@ -231,3 +233,59 @@ def test_patched_env_methods_count_every_training_decision(monkeypatch):
     assert counts["reset"] == result.cycles_run
     assert counts["step"] == updates > result.cycles_run * scenario.num_tasks
     assert counts["admit"] == counts["step"]
+
+
+SRC = ROOT / "src" / "qlsched"
+# public names that only tests may reach; keep it empty
+TEST_ONLY_ALLOWED: set = set()
+
+
+def _code_references(tree):
+    """(name, scope, line) for every name the code of `tree` uses: scope
+    is "name" for a bare name, the enclosing class for self.X or cls.X,
+    and None for any other attribute, import alias or word of a string
+    that is not a docstring (perfbench patches methods by name)."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                yield child.id, "name", child.lineno
+            elif isinstance(child, ast.Attribute):
+                owner = getattr(child.value, "id", None)
+                yield child.attr, cls if owner in ("self", "cls") else None, child.lineno
+            elif isinstance(child, ast.alias):
+                yield child.name.rsplit(".", 1)[-1], None, child.lineno
+            elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                  and id(child) not in docstrings):
+                yield from ((word, None, child.lineno) for word in child.value.split())
+            yield from visit(child, child.name if isinstance(child, ast.ClassDef)
+                             else cls)
+    yield from visit(tree, None)
+
+
+def test_no_public_function_or_method_serves_only_tests():
+    # every public module-level function and public method of a public
+    # class under src/ is used by code in src/ or perfbench/ outside its
+    # own definition; a method counts only as X.name, or self.name in its
+    # own class
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]}
+    used = [(path, *ref) for path, tree in trees.items()
+            for ref in _code_references(tree)]
+    unused = set()
+    for path in SRC.glob("*.py"):
+        defs = [(None, node) for node in trees[path].body]
+        defs += [(cls.name, node) for cls in trees[path].body
+                 if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                 for node in cls.body]
+        for cls, fn in defs:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            scopes = {None, cls} if cls else {None, "name"}
+            if not any(name == fn.name and scope in scopes
+                       and not (where == path and fn.lineno <= line <= fn.end_lineno)
+                       for where, name, scope, line in used):
+                unused.add(f"{path.stem}.{cls + '.' if cls else ''}{fn.name}")
+    assert sorted(unused - TEST_ONLY_ALLOWED) == []

@@ -774,6 +774,12 @@ def test_value_iteration_rejects_max_sweeps_below_one(max_sweeps):
         value_iteration(build_oracle_mdp(2, 2, 2), max_sweeps=max_sweeps)
 
 
+def test_value_iteration_raises_when_the_sweeps_run_out():
+    # one sweep from v = 0 moves v by a whole reward, far above tol
+    with pytest.raises(RuntimeError, match=r"tol=1e-12 in 1 sweeps"):
+        value_iteration(build_oracle_mdp(2, 2, 2), tol=1e-12, max_sweeps=1)
+
+
 @pytest.mark.parametrize("size", [35, 37])
 def test_a_value_vector_of_the_wrong_shape_raises(size):
     # the gather clips its indices, so a short vector would give wrong q

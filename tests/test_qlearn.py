@@ -139,7 +139,7 @@ class TestSelectAction:
     def test_partial_feasible_set_respected(self):
         table = QTable(4)
         table.ensure(S, (1, 2, 3))
-        assert table.q(S, 0) == -np.inf   # masked: the state cannot take it
+        assert table._q[S][0] == -np.inf   # masked: the state cannot take it
         set_q(table, S, 2, 1.0)
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -149,7 +149,7 @@ class TestSelectAction:
         negative.ensure(S, (1, 2, 3))
         for action, value in ((1, -0.5), (2, -0.25), (3, -0.25)):
             set_q(negative, S, action, value)
-        assert negative.q(S, 0) == -np.inf
+        assert negative._q[S][0] == -np.inf
         picks = {select_action(S, negative, 0.0, rng, [1, 2, 3]) for _ in range(200)}
         assert picks == {2, 3}
         assert negative.greedy(S, [1, 2, 3]) == 2
@@ -161,7 +161,7 @@ class TestUpdateQ:
         table.ensure(S, (0, 1))
         new = update_q(table, S, 0, 1.0, NEXT, 0.9)
         assert new == 1.0
-        assert table.q(S, 0) == 1.0
+        assert table._q[S][0] == 1.0
         assert table.visits(S, 0) == 1
 
     def test_second_visit_blends(self):
@@ -224,7 +224,7 @@ class TestUpdateQ:
             update_q(table, s, a, r, n, gamma)
         for s in states:
             for a in range(3):
-                assert abs(table.q(s, a)) <= bound
+                assert abs(table._q[s][a]) <= bound
 
     def test_greedy_map_tracks_updates(self):
         rng = np.random.default_rng(8)
@@ -247,7 +247,7 @@ class TestUpdateQ:
 class TestQTable:
     def test_defaults_for_unseen_pairs(self):
         table = QTable(3)
-        assert table.q(S, 1) == 0.0
+        assert S not in table._q
         assert table.visits(S, 1) == 0
         assert table.greedy(S, (0, 1, 2)) == 0
         assert len(table) == 0
@@ -256,7 +256,7 @@ class TestQTable:
         table = QTable(3)
         table.ensure(S, [1, 2])
         table.ensure(S, [0])  # second call must not clobber
-        assert [table.q(S, a) for a in range(3)] == [-np.inf, 0.0, 0.0]
+        assert table._q[S] == [-np.inf, 0.0, 0.0]
         assert len(table) == 1
         assert list(table.states()) == [S]
 
@@ -378,7 +378,7 @@ class TestTrain:
         for state in result.table.states():
             for action in range(result.table.num_actions):
                 if result.table.visits(state, action):
-                    assert abs(result.table.q(state, action)) <= bound
+                    assert abs(result.table._q[state][action]) <= bound
         assert result.stop_reason in ("stable", "budget", "schedule")
         assert 1 <= result.cycles_run <= cfg.total_cycles
         assert len(result.trace) == result.cycles_run
@@ -510,7 +510,7 @@ class _ReferenceLearner:
 
     def train(self, env, cfg, seed):
         """Train on a SimulationEnv, driving its Simulation and view by
-        hand: next_decision, the pick, the reward, then apply."""
+        hand: next_decision, the pick, the reward, then cluster.admit."""
         rng = np.random.default_rng(seed)
         trace, stop_reason, cycles, snapshot = [], "schedule", 0, None
         for cycle in range(cfg.total_cycles):
@@ -518,14 +518,16 @@ class _ReferenceLearner:
             env.reset(rng)
             sim, view = env.sim, env.view
             cluster = sim.cluster
-            assert sim.next_decision() is not None
+            task = sim.next_decision()
+            assert task is not None
             state, actions = view.state(cluster), cluster.feasible_vms()
             while True:
                 self.ensure(state, actions)
                 action = self.select(state, epsilon, rng, actions)
                 reward_value = view.reward(cluster, action, state)
-                sim.apply(action)
-                terminal = sim.next_decision() is None
+                cluster.admit(task, action)
+                task = sim.next_decision()
+                terminal = task is None
                 next_state, next_actions = view.state(cluster), cluster.feasible_vms()
                 self.update(state, action, reward_value, next_state, next_actions,
                             cfg.gamma, cfg.lr_exponent)
@@ -685,7 +687,7 @@ class TestUpdateQEdges:
         new = update_q(table, S, 2, -1.0, NEXT, 0.8)
         assert new == -1.0 + 0.8 * 0.5
         assert table.greedy_map[S] == 2
-        assert table.q(S, 0) == table.q(S, 1) == -np.inf
+        assert table._q[S][:2] == [-np.inf, -np.inf]
         rng = np.random.default_rng(3)
         before = rng.bit_generator.state
         assert select_action(S, table, 1.0, rng, [2]) == 2

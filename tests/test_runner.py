@@ -441,15 +441,9 @@ def test_cli_out_under_a_file_exits_1_before_any_point(tmp_path, capsys,
     assert sorted(os.listdir(tmp_path)) == ["plan.yaml", "results"]
 
 
-def test_a_failed_write_leaves_the_earlier_outputs_whole(tmp_path, capsys,
-                                                         monkeypatch):
-    # the second file's write raises: the first file's new text must not
-    # replace the old, and no .partial file may stay behind
-    out_dir = tmp_path / "results"
-    config = learner_plan(tmp_path)
-    assert main(["run", "--config", config, "--out", str(out_dir)]) == 0
-    before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
-    assert len(before) == 4
+def failing_csv_writer(monkeypatch):
+    """Make runner's second csv.writer write half a row and raise; returns
+    the list of the paths it was opened on."""
     real_writer, opened = csv.writer, []
 
     def failing_writer(fh, *args, **kwargs):
@@ -462,13 +456,40 @@ def test_a_failed_write_leaves_the_earlier_outputs_whole(tmp_path, capsys,
         return writer
 
     monkeypatch.setattr(runner.csv, "writer", failing_writer)
+    return opened
+
+
+def test_a_failed_write_leaves_the_earlier_outputs_whole(tmp_path, capsys,
+                                                         monkeypatch):
+    # the second file's write raises: the first file's new text must not
+    # replace the old, and no staged file or directory may stay behind
+    out_dir = tmp_path / "results"
+    config = learner_plan(tmp_path)
+    assert main(["run", "--config", config, "--out", str(out_dir)]) == 0
+    before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+    assert len(before) == 4
+    opened = failing_csv_writer(monkeypatch)
     code = main(["run", "--config", config, "--seed", "4", "--out", str(out_dir)])
     assert code == 2
     assert "disk full" in capsys.readouterr().err
     assert {name: (out_dir / name).read_bytes()
             for name in os.listdir(out_dir)} == before
-    assert [os.path.basename(name) for name in opened] == [
-        "runs.csv.partial", "summary.csv.partial"]
+    assert sorted(os.listdir(tmp_path)) == ["plan.yaml", "results"]
+    assert [os.path.basename(name) for name in opened] == ["runs.csv", "summary.csv"]
+    assert all(os.path.dirname(name) != str(out_dir) for name in opened)
+
+
+def test_a_failed_write_into_a_new_directory_creates_nothing(tmp_path, capsys,
+                                                             monkeypatch):
+    # out_dir and its parent do not exist yet: a failed write must leave
+    # neither behind, nor any staged file in the nearest existing ancestor
+    config = learner_plan(tmp_path)
+    failing_csv_writer(monkeypatch)
+    out_dir = tmp_path / "new" / "deeper"
+    assert main(["run", "--config", config, "--out", str(out_dir)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    assert sorted(os.listdir(tmp_path)) == ["plan.yaml"]
 
 
 def test_inline_checks_have_no_side_effect(tmp_path):

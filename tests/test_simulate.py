@@ -32,7 +32,7 @@ def test_arrivals_wait_for_their_slot():
     sim = Simulation(specs(), wl, slot_seconds=10.0)
     t = sim.next_decision()
     assert t.id == 0 and sim.cluster.clock == 0.0
-    sim.apply(0)
+    sim.cluster.admit(t, 0)
     t = sim.next_decision()
     # task 0 completes at 1 s, but task 1 only arrives at the slot boundary
     assert t.id == 1 and sim.cluster.clock == pytest.approx(10.0)
@@ -42,17 +42,18 @@ def test_all_same_slot_admitted_at_zero():
     wl = [TaskSpec(i, 0, 500) for i in range(4)]
     sim = Simulation(specs(), wl, slot_seconds=5.0)
     for _ in range(4):
-        assert sim.next_decision() is not None
+        t = sim.next_decision()
+        assert t is not None
         assert sim.cluster.clock == 0.0
-        sim.apply(0 if sim.cluster.free_counts()[0] else 1)
+        sim.cluster.admit(t, 0 if sim.cluster.free_counts()[0] else 1)
     assert sorted(q.task.id for vm in sim.cluster.vms for q in vm.queue) == [0, 1, 2, 3]
 
 
 def test_full_buffers_defer_until_completion_frees_space():
     wl = [TaskSpec(i, 0, 1000) for i in range(3)]
     sim = Simulation(specs(num_vms=1, capacity=2), wl, slot_seconds=100.0)
-    sim.next_decision(); sim.apply(0)
-    sim.next_decision(); sim.apply(0)
+    sim.cluster.admit(sim.next_decision(), 0)
+    sim.cluster.admit(sim.next_decision(), 0)
     # buffer now full; the third task has arrived but waits unassigned
     assert sim.cluster.free_counts()[0] == 0
     assert [q.task.id for q in sim.cluster.vms[0].queue] == [0, 1]
