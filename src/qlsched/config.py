@@ -1,16 +1,20 @@
 """The experiment plan schema and its YAML parser.
 
 The dataclass annotations are the schema: check_fields derives every type
-check from them and _build every key and nesting check. Only the standard
-library, PyYAML and errors.py are imported, so parsing loads no numpy.
+and range check from them, and _build every key and nesting check. A
+numeric key declares its range in its annotation, as
+Annotated[int, Bound(">=", 1)]; only cross-field and registry rules are
+written out in __post_init__. Only the standard library, PyYAML and
+errors.py are imported, so parsing loads no numpy.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from numbers import Real
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, NamedTuple, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -34,19 +38,40 @@ _TYPES = {
             and abs(v) <= sys.float_info.max),
     str: ("a string", lambda v: isinstance(v, str)),
 }
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+class Bound(NamedTuple):
+    """A range limit in a field's annotation: the value must be `op limit`."""
+
+    op: str
+    limit: int
+
+
+Count = Annotated[int, Bound(">=", 1)]
+Positive = Annotated[float, Bound(">", 0)]
+Fraction = Annotated[float, Bound(">=", 0), Bound("<=", 1)]
 
 
 def check_fields(obj):
     """Raise ConfigError naming the first field of dataclass `obj` whose value
     does not fit its annotation: a type in _TYPES, list[T] (a non-empty list or
-    tuple of T, no entry repeated) or T | None. Dataclass fields are skipped."""
-    for key, hint in get_type_hints(type(obj)).items():
+    tuple of T, no entry repeated), T | None or Annotated[T, Bound, ...] (T,
+    then each bound as one comparison, which NaN fails). Dataclass fields are
+    skipped."""
+    for key, hint in get_type_hints(type(obj), include_extras=True).items():
         if not is_dataclass(hint):
             _check(key, hint, getattr(obj, key))
 
 
 def _check(name: str, hint, value):
-    if type(None) in get_args(hint):
+    if get_origin(hint) is Annotated:
+        kind, *bounds = get_args(hint)
+        _check(name, kind, value)
+        for op, limit in bounds:
+            if not _OPS[op](value, limit):
+                raise ConfigError(f"{name} must be {op} {limit}, got {value!r}")
+    elif type(None) in get_args(hint):
         if value is not None:
             _check(name, get_args(hint)[0], value)
     elif get_origin(hint) is list:
@@ -72,78 +97,58 @@ def csv_cell(x) -> str:
 class ScenarioConfig:
     """Static description of one simulated scenario."""
 
-    num_tasks: int
-    length_min: int
+    num_tasks: Count
+    length_min: Count
     length_max: int
-    num_vms: int
-    vm_mips: float
-    buffer_min: int = 5
+    num_vms: Count
+    vm_mips: Positive
+    buffer_min: Count = 5
     buffer_max: int = 15
-    num_pes: int = 1
+    num_pes: Count = 1
     arrival_mode: str = "iid"
-    arrival_mean: float = 1.0
+    arrival_mean: Positive = 1.0
 
     def __post_init__(self):
         check_fields(self)
-        # range checks are written so that NaN fails them
-        if not self.num_tasks >= 1:
-            raise ConfigError("num_tasks must be >= 1")
-        if not (0 < self.length_min <= self.length_max):
-            raise ConfigError("need 0 < length_min <= length_max")
-        if not self.num_vms >= 1:
-            raise ConfigError("num_vms must be >= 1")
-        if not self.vm_mips > 0:
-            raise ConfigError("vm_mips must be > 0")
-        if not (1 <= self.buffer_min <= self.buffer_max):
-            raise ConfigError("need 1 <= buffer_min <= buffer_max")
-        if not self.num_pes >= 1:
-            raise ConfigError("num_pes must be >= 1")
+        if self.length_min > self.length_max:
+            raise ConfigError(f"length_min must be <= length_max, got "
+                              f"{self.length_min} > {self.length_max}")
+        if self.buffer_min > self.buffer_max:
+            raise ConfigError(f"buffer_min must be <= buffer_max, got "
+                              f"{self.buffer_min} > {self.buffer_max}")
         if self.arrival_mode not in ARRIVAL_MODES:
             raise ConfigError(f"arrival_mode must be one of {ARRIVAL_MODES}")
-        if not self.arrival_mean > 0:
-            raise ConfigError("arrival_mean must be > 0")
 
 
 @dataclass
 class LearnerConfig:
-    gamma: float = 0.9
-    epsilon0: float = 1.0
-    total_cycles: int = 10_000
-    repeater_threshold: int = 500
-    lr_exponent: float = DEFAULT_LR_EXPONENT
+    gamma: Annotated[float, Bound(">", 0), Bound("<", 1)] = 0.9
+    epsilon0: Fraction = 1.0
+    total_cycles: Count = 10_000
+    repeater_threshold: Count = 500
+    lr_exponent: Positive = DEFAULT_LR_EXPONENT
 
     def __post_init__(self):
         check_fields(self)
-        # range checks are written so that NaN fails them
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError("gamma must be in (0, 1)")
-        if not (0.0 <= self.epsilon0 <= 1.0):
-            raise ConfigError("epsilon0 must be in [0, 1]")
-        if not self.total_cycles >= 1:
-            raise ConfigError("total_cycles must be a positive integer")
-        if not self.repeater_threshold >= 1:
-            raise ConfigError("repeater_threshold must be a positive integer")
-        if not self.lr_exponent > 0:
-            raise ConfigError("lr_exponent must be > 0")
 
 
 @dataclass
 class ExperimentPlan:
     scenario: ScenarioConfig
     policies: list[str] = field(default_factory=lambda: list(POLICY_NAMES))
-    task_counts: list[int] | None = None
-    buffer_sizes: list[int] | None = None
-    failure_ratios: list[float] = field(default_factory=lambda: [0.0])
-    replications: int = 20
-    seed: int = 1
+    task_counts: list[Count] | None = None
+    buffer_sizes: list[Count] | None = None
+    failure_ratios: list[Fraction] = field(default_factory=lambda: [0.0])
+    replications: Count = 20
+    seed: Annotated[int, Bound(">=", 0)] = 1
     learner: LearnerConfig = field(default_factory=LearnerConfig)
-    slot_seconds: float = 1.0
-    range_mi: int = DEFAULT_RANGE_MI
-    l_cap: int = DEFAULT_L_CAP
-    arrival_dmax: int = DEFAULT_D_MAX
-    qsch_w_buffer: float = 0.5
-    qsch_w_wait: float = 0.5
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
+    slot_seconds: Positive = 1.0
+    range_mi: Count = DEFAULT_RANGE_MI
+    l_cap: Annotated[int, Bound(">=", 0)] = DEFAULT_L_CAP
+    arrival_dmax: Count = DEFAULT_D_MAX
+    qsch_w_buffer: Fraction = 0.5
+    qsch_w_wait: Fraction = 0.5
+    max_attempts: Count = DEFAULT_MAX_ATTEMPTS
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -156,41 +161,16 @@ class ExperimentPlan:
             if name not in POLICY_NAMES:
                 raise ConfigError(f"unknown policy {name!r} in policies "
                                   f"(choose from {POLICY_NAMES})")
-        # range checks are written so that NaN fails them
-        if not all(t >= 1 for t in self.task_counts):
-            raise ConfigError("task_counts entries must be >= 1")
-        if not all(b >= 1 for b in self.buffer_sizes):
-            raise ConfigError("buffer_sizes entries must be >= 1")
-        if any(not (0.0 <= f <= 1.0) for f in self.failure_ratios):
-            raise ConfigError("failure_ratios entries must lie in [0, 1]")
         # a point's ratio reaches its CSV rows and its q-table file names
         for spelled in ({csv_cell(float(f)) for f in self.failure_ratios},
                         {f"{f:g}" for f in self.failure_ratios}):
             if len(spelled) < len(self.failure_ratios):
                 raise ConfigError(f"failure_ratios entries must print apart in "
                                   f"the outputs, got {self.failure_ratios!r}")
-        if not (0.0 <= self.qsch_w_buffer <= 1.0):
-            raise ConfigError("qsch_w_buffer must lie in [0, 1]")
-        if not (0.0 <= self.qsch_w_wait <= 1.0):
-            raise ConfigError("qsch_w_wait must lie in [0, 1]")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if not self.slot_seconds > 0:
-            raise ConfigError("slot_seconds must be > 0")
-        if self.range_mi <= 0:
-            raise ConfigError("range_mi must be > 0")
-        if self.l_cap < 0:
-            raise ConfigError("l_cap must be >= 0")
-        if self.arrival_dmax < 1:
-            raise ConfigError("arrival_dmax must be >= 1")
         if not self.scenario.arrival_mean <= self.arrival_dmax:
             raise ConfigError(f"arrival_mean must be <= arrival_dmax "
                               f"({self.arrival_dmax}): the per-slot count is "
                               f"Binomial(arrival_dmax, mean / arrival_dmax)")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):

@@ -110,7 +110,8 @@ def generate_workload(cfg: ScenarioConfig, seed: int,
             else:
                 idle += 1
                 if idle > _MAX_IDLE_SLOTS:
-                    raise ConfigError("arrival model produced no arrivals for too long")
+                    raise ConfigError(f"scenario.arrival_mean {cfg.arrival_mean!r} "
+                                      f"produced no arrivals for too long")
     bitgen.state = start
     bitgen.advance(used)
     first = slots[0]

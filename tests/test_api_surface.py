@@ -1,6 +1,6 @@
 """The names the package exports and the benchmark reaches must exist,
-a process loads only the layers it runs, and no public function under
-src/ is called only by tests.
+a process loads only the layers it runs, no public function under src/
+is called only by tests, and every numeric config key declares its range.
 
 perfbench/ patches qlsched attributes by name and calls package-root
 functions, so a deletion under src/ that drops one of them would only
@@ -14,13 +14,14 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 import qlsched
 from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
-from qlsched.config import LearnerConfig, ScenarioConfig
+from qlsched.config import Bound, ExperimentPlan, LearnerConfig, ScenarioConfig
 from qlsched.envs import LengthAwareView, SimulationEnv
 from qlsched.policies import random_select
 from qlsched.qlearn import QTable, train
@@ -132,6 +133,28 @@ def test_registry_and_names_that_drift_apart_fail_the_import():
                  "import qlsched.policies", check=False)
     assert out.returncode == 1
     assert "RuntimeError" in out.stderr and "'lwl'" in out.stderr
+
+
+# numeric keys whose range is a cross-field rule in __post_init__
+CROSS_FIELD_RANGES = {"ScenarioConfig.length_max", "ScenarioConfig.buffer_max"}
+
+
+def test_every_numeric_config_key_declares_its_bound():
+    # each int or float field, and each such list entry type, carries at
+    # least one Bound in its annotation
+    unbounded = set()
+    for cls in (ScenarioConfig, LearnerConfig, ExperimentPlan):
+        for key, hint in get_type_hints(cls, include_extras=True).items():
+            if type(None) in get_args(hint):
+                hint = get_args(hint)[0]
+            if get_origin(hint) is list:
+                hint = get_args(hint)[0]
+            bounds = []
+            if get_origin(hint) is Annotated:
+                hint, *bounds = get_args(hint)
+            if hint in (int, float) and not any(isinstance(b, Bound) for b in bounds):
+                unbounded.add(f"{cls.__name__}.{key}")
+    assert sorted(unbounded) == sorted(CROSS_FIELD_RANGES)
 
 
 def test_exports_are_their_home_module_objects():

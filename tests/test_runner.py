@@ -3,6 +3,7 @@
 import csv
 import gc
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -637,15 +638,20 @@ def wrong_values(hint, good):
     return {int: ["x", True], float: ["x", float("inf")], str: [5]}[hint]
 
 
-@pytest.mark.parametrize("preset", sorted(os.listdir(CONFIG_DIR)))
-def test_cli_schema_table_exit_1(tmp_path, capsys, monkeypatch, preset):
-    # every key the preset sets, given each value its annotation rules out,
-    # and every required key deleted in turn; run_plan fails fast so a
-    # case that slips past parsing exits 2 instead of running the preset
+@pytest.fixture
+def run_plan_fails_fast(monkeypatch):
+    """Make run_plan raise at once, so a plan that passes parsing exits 2
+    with "config accepted" instead of running."""
     def accepted(plan):
         raise RuntimeError("config accepted")
 
     monkeypatch.setattr("qlsched.runner.run_plan", accepted)
+
+
+@pytest.mark.parametrize("preset", sorted(os.listdir(CONFIG_DIR)))
+def test_cli_schema_table_exit_1(tmp_path, capsys, run_plan_fails_fast, preset):
+    # every key the preset sets, given each value its annotation rules out,
+    # and every required key deleted in turn
     with open(os.path.join(CONFIG_DIR, preset), encoding="utf-8") as fh:
         base = yaml.safe_load(fh)
     cases = []
@@ -669,6 +675,69 @@ def test_cli_schema_table_exit_1(tmp_path, capsys, monkeypatch, preset):
         err = capsys.readouterr().err
         assert code == 1 and "config error" in err and needle in err, \
             (section, key, value, err)
+
+
+# the smallest positive double, and the doubles next to 1
+TINY = 5e-324
+BELOW_1 = math.nextafter(1.0, 0.0)
+ABOVE_1 = math.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("section, key, edge, past", [
+    ("scenario", "num_tasks", 1, 0),
+    ("scenario", "length_min", 1, 0),
+    ("scenario", "num_vms", 1, 0),
+    ("scenario", "vm_mips", TINY, 0.0),
+    ("scenario", "buffer_min", 1, 0),
+    ("scenario", "num_pes", 1, 0),
+    ("scenario", "arrival_mean", TINY, 0.0),
+    ("learner", "gamma", TINY, 0.0),
+    ("learner", "gamma", BELOW_1, 1.0),
+    ("learner", "epsilon0", 0.0, -TINY),
+    ("learner", "epsilon0", 1.0, ABOVE_1),
+    ("learner", "total_cycles", 1, 0),
+    ("learner", "repeater_threshold", 1, 0),
+    ("learner", "lr_exponent", TINY, 0.0),
+    (None, "task_counts", [1], [0]),
+    (None, "buffer_sizes", [1], [0]),
+    (None, "failure_ratios", [0.0], [-TINY]),
+    (None, "failure_ratios", [1.0], [ABOVE_1]),
+    (None, "qsch_w_buffer", 0.0, -TINY),
+    (None, "qsch_w_buffer", 1.0, ABOVE_1),
+    (None, "qsch_w_wait", 0.0, -TINY),
+    (None, "qsch_w_wait", 1.0, ABOVE_1),
+    (None, "replications", 1, 0),
+    (None, "seed", 0, -1),
+    (None, "slot_seconds", TINY, 0.0),
+    (None, "range_mi", 1, 0),
+    (None, "l_cap", 0, -1),
+    (None, "arrival_dmax", 1, 0),
+    (None, "max_attempts", 1, 0),
+])
+def test_cli_bound_edges(tmp_path, capsys, run_plan_fails_fast, section, key, edge,
+                         past):
+    # each single-key range at its edge is accepted, and one step past it
+    # exits 1 naming the key
+    config = edited_preset(tmp_path, "scenario1.yaml", section, key, edge)
+    assert main(["run", "--config", config]) == 2
+    assert "config accepted" in capsys.readouterr().err
+    config = edited_preset(tmp_path, "scenario1.yaml", section, key, past)
+    assert main(["run", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err, err
+
+
+def test_cli_arrival_error_names_arrival_mean(tmp_path, capsys):
+    # a mean this small passes every bound but leaves the slots empty; the
+    # error once named no key
+    config = edited_preset(tmp_path, "scenario1.yaml", "scenario", "arrival_mean", 1e-9)
+    out_dir = tmp_path / "out"
+    code = main(["run", "--config", config, "--policy", "greedy",
+                 "--replications", "1", "--out", str(out_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "arrival_mean" in err, err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("key", ["vm_ram_mb", "vm_bandwidth_mbps",

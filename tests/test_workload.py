@@ -71,8 +71,9 @@ def test_lengths_in_range_property():
     dict(arrival_mean=0.0),
 ])
 def test_scenario_validation(kw):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         scenario(**kw)
+    assert all(key in str(err.value) for key in kw), err.value
 
 
 # -- arrival rows --------------------------------------------------------------
