@@ -99,7 +99,7 @@ class ScenarioConfig:
 
     num_tasks: Count
     length_min: Count
-    length_max: int
+    length_max: Annotated[int, Bound("<", 2**63)]   # a numpy int64 draw
     num_vms: Count
     vm_mips: Positive
     buffer_min: Count = 5
@@ -145,11 +145,11 @@ class ExperimentPlan:
     slot_seconds: Positive = 1.0
     range_mi: Count = DEFAULT_RANGE_MI
     l_cap: Annotated[int, Bound(">=", 0)] = DEFAULT_L_CAP
-    arrival_dmax: Count = DEFAULT_D_MAX
+    # math.comb(arrival_dmax, i) times a float overflows from 1030 up
+    arrival_dmax: Annotated[Count, Bound("<=", 1000)] = DEFAULT_D_MAX
     qsch_w_buffer: Fraction = 0.5
     qsch_w_wait: Fraction = 0.5
     max_attempts: Count = DEFAULT_MAX_ATTEMPTS
-    out_dir: str | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -188,9 +188,9 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep=deep)
 
 
-def parse_config(path: str) -> ExperimentPlan:
-    """Load a YAML plan file; unknown, missing and repeated keys raise
-    ConfigError naming them."""
+def parse_config(path: str, overrides=()) -> ExperimentPlan:
+    """Load a YAML plan file, then apply each KEY=VALUE override (_apply);
+    unknown, missing and repeated keys raise ConfigError naming them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_UniqueKeyLoader)
@@ -200,7 +200,27 @@ def parse_config(path: str) -> ExperimentPlan:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
+    if isinstance(raw, dict):
+        for override in overrides:
+            _apply(raw, override)
     return _build(ExperimentPlan, raw, "")
+
+
+def _apply(raw: dict, override: str):
+    """Set the dotted key before the first "=" (learner.gamma walks into,
+    or creates, the learner mapping) to the rest read as the file is."""
+    key, eq, text = override.partition("=")
+    path = key.split(".")
+    if not eq or "" in path:
+        raise ConfigError(f"override {override!r} must be KEY=VALUE")
+    for section in path[:-1]:
+        raw = raw.setdefault(section, {})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"override {override!r}: {section} is not a mapping")
+    try:
+        raw[path[-1]] = yaml.load(text, Loader=_UniqueKeyLoader)
+    except (yaml.YAMLError, ConfigError) as exc:    # ConfigError: a repeated key
+        raise ConfigError(f"override {override!r} is not valid YAML: {exc}") from exc
 
 
 def _build(cls, raw, prefix: str):

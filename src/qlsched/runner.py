@@ -155,7 +155,6 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
     exists) is not a directory raises ConfigError before the first point
     runs. The files are staged in that ancestor (see _write_outputs).
     """
-    out_dir = out_dir if out_dir is not None else plan.out_dir
     if out_dir:
         ancestor = os.path.abspath(out_dir)
         while not os.path.lexists(ancestor):

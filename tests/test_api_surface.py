@@ -136,7 +136,7 @@ def test_registry_and_names_that_drift_apart_fail_the_import():
 
 
 # numeric keys whose range is a cross-field rule in __post_init__
-CROSS_FIELD_RANGES = {"ScenarioConfig.length_max", "ScenarioConfig.buffer_max"}
+CROSS_FIELD_RANGES = {"ScenarioConfig.buffer_max"}
 
 
 def test_every_numeric_config_key_declares_its_bound():

@@ -1,5 +1,6 @@
 """Plan parsing, sweep execution, CSV layout and the CLI wrapper."""
 
+import argparse
 import csv
 import gc
 import hashlib
@@ -16,7 +17,7 @@ import yaml
 
 from outputs_helpers import run_values, summary_row
 from qlsched import runner
-from qlsched.cli import main
+from qlsched.cli import build_parser, main
 from qlsched.config import (ExperimentPlan, LearnerConfig, ScenarioConfig, _build,
                             parse_config)
 from qlsched.errors import ConfigError
@@ -146,6 +147,8 @@ def test_non_mapping_config_rejected(tmp_path):
     path.write_text("- just\n- a\n- list\n")
     with pytest.raises(ConfigError, match="mapping"):
         parse_config(str(path))
+    with pytest.raises(ConfigError, match="config must be a mapping"):
+        parse_config(str(path), ["seed=1"])
 
 
 # -- plan validation ---------------------------------------------------------------
@@ -391,8 +394,8 @@ def test_cli_run_success(tmp_path, capsys):
 def test_cli_policy_filter_and_overrides(tmp_path):
     out_dir = tmp_path / "results"
     config = write_config(tmp_path, task_counts=[4])
-    code = main(["run", "--config", config, "--policy", "greedy",
-                 "--replications", "2", "--seed", "9",
+    code = main(["run", "--config", config, "--set", "policies=[greedy]",
+                 "--set", "replications=2", "--set", "seed=9",
                  "--out", str(out_dir)])
     assert code == 0
     lines = (out_dir / "runs.csv").read_text().splitlines()[1:]
@@ -470,7 +473,7 @@ def test_a_failed_write_leaves_the_earlier_outputs_whole(tmp_path, capsys,
     before = {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
     assert len(before) == 4
     opened = failing_csv_writer(monkeypatch)
-    code = main(["run", "--config", config, "--seed", "4", "--out", str(out_dir)])
+    code = main(["run", "--config", config, "--set", "seed=4", "--out", str(out_dir)])
     assert code == 2
     assert "disk full" in capsys.readouterr().err
     assert {name: (out_dir / name).read_bytes()
@@ -515,15 +518,15 @@ def test_inline_checks_have_no_side_effect(tmp_path):
 
 def test_cli_bad_override_exit_1(tmp_path, capsys):
     config = write_config(tmp_path)
-    code = main(["run", "--config", config, "--gamma", "1.5"])
+    code = main(["run", "--config", config, "--set", "learner.gamma=1.5"])
     assert code == 1
-    assert "gamma" in capsys.readouterr().err
+    assert "config error: gamma must be < 1, got 1.5" in capsys.readouterr().err
 
 
 def test_cli_runtime_failure_exit_2(tmp_path, capsys):
     # certain failure on every attempt leaves no completions to report on
     config = write_config(tmp_path, task_counts=[4], replications=1)
-    code = main(["run", "--config", config, "--failure-ratio", "1.0"])
+    code = main(["run", "--config", config, "--set", "failure_ratios=[1.0]"])
     assert code == 2
     assert "run failed" in capsys.readouterr().err
 
@@ -531,7 +534,7 @@ def test_cli_runtime_failure_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("verbose", [False, True])
 def test_cli_runtime_failure_traceback_only_verbose(tmp_path, capsys, verbose):
     config = write_config(tmp_path, task_counts=[4], replications=1)
-    code = main(["run", "--config", config, "--failure-ratio", "1.0"]
+    code = main(["run", "--config", config, "--set", "failure_ratios=[1.0]"]
                 + ["-v"] * verbose)
     assert code == 2
     assert ("Traceback" in capsys.readouterr().err) == verbose
@@ -585,8 +588,9 @@ def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value
     # belongs raised a TypeError past the CLI's config-error handler, a
     # string of policies was read letter by letter, a repeated policy wrote
     # duplicate summary rows, an infinite speed or arrival mean ran (or
-    # failed at run time), a numeric out_dir failed at write time, an
-    # arrival mean above arrival_dmax failed at run time with exit 2, an
+    # failed at run time), a numeric out_dir failed at write time (now an
+    # unknown key: only --out sets the output directory), an arrival mean
+    # above arrival_dmax failed at run time with exit 2, an
     # int too large for a float raised an uncaught OverflowError, a
     # repeated sweep entry wrote rows that cannot be told apart, and two
     # failure ratios that print alike at the CSVs' 6 decimals (or in the
@@ -642,7 +646,7 @@ def wrong_values(hint, good):
 def run_plan_fails_fast(monkeypatch):
     """Make run_plan raise at once, so a plan that passes parsing exits 2
     with "config accepted" instead of running."""
-    def accepted(plan):
+    def accepted(plan, out_dir=None):
         raise RuntimeError("config accepted")
 
     monkeypatch.setattr("qlsched.runner.run_plan", accepted)
@@ -713,6 +717,8 @@ ABOVE_1 = math.nextafter(1.0, 2.0)
     (None, "l_cap", 0, -1),
     (None, "arrival_dmax", 1, 0),
     (None, "max_attempts", 1, 0),
+    ("scenario", "length_max", 2**63 - 1, 2**63),   # numpy draws lengths in int64
+    (None, "arrival_dmax", 1000, 1001),             # the arrival rows overflow at 1030
 ])
 def test_cli_bound_edges(tmp_path, capsys, run_plan_fails_fast, section, key, edge,
                          past):
@@ -732,8 +738,8 @@ def test_cli_arrival_error_names_arrival_mean(tmp_path, capsys):
     # error once named no key
     config = edited_preset(tmp_path, "scenario1.yaml", "scenario", "arrival_mean", 1e-9)
     out_dir = tmp_path / "out"
-    code = main(["run", "--config", config, "--policy", "greedy",
-                 "--replications", "1", "--out", str(out_dir)])
+    code = main(["run", "--config", config, "--set", "policies=[greedy]",
+                 "--set", "replications=1", "--out", str(out_dir)])
     assert code == 1
     err = capsys.readouterr().err
     assert "config error" in err and "arrival_mean" in err, err
@@ -752,9 +758,86 @@ def test_cli_dropped_scenario_key_exit_1(tmp_path, capsys, key):
 
 def test_cli_unknown_policy_exit_1(tmp_path, capsys):
     config = write_config(tmp_path)
-    code = main(["run", "--config", config, "--policy", "warp"])
+    code = main(["run", "--config", config, "--set", "policies=[warp]"])
     assert code == 1
-    assert "warp" in capsys.readouterr().err
+    assert "config error: unknown policy 'warp'" in capsys.readouterr().err
+
+
+SCENARIO1 = os.path.join(CONFIG_DIR, "scenario1.yaml")
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["run", "--config", SCENARIO1, "--set", "seed=abc"], 1, "seed must be"),
+    (["run", "--config", SCENARIO1, "--set", "learner.gamma=x"], 1, "gamma must be"),
+    (["run", "--config", SCENARIO1, "--set", "policies=[greedy"], 1,
+     "override 'policies=[greedy' is not valid YAML"),
+    (["run", "--config", SCENARIO1, "--set", "learner={gamma: 0.5, gamma: 0.6}"], 1,
+     "override 'learner={gamma: 0.5, gamma: 0.6}' is not valid YAML: "
+     "duplicate config key 'gamma'"),
+    (["run", "--config", SCENARIO1, "--set", "bogus=1"], 1,
+     "unknown config key: bogus"),
+    (["run", "--config", SCENARIO1, "--set", "learner.gama=0.5"], 1,
+     "unknown config key: learner.gama"),
+    (["run", "--config", SCENARIO1, "--set", "seed"], 1, "override 'seed'"),
+    (["run", "--config", SCENARIO1, "--set", "=5"], 1, "override '=5'"),
+    (["run", "--config", SCENARIO1, "--set", "seed.x=1"], 1,
+     "override 'seed.x=1': seed is not a mapping"),
+    (["run", "--config", SCENARIO1, "--seed", "4"], 1,
+     "unrecognized arguments: --seed 4"),
+    (["run", "--set", "seed=4"], 1, "required: --config"),
+    ([], 1, "required: command"),
+    (["run", "--config", SCENARIO1, "--set", "learner.gamma=0.5"], 2,
+     "config accepted"),
+    (["run", "--help"], 0, "--set KEY=VALUE"),
+], ids=lambda v: " ".join(v).replace(SCENARIO1, "scenario1.yaml")
+   if isinstance(v, list) else None)
+def test_cli_command_line_exit_codes(capsys, run_plan_fails_fast, argv, code, needle):
+    # every bad command line is a config error naming the key or the
+    # override; --help still exits 0
+    try:
+        got = main(argv)
+    except SystemExit as exc:   # argparse ends --help with sys.exit(0)
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code and needle in out + err, (got, out, err)
+    assert ("config error: " in err) == (code == 1)
+
+
+@pytest.mark.parametrize("overrides, section, key, value", [
+    (["seed=4"], None, "seed", 4),
+    (["learner.gamma=0.8"], "learner", "gamma", 0.8),
+    (["policies=[greedy, qlearn]"], None, "policies", ["greedy", "qlearn"]),
+    (["task_counts=null"], None, "task_counts", None),
+    (["scenario.arrival_mode=markov"], "scenario", "arrival_mode", "markov"),
+    (["seed=4", "seed=5"], None, "seed", 5),    # the later one wins
+])
+def test_overrides_parse_as_the_edited_file(tmp_path, overrides, section, key, value):
+    plan = parse_config(SCENARIO1, overrides)
+    assert plan != parse_config(SCENARIO1)
+    assert plan == parse_config(edited_preset(tmp_path, "scenario1.yaml", section,
+                                              key, value))
+
+
+def test_override_creates_a_missing_section(tmp_path):
+    bare = edited_preset(tmp_path, "scenario1.yaml", None, "learner", DELETE)
+    assert parse_config(bare, ["learner.gamma=0.8"]).learner == LearnerConfig(gamma=0.8)
+
+
+def test_cli_keeps_no_copy_of_the_schema():
+    # the run options name no plan key and convert no value: every plan
+    # key is typed and checked by the schema alone, whether the file or
+    # --set gives it
+    parser = build_parser()
+    run = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["run"]
+    dests = set(vars(parser.parse_args(["run", "--config", "plan.yaml"])))
+    assert dests == {"command", "config", "overrides", "out_dir", "verbose"}
+    schema = {f.name for cls in (ExperimentPlan, ScenarioConfig, LearnerConfig)
+              for f in fields(cls)}
+    assert sorted(dests & schema) == []
+    assert [a.dest for a in parser._actions + run._actions if a.type is not None] == []
+    assert [a.option_strings for a in run._actions if a.dest != "help"] == [
+        ["--config"], ["--set"], ["--out"], ["-v", "--verbose"]]
 
 
 def test_plan_accepts_learner_config_instance():

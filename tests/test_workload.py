@@ -151,6 +151,15 @@ def test_arrival_model_validation(kw):
         _cum_rows(**kw)
 
 
+@pytest.mark.parametrize("mode", ["iid", "markov"])
+def test_rows_build_at_the_largest_arrival_dmax(mode):
+    # the schema caps arrival_dmax at 1000, below 1030, where
+    # math.comb(d_max, i) grows too large to multiply by a float
+    rows = _cum_rows(mode, 1000, 1.0)
+    assert len(rows) == 1001
+    assert all(len(row) == 1001 and row[-1] == 1.0 for row in rows)
+
+
 def _reference_workload(cfg, seed, d_max):
     # reference: one scalar draw per slot, bisected into the row of the
     # previous count; returns the tasks and the generator's next uniform
