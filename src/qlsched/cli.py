@@ -12,8 +12,7 @@ import logging
 import sys
 import traceback
 
-from .config import parse_config
-from .errors import ConfigError
+from .config import ConfigError, parse_config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +52,7 @@ def main(argv=None) -> int:
             traceback.print_exc()
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
-    dest = args.out_dir or "(not written, no --out)"
+    dest = args.out_dir if args.out_dir is not None else "(not written, no --out)"
     print(f"completed {len(outputs.runs)} runs over "
           f"{len(outputs.summary)} policy/point combinations; results: {dest}")
     return 0

@@ -17,12 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_MAX_ATTEMPTS
-from .errors import BufferFullError
 from .workload import TaskSpec
 
 # Uniforms a failure hook takes from its generator per rng.random(n) call.
 FAILURE_DRAW_BLOCK = 64
+
+
+class BufferFullError(RuntimeError):
+    """Admission attempted on a VM whose buffer is at capacity."""
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,7 @@ class ClusterState:
     its number is below max_attempts, and recorded as aborted after that.
     """
 
-    def __init__(self, vm_specs: list[VmSpec],
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS, fails=None):
+    def __init__(self, vm_specs: list[VmSpec], max_attempts: int, fails):
         self.vms = [VmState(s) for s in vm_specs]
         self.clock = 0.0
         # In-service completions keyed (finish, vm index, pe): the heap

@@ -4,8 +4,10 @@ The dataclass annotations are the schema: check_fields derives every type
 and range check from them, and _build every key and nesting check. A
 numeric key declares its range in its annotation, as
 Annotated[int, Bound(">=", 1)]; only cross-field and registry rules are
-written out in __post_init__. Only the standard library, PyYAML and
-errors.py are imported, so parsing loads no numpy.
+written out in __post_init__. The field defaults are the one place a run
+setting's default is written: the layers under run_plan take every
+setting from their caller. Only the standard library and PyYAML are
+imported, so parsing loads no numpy.
 """
 
 from __future__ import annotations
@@ -18,16 +20,14 @@ from typing import Annotated, NamedTuple, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import ConfigError
-
 # Append only, as a policy's index seeds its draws; policies.POLICIES follows it.
 POLICY_NAMES = ("random", "fifo", "mixed", "greedy", "qsch", "qlearn")
-DEFAULT_D_MAX = 5
 ARRIVAL_MODES = ("iid", "markov")
-DEFAULT_LR_EXPONENT = 0.65
-DEFAULT_MAX_ATTEMPTS = 10
-DEFAULT_RANGE_MI = 10_000
-DEFAULT_L_CAP = 40
+
+
+class ConfigError(ValueError):
+    """Bad experiment configuration (unknown key, out-of-range value)."""
+
 
 # annotation -> (what the value must be, test). Bools are ints to Python but
 # never a count or a rate here; the float bound also fails NaN, the
@@ -126,7 +126,7 @@ class LearnerConfig:
     epsilon0: Fraction = 1.0
     total_cycles: Count = 10_000
     repeater_threshold: Count = 500
-    lr_exponent: Positive = DEFAULT_LR_EXPONENT
+    lr_exponent: Positive = 0.65
 
     def __post_init__(self):
         check_fields(self)
@@ -143,13 +143,13 @@ class ExperimentPlan:
     seed: Annotated[int, Bound(">=", 0)] = 1
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     slot_seconds: Positive = 1.0
-    range_mi: Count = DEFAULT_RANGE_MI
-    l_cap: Annotated[int, Bound(">=", 0)] = DEFAULT_L_CAP
+    range_mi: Count = 10_000
+    l_cap: Annotated[int, Bound(">=", 0)] = 40
     # math.comb(arrival_dmax, i) times a float overflows from 1030 up
-    arrival_dmax: Annotated[Count, Bound("<=", 1000)] = DEFAULT_D_MAX
+    arrival_dmax: Annotated[Count, Bound("<=", 1000)] = 5
     qsch_w_buffer: Fraction = 0.5
     qsch_w_wait: Fraction = 0.5
-    max_attempts: Count = DEFAULT_MAX_ATTEMPTS
+    max_attempts: Count = 10
 
     def __post_init__(self):
         check_fields(self)

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import (DEFAULT_D_MAX, DEFAULT_L_CAP, DEFAULT_MAX_ATTEMPTS,
-                     DEFAULT_RANGE_MI, ScenarioConfig)
+from .config import ScenarioConfig
 from .metrics import _mean_wait, completed
 from .simulate import Simulation
 from .workload import generate_workload
 
 
-def encode_state(cluster, range_mi: int = DEFAULT_RANGE_MI,
-                 l_cap: int = DEFAULT_L_CAP) -> tuple:
+def encode_state(cluster, range_mi: int, l_cap: int) -> tuple:
     """Observed scheduler state of a cluster, as a flat tuple of 2K ints.
 
     Each VM's length class is min(total // range_mi, l_cap) of its total
@@ -73,8 +71,7 @@ class LengthAwareView:
     each view remembers the rewards it has computed.
     """
 
-    def __init__(self, range_mi: int = DEFAULT_RANGE_MI,
-                 l_cap: int = DEFAULT_L_CAP):
+    def __init__(self, range_mi: int, l_cap: int):
         if range_mi <= 0:
             raise ValueError("range_mi must be > 0")
         if l_cap < 0:
@@ -106,7 +103,7 @@ class FreeBufferView:
            - w_wait * (its backlog normalized by the largest backlog).
     """
 
-    def __init__(self, w_buffer: float = 0.5, w_wait: float = 0.5):
+    def __init__(self, w_buffer: float, w_wait: float):
         for name, weight in (("w_buffer", w_buffer), ("w_wait", w_wait)):
             if not 0.0 <= weight <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {weight}")
@@ -135,8 +132,8 @@ class SimulationEnv:
     """
 
     def __init__(self, scenario: ScenarioConfig, vm_specs, view,
-                 slot_seconds: float = 1.0, failure_ratio: float = 0.0,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS, d_max: int = DEFAULT_D_MAX):
+                 slot_seconds: float, failure_ratio: float, max_attempts: int,
+                 d_max: int):
         self.scenario = scenario
         self.vm_specs = list(vm_specs)
         self.view = view
@@ -153,11 +150,9 @@ class SimulationEnv:
                                      self.d_max)
         # the failure seed is drawn at every ratio, so the training
         # stream is the same; at ratio 0 the simulator builds nothing from it
-        self.sim = Simulation(self.vm_specs, workload,
-                              slot_seconds=self.slot_seconds,
-                              failure_ratio=self.failure_ratio,
-                              max_attempts=self.max_attempts,
-                              failure_seed=int(rng.integers(2**63)))
+        self.sim = Simulation(self.vm_specs, workload, self.slot_seconds,
+                              self.failure_ratio, self.max_attempts,
+                              int(rng.integers(2**63)))
 
     def episode(self, agent, rng: np.random.Generator):
         """Drain reset's run, asking agent(reward, state, actions) for each

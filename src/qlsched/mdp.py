@@ -10,7 +10,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import CapacityError
+
+class CapacityError(ValueError):
+    """Requested oracle MDP would enumerate too many states or entries."""
+
 
 MAX_ORACLE_STATES = 100_000
 # Transition entries: 2^24 take 201 MB of csr_cols and csr_probs.

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricsError
+
+class MetricsError(ValueError):
+    """Metric requested on an empty or inconsistent record set."""
 
 
 def completed(records):

@@ -29,7 +29,7 @@ def random_select(cluster, rng: np.random.Generator):
     return free[int(rng.integers(len(free)))]
 
 
-def fifo_select(cluster, rng=None):
+def fifo_select(cluster, rng):
     """VM whose head-of-line work finishes earliest, among those with space."""
     free = cluster.feasible_vms()
     clock = cluster.clock
@@ -46,7 +46,7 @@ def mixed_select(cluster, rng: np.random.Generator):
     return free_counts.index(top)  # lowest index among the maxima
 
 
-def greedy_select(cluster, rng=None):
+def greedy_select(cluster, rng):
     """VM with the largest free-buffer count, lowest index on ties."""
     free_counts = cluster.free_counts()
     return free_counts.index(max(free_counts))

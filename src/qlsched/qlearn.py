@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_LR_EXPONENT, LearnerConfig
+from .config import LearnerConfig
 
 
-def learning_rate(visits: int, exponent: float = DEFAULT_LR_EXPONENT) -> float:
+def learning_rate(visits: int, exponent: float) -> float:
     """Step size for the update following `visits` prior updates of a pair."""
     if visits < 0:
         raise ValueError("visits must be >= 0")
@@ -97,7 +97,7 @@ def select_action(state, table: QTable, epsilon: float,
 
 
 def update_q(table: QTable, state, action, reward_value: float, next_state,
-             gamma: float, lr_exponent: float = DEFAULT_LR_EXPONENT) -> float:
+             gamma: float, lr_exponent: float) -> float:
     """One Q-learning backup; returns the new q(state, action).
 
     The step size comes from the pair's visit count before this update,

@@ -24,9 +24,8 @@ from itertools import product
 import numpy as np
 
 from .cluster import VmSpec
-from .config import POLICY_NAMES, ExperimentPlan, csv_cell
+from .config import POLICY_NAMES, ConfigError, ExperimentPlan, csv_cell
 from .envs import SimulationEnv
-from .errors import ConfigError
 from .metrics import aggregate, build_report
 from .policies import POLICIES
 from .qlearn import export_qtable, train
@@ -151,11 +150,13 @@ def run_point(plan: ExperimentPlan, point) -> RunOutputs:
 def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
     """Execute the full sweep; write CSVs when an output directory is set.
 
-    An output directory whose nearest existing ancestor (itself, if it
-    exists) is not a directory raises ConfigError before the first point
-    runs. The files are staged in that ancestor (see _write_outputs).
+    An empty out_dir, or one whose nearest existing ancestor (itself, if
+    it exists) is not a directory, raises ConfigError before the first
+    point runs. The files are staged in that ancestor (see _write_outputs).
     """
-    if out_dir:
+    if out_dir is not None:
+        if not out_dir:
+            raise ConfigError("out_dir must not be empty")
         ancestor = os.path.abspath(out_dir)
         while not os.path.lexists(ancestor):
             ancestor = os.path.dirname(ancestor)
@@ -165,7 +166,7 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
     outputs = RunOutputs()
     for point in sweep_points(plan):
         outputs.extend(run_point(plan, point))
-    if out_dir:
+    if out_dir is not None:
         _write_outputs(outputs, plan.scenario.num_vms, out_dir, ancestor)
     return outputs
 

@@ -16,7 +16,6 @@ from operator import attrgetter
 import numpy as np
 
 from .cluster import ClusterState, VmSpec, failure_hook
-from .config import DEFAULT_MAX_ATTEMPTS
 from .workload import TaskSpec
 
 
@@ -36,9 +35,8 @@ class Simulation:
     """
 
     def __init__(self, vm_specs: list[VmSpec], workload: list[TaskSpec],
-                 slot_seconds: float = 1.0, failure_ratio: float = 0.0,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                 failure_seed=None):
+                 slot_seconds: float, failure_ratio: float, max_attempts: int,
+                 failure_seed):
         if slot_seconds <= 0:
             raise ValueError("slot_seconds must be > 0")
         self.cluster = ClusterState(vm_specs, max_attempts,
@@ -81,7 +79,7 @@ class Simulation:
                 assert not queue
                 return None
 
-    def drain(self, policy, rng: np.random.Generator | None = None):
+    def drain(self, policy, rng: np.random.Generator | None):
         """Run to completion, consulting policy(cluster, rng) per admission:
         evaluation runs, and training episodes with SimulationEnv.step.
 
@@ -97,18 +95,14 @@ class Simulation:
         return self.records
 
 
-def run_policy_simulation(vm_specs, workload, policy,
-                          slot_seconds: float = 1.0,
-                          failure_ratio: float = 0.0,
-                          max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-                          policy_rng: np.random.Generator | None = None,
-                          failure_seed=None):
+def run_policy_simulation(vm_specs, workload, policy, slot_seconds: float,
+                          failure_ratio: float, max_attempts: int,
+                          policy_rng: np.random.Generator | None, failure_seed):
     """Convenience wrapper: simulate one workload end to end.
 
     policy(cluster, rng) -> vm index, asked only while some buffer has
     space. Returns the completion records, aborted attempts included.
     """
-    sim = Simulation(vm_specs, workload, slot_seconds=slot_seconds,
-                     failure_ratio=failure_ratio, max_attempts=max_attempts,
-                     failure_seed=failure_seed)
+    sim = Simulation(vm_specs, workload, slot_seconds, failure_ratio,
+                     max_attempts, failure_seed)
     return sim.drain(policy, policy_rng)

@@ -16,8 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_D_MAX, ScenarioConfig
-from .errors import ConfigError
+from .config import ConfigError, ScenarioConfig
 
 # generate_workload gives up if the arrival rows yield this many empty
 # slots in a row (e.g. a mean so small the count is always zero).
@@ -70,8 +69,7 @@ def _cum_rows(mode: str, d_max: int, mean: float) -> tuple[tuple[float, ...], ..
     return tuple(cum * (d_max + 1) if mode == "iid" else cum)
 
 
-def generate_workload(cfg: ScenarioConfig, seed: int,
-                      d_max: int = DEFAULT_D_MAX) -> list[TaskSpec]:
+def generate_workload(cfg: ScenarioConfig, seed: int, d_max: int) -> list[TaskSpec]:
     """Synthesize cfg.num_tasks tasks with uniform lengths and slotted arrivals.
 
     Deterministic in (cfg, seed). Ids are assigned 0..n-1 in arrival

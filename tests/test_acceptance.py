@@ -104,19 +104,20 @@ def test_criterion_1_oracle_optimality():
 
 def length_class(total_mi: int, range_mi: int) -> int:
     """encode_state's length class of one VM holding total_mi of work."""
-    cluster = ClusterState([VmSpec(mips=1000.0, buffer_capacity=1)])
+    cluster = ClusterState([VmSpec(mips=1000.0, buffer_capacity=1)],
+                           max_attempts=10, fails=None)
     if total_mi:
         cluster.admit(TaskSpec(0, 0, total_mi), 0)
-    return encode_state(cluster, range_mi)[1]
+    return encode_state(cluster, range_mi, 40)[1]
 
 
 def test_criterion_2_formula_checks():
     state = (2, 5, 3, 4, 9, 1)  # occupancies (2,5,3), loads (4,9,1)
     caps = [6, 6, 6]
     finish(2, [
-        (learning_rate(0) == 1.0, "learning_rate(0)=1"),
-        (learning_rate(1) == 0.5, "learning_rate(1)=0.5"),
-        (abs(learning_rate(4) - 1 / (1 + 4**0.65)) < 1e-4,
+        (learning_rate(0, 0.65) == 1.0, "learning_rate(0)=1"),
+        (learning_rate(1, 0.65) == 0.5, "learning_rate(1)=0.5"),
+        (abs(learning_rate(4, 0.65) - 1 / (1 + 4**0.65)) < 1e-4,
          "learning_rate(4)=1/(1+4^0.65) within 1e-4"),
         (decay_epsilon(0.7, 0, 300) == 0.7, "epsilon starts at epsilon0"),
         (decay_epsilon(0.7, 300, 300) == 0.0, "epsilon ends at 0"),
@@ -135,7 +136,9 @@ def test_criterion_2_formula_checks():
 def test_criterion_3_metric_oracle():
     vm = [VmSpec(mips=1000.0, buffer_capacity=5)]
     workload = [TaskSpec(0, 0, 1000), TaskSpec(1, 0, 2000)]
-    report = build_report(run_policy_simulation(vm, workload, fifo_select), vm)
+    report = build_report(run_policy_simulation(
+        vm, workload, fifo_select, slot_seconds=1.0, failure_ratio=0.0,
+        max_attempts=10, policy_rng=None, failure_seed=None), vm)
     finish(3, [
         (report.avg_response_s == 2.0, "avg response 2.0 s"),
         (report.avg_wait_s == 0.5, "avg wait 0.5 s"),
@@ -246,7 +249,7 @@ def occupancy_suite(rng, cases=1000):
         cap = int(rng.integers(1, 6))
         specs = [VmSpec(mips=1000.0, buffer_capacity=cap)
                  for i in range(k)]
-        cluster = ClusterState(specs)
+        cluster = ClusterState(specs, max_attempts=10, fails=None)
         for tid in range(int(rng.integers(0, 3 * k * cap))):
             free = cluster.feasible_vms()
             if not free:
@@ -271,7 +274,7 @@ def q_bound_suite(rng, cases=2000):
         s = states[rng.integers(len(states))]
         n = states[rng.integers(len(states))]
         new = update_q(table, s, int(rng.integers(3)),
-                       float(rng.integers(-1, 2)), n, gamma)
+                       float(rng.integers(-1, 2)), n, gamma, 0.65)
         if abs(new) > bound:
             return False
     return True
@@ -323,10 +326,10 @@ def determinism_suite(rng, cases=1000):
         ratio = float(rng.choice([0.0, 0.2]))
         runs = []
         for _ in range(2):
-            workload = generate_workload(scenario, seed)
+            workload = generate_workload(scenario, seed, d_max=5)
             records = run_policy_simulation(
-                specs, workload, fifo_select, failure_ratio=ratio,
-                max_attempts=3,
+                specs, workload, fifo_select, slot_seconds=1.0,
+                failure_ratio=ratio, max_attempts=3, policy_rng=None,
                 failure_seed=seed + 1)
             runs.append(tuple(records))
         if runs[0] != runs[1]:

@@ -1,6 +1,8 @@
 """The names the package exports and the benchmark reaches must exist,
-a process loads only the layers it runs, no public function under src/
-is called only by tests, and every numeric config key declares its range.
+every export is read through the package root, a process loads only the
+layers it runs, no public function under src/ is called only by tests,
+no run-path default is read only by tests, and every numeric config key
+declares its range.
 
 perfbench/ patches qlsched attributes by name and calls package-root
 functions, so a deletion under src/ that drops one of them would only
@@ -33,7 +35,7 @@ PERFBENCH = ROOT / "perfbench"
 RUN_PATH = {f"qlsched.{name}" for name in ("cluster", "envs", "metrics", "policies",
                                            "qlearn", "runner", "simulate", "workload")}
 # what parsing a plan may load besides the standard library and PyYAML
-PARSE_PATH = {"qlsched", "qlsched.config", "qlsched.errors"}
+PARSE_PATH = {"qlsched", "qlsched.config"}
 
 
 def _child(code, check=True):
@@ -78,15 +80,31 @@ def test_benchmark_patch_targets_exist():
         assert callable(getattr(holder, attr, None)), attr
 
 
-def test_benchmark_package_reads_exist():
-    # package-root names the perfbench scripts read as qlsched.X or self.q.X
+def _perfbench_root_reads():
+    """Package-root names the perfbench scripts read as qlsched.X or self.q.X."""
     names = set()
     for script in PERFBENCH.glob("*.py"):
         names.update(re.findall(r"\b(?:qlsched|self\.q)\.([A-Za-z_]\w*)",
                                 script.read_text(encoding="utf-8")))
+    return names
+
+
+def test_benchmark_package_reads_exist():
+    names = _perfbench_root_reads()
     assert {"parse_config", "run_plan", "build_oracle_mdp",
             "value_iteration"} <= names
     assert [name for name in sorted(names) if not hasattr(qlsched, name)] == []
+
+
+def test_every_export_is_read_through_the_root():
+    # by README's Python example or by the benchmark; a name that only
+    # tests import is imported from its home module instead
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    read = _perfbench_root_reads()
+    for names in re.findall(r"^from qlsched import (\([^)]*\)|.*)", readme,
+                            flags=re.MULTILINE):
+        read.update(re.findall(r"\w+", names))
+    assert sorted(set(qlsched.__all__) - read) == []
 
 
 def test_benchmark_bellman_check_passes_on_solves(monkeypatch):
@@ -194,7 +212,7 @@ def test_patched_cluster_methods_see_every_admission_and_event(monkeypatch):
                               buffer_max=2, num_pes=2)
     vm_specs = [VmSpec(mips=1000.0, buffer_capacity=2, pes=2)
                 for i in range(3)]
-    workload = generate_workload(scenario, 5)
+    workload = generate_workload(scenario, 5, d_max=5)
 
     def expect_balanced(tasks):
         assert counts["requeued"] > 0
@@ -202,7 +220,8 @@ def test_patched_cluster_methods_see_every_admission_and_event(monkeypatch):
         assert counts["event"] == counts["admit"]
         counts.update(admit=0, event=0, requeued=0)
 
-    failures = dict(failure_ratio=0.3, failure_seed=[7, 1])
+    failures = dict(slot_seconds=1.0, failure_ratio=0.3, max_attempts=10,
+                    failure_seed=[7, 1])
     drained = run_policy_simulation(vm_specs, workload, random_select,
                                     policy_rng=np.random.default_rng(7),
                                     **failures)
@@ -216,7 +235,8 @@ def test_patched_cluster_methods_see_every_admission_and_event(monkeypatch):
     expect_balanced(len(workload))
 
     env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 3),
-                        failure_ratio=0.3)
+                        slot_seconds=1.0, failure_ratio=0.3, max_attempts=10,
+                        d_max=5)
     rng = np.random.default_rng(8)
     env.reset(rng)
     env.episode(lambda reward, state, actions:
@@ -246,7 +266,8 @@ def test_patched_env_methods_count_every_training_decision(monkeypatch):
     vm_specs = [VmSpec(mips=1000.0, buffer_capacity=2, pes=2)
                 for i in range(3)]
     env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 3),
-                        failure_ratio=0.3)
+                        slot_seconds=1.0, failure_ratio=0.3, max_attempts=10,
+                        d_max=5)
     result = train(env, LearnerConfig(epsilon0=0.5, total_cycles=40,
                                       repeater_threshold=10), 3)
     table = result.table
@@ -312,3 +333,48 @@ def test_no_public_function_or_method_serves_only_tests():
                        for where, name, scope, line in used):
                 unused.add(f"{path.stem}.{cls + '.' if cls else ''}{fn.name}")
     assert sorted(unused - TEST_ONLY_ALLOWED) == []
+
+
+def _omits(call, param, index):
+    """Whether `call` leaves out parameter `param`, at positional `index`
+    (None for a keyword-only one); a * or ** argument may leave out any."""
+    keywords = [k.arg for k in call.keywords]
+    if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return param not in keywords and (index is None or len(call.args) <= index)
+
+
+def test_no_run_path_default_is_read_only_by_tests():
+    # a setting's default is written once, on its schema field: each
+    # parameter default of a public function or method in a run-path layer
+    # under run_plan is omitted by some call in src/ or perfbench/;
+    # __init__ is called by its class name
+    calls = [node for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    unread = []
+    for module in sorted(RUN_PATH - {"qlsched.runner"}):
+        tree = ast.parse((SRC / f"{module.rpartition('.')[2]}.py")
+                         .read_text(encoding="utf-8"))
+        defs = [(None, node) for node in tree.body]
+        defs += [(cls.name, node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                 for node in cls.body]
+        for cls, fn in defs:
+            if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("_") and fn.name != "__init__"):
+                continue
+            name = cls if fn.name == "__init__" else fn.name
+            positional = [a.arg for a in fn.args.args][1 if cls else 0:]
+            defaulted = positional[len(positional) - len(fn.args.defaults):]
+            defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs,
+                                                fn.args.kw_defaults) if d]
+            matching = [call for call in calls
+                        if getattr(call.func, "id", getattr(call.func, "attr", None))
+                        == name]
+            for param in defaulted:
+                index = positional.index(param) if param in positional else None
+                if not any(_omits(call, param, index) for call in matching):
+                    unread.append(f"{module}.{cls + '.' if cls else ''}"
+                                  f"{fn.name}({param})")
+    assert unread == []

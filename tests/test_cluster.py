@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from qlsched import cluster
-from qlsched.cluster import (FAILURE_DRAW_BLOCK, ClusterState, CompletionRecord,
-                             VmSpec, failure_hook)
-from qlsched.config import DEFAULT_MAX_ATTEMPTS
-from qlsched.errors import BufferFullError
+from qlsched.cluster import (FAILURE_DRAW_BLOCK, BufferFullError, ClusterState,
+                             CompletionRecord, VmSpec, failure_hook)
 from qlsched.workload import TaskSpec
 
 
-def make_cluster(num_vms=3, capacity=5, mips=1000.0, pes=1, **attempt_rule):
+def make_cluster(num_vms=3, capacity=5, mips=1000.0, pes=1, max_attempts=10,
+                 fails=None):
     specs = [VmSpec(mips=mips, buffer_capacity=capacity, pes=pes)
              for i in range(num_vms)]
-    return ClusterState(specs, **attempt_rule)
+    return ClusterState(specs, max_attempts, fails)
 
 
 def task(tid, length, slot=0):
@@ -121,7 +120,8 @@ def test_assigned_length_matches_queue_and_clock_monotone():
         pes = int(rng.integers(1, 4))
         c = ClusterState([VmSpec(mips=1000.0, pes=pes,
                                  buffer_capacity=int(rng.integers(1, 5)))
-                          for i in range(int(rng.integers(1, 4)))])
+                          for i in range(int(rng.integers(1, 4)))],
+                         max_attempts=10, fails=None)
         tid = 0
         last_clock = 0.0
         for _ in range(30):
@@ -249,7 +249,8 @@ def test_backlogs_match_per_vm_loop():
     rng = np.random.default_rng(17)
     for pes in (1, 3):
         c = ClusterState([VmSpec(mips=mips, buffer_capacity=4, pes=pes)
-                          for i, mips in enumerate((1000.0, 733.0, 2500.0))])
+                          for i, mips in enumerate((1000.0, 733.0, 2500.0))],
+                         max_attempts=10, fails=None)
         for tid in range(400):
             free = c.feasible_vms()
             if free and rng.random() < 0.6:
@@ -326,10 +327,6 @@ def test_failure_frequency_matches_ratio():
 def test_failure_hook_validation(ratio):
     with pytest.raises(ValueError, match="failure_ratio"):
         failure_hook(ratio, 0)
-
-
-def test_default_max_attempts():
-    assert DEFAULT_MAX_ATTEMPTS == 10
 
 
 # -- the inline occupancy checks ---------------------------------------------

@@ -17,10 +17,9 @@ from oracle_helpers import (feasible_actions, index_state, reachable_from_empty,
                             state_index)
 from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
-from qlsched.config import DEFAULT_L_CAP
+from qlsched.config import ExperimentPlan
 from qlsched.envs import LengthAwareView, encode_state, reward
-from qlsched.errors import CapacityError
-from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
+from qlsched.mdp import CapacityError, action_values, build_oracle_mdp, value_iteration
 from qlsched.workload import TaskSpec
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -28,7 +27,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 def cluster3():
     return ClusterState([VmSpec(mips=1000.0, buffer_capacity=10)
-                         for i in range(3)])
+                         for i in range(3)], max_attempts=10, fails=None)
 
 
 def kernel_row(m, state, action):
@@ -40,7 +39,7 @@ def kernel_row(m, state, action):
 
 # -- length classes --------------------------------------------------------------
 
-def length_class(total, range_mi, l_cap=DEFAULT_L_CAP):
+def length_class(total, range_mi, l_cap=ExperimentPlan.l_cap):
     """encode_state's length class of one VM with `total` MI assigned."""
     one_vm = SimpleNamespace(counters=lambda: ([1], [total]))
     return encode_state(one_vm, range_mi, l_cap)[1]
@@ -77,13 +76,13 @@ def test_discretize_monotone_in_total():
 # -- encode_state ---------------------------------------------------------------
 
 def test_encode_empty_cluster():
-    assert encode_state(cluster3()) == (0, 0, 0, 0, 0, 0)
+    assert encode_state(cluster3(), 10_000, 40) == (0, 0, 0, 0, 0, 0)
 
 
 def test_encode_single_task_below_range():
     c = cluster3()
     c.admit(TaskSpec(0, 0, 5000), 0)
-    assert encode_state(c, 10000) == (1, 0, 0, 0, 0, 0)
+    assert encode_state(c, 10000, 40) == (1, 0, 0, 0, 0, 0)
 
 
 def test_encode_mixed_occupancy():
@@ -92,14 +91,14 @@ def test_encode_mixed_occupancy():
     c.admit(TaskSpec(1, 0, 5000), 0)
     c.admit(TaskSpec(2, 0, 9000), 1)
     # B=(2,1,0), L=(25000,9000,0) -> classes (2,0,0)
-    assert encode_state(c, 10000) == (2, 1, 0, 2, 0, 0)
+    assert encode_state(c, 10000, 40) == (2, 1, 0, 2, 0, 0)
 
 
 def test_encode_matches_discretize_over_random_runs():
     rng = np.random.default_rng(41)
     for range_mi, l_cap in [(1, 0), (3000, 2), (7919, 5), (10000, 40)]:
         c = ClusterState([VmSpec(mips=1000.0, buffer_capacity=4, pes=2)
-                          for i in range(3)])
+                          for i in range(3)], max_attempts=10, fails=None)
         for tid in range(80):
             free = c.feasible_vms()
             if free and rng.random() < 0.6:
@@ -284,8 +283,7 @@ def test_padded_layout_limit(monkeypatch):
 # instead of taking the host's memory.
 PADDED_SCRIPT = """
 import resource, tracemalloc
-from qlsched.errors import CapacityError
-from qlsched.mdp import build_oracle_mdp
+from qlsched.mdp import CapacityError, build_oracle_mdp
 
 with open("/proc/self/status") as fh:
     vm_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))

@@ -5,8 +5,7 @@ import pytest
 
 from qlsched import metrics
 from qlsched.cluster import CompletionRecord, VmSpec
-from qlsched.errors import MetricsError
-from qlsched.metrics import aggregate, build_report
+from qlsched.metrics import MetricsError, aggregate, build_report
 from qlsched.policies import fifo_select, random_select
 from qlsched.simulate import run_policy_simulation
 from qlsched.workload import TaskSpec
@@ -26,7 +25,9 @@ def specs(*caps, mips=1000.0, pes=1):
 def two_task_records():
     """One VM at 1000 MIPS serving 1000 and 2000 MI back to back."""
     workload = [TaskSpec(0, 0, 1000), TaskSpec(1, 0, 2000)]
-    return run_policy_simulation(specs(5), workload, fifo_select)
+    return run_policy_simulation(specs(5), workload, fifo_select, slot_seconds=1.0,
+                                 failure_ratio=0.0, max_attempts=10,
+                                 policy_rng=None, failure_seed=None)
 
 
 # -- time metrics ----------------------------------------------------------------
@@ -172,7 +173,9 @@ def test_report_invariants_on_random_runs():
                              int(rng.integers(200, 8000)))
                     for i in range(int(rng.integers(1, 12)))]
         records = run_policy_simulation(vm_specs, workload, random_select,
-                                        policy_rng=rng)
+                                        slot_seconds=1.0, failure_ratio=0.0,
+                                        max_attempts=10, policy_rng=rng,
+                                        failure_seed=None)
         report = build_report(records, vm_specs)
         done = [r for r in records if not r.aborted]
         waits = [r.finish_time - r.submit_time - r.exec_time for r in done]
@@ -192,7 +195,10 @@ def test_doubling_mips_halves_every_time_metric():
     reports = []
     for mips in (1000.0, 2000.0):
         vm_specs = specs(3, 3, mips=mips)
-        records = run_policy_simulation(vm_specs, workload, fifo_select)
+        records = run_policy_simulation(vm_specs, workload, fifo_select,
+                                        slot_seconds=1.0, failure_ratio=0.0,
+                                        max_attempts=10, policy_rng=None,
+                                        failure_seed=None)
         reports.append(build_report(records, vm_specs))
     fast, slow = reports[1], reports[0]
     assert fast.avg_response_s == pytest.approx(slow.avg_response_s / 2)

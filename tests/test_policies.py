@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from qlsched.cluster import ClusterState, VmSpec
-from qlsched.config import DEFAULT_L_CAP, DEFAULT_RANGE_MI, POLICY_NAMES
+from qlsched.config import POLICY_NAMES, ExperimentPlan
 from qlsched.envs import FreeBufferView, LengthAwareView, encode_state
 from qlsched.policies import (
     POLICIES,
@@ -23,7 +23,7 @@ from qlsched.workload import TaskSpec
 def make_cluster(capacities, mips=1000.0):
     specs = [VmSpec(mips=mips, buffer_capacity=c, pes=1)
              for i, c in enumerate(capacities)]
-    return ClusterState(specs)
+    return ClusterState(specs, max_attempts=10, fails=None)
 
 
 def fill(cluster, occupied, length=1000):
@@ -51,23 +51,23 @@ class FixedDraw:
 
 def test_greedy_picks_most_free():
     c = fill(make_cluster([5, 5, 5]), [4, 0, 3])  # free (1, 5, 2)
-    assert greedy_select(c) == 1
+    assert greedy_select(c, None) == 1
 
 
 def test_greedy_breaks_ties_low_index():
     c = make_cluster([4, 4, 4])  # free (4, 4, 4)
-    assert greedy_select(c) == 0
+    assert greedy_select(c, None) == 0
 
 
 def test_greedy_single_free_slot():
     c = fill(make_cluster([2, 2, 2]), [2, 2, 1])  # free (0, 0, 1)
-    assert greedy_select(c) == 2
+    assert greedy_select(c, None) == 2
 
 
 # -- fifo ----------------------------------------------------------------------
 
 def test_fifo_empty_cluster_low_index():
-    assert fifo_select(make_cluster([3, 3, 3])) == 0
+    assert fifo_select(make_cluster([3, 3, 3]), None) == 0
 
 
 def test_fifo_picks_earliest_release():
@@ -75,7 +75,7 @@ def test_fifo_picks_earliest_release():
     for vm, length in enumerate((9000, 2000, 5000)):
         c.admit(TaskSpec(vm, 0, length), vm)
     # head-of-line work frees the VMs at t = 9, 2, 5
-    assert fifo_select(c) == 1
+    assert fifo_select(c, None) == 1
 
 
 def test_fifo_skips_full_earliest():
@@ -83,12 +83,12 @@ def test_fifo_skips_full_earliest():
     for vm, length in enumerate((9000, 2000, 5000)):
         c.admit(TaskSpec(vm, 0, length), vm)
     # VM 1 would free first but its buffer is full: next earliest is VM 2
-    assert fifo_select(c) == 2
+    assert fifo_select(c, None) == 2
 
 
 def test_fifo_deterministic():
     c = fill(make_cluster([3, 3, 3]), [1, 2, 0])
-    assert len({fifo_select(c) for _ in range(20)}) == 1
+    assert len({fifo_select(c, None) for _ in range(20)}) == 1
 
 
 # -- mixed ---------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_random_redraw_stays_uniform_over_free():
 
 def test_every_policy_returns_a_feasible_vm():
     rng = np.random.default_rng(5)
-    qlearn = QlearnPolicy(LengthAwareView(), QTable(5))
+    qlearn = QlearnPolicy(LengthAwareView(10_000, 40), QTable(5))
     checks = 0
     for _ in range(300):
         k = int(rng.integers(1, 5))
@@ -181,9 +181,9 @@ def test_every_policy_returns_a_feasible_vm():
         free = set(c.feasible_vms())
         if not free:
             continue    # the driver never asks about a full cluster
-        agent = QschAgent(FreeBufferView(), QTable(k))
-        picks = [random_select(c, rng), fifo_select(c), mixed_select(c, rng),
-                 greedy_select(c), agent.select(c, rng), qlearn(c, rng)]
+        agent = QschAgent(FreeBufferView(0.5, 0.5), QTable(k))
+        picks = [random_select(c, rng), fifo_select(c, None), mixed_select(c, rng),
+                 greedy_select(c, None), agent.select(c, rng), qlearn(c, rng)]
         for pick in picks:
             checks += 1
             assert pick in free
@@ -194,45 +194,45 @@ def test_every_policy_returns_a_feasible_vm():
 
 def test_qsch_state_is_free_buffer_vector():
     c = fill(make_cluster([2, 2, 2]), [0, 2, 1])
-    agent = QschAgent(FreeBufferView(), QTable(3))
+    agent = QschAgent(FreeBufferView(0.5, 0.5), QTable(3))
     assert agent.view.state(c) == (2, 0, 1)
 
 
 def test_qsch_state_ignores_task_lengths():
     a = fill(make_cluster([2, 2, 2]), [1, 0, 0], length=1000)
     b = fill(make_cluster([2, 2, 2]), [1, 0, 0], length=90_000)
-    agent = QschAgent(FreeBufferView(), QTable(3))
+    agent = QschAgent(FreeBufferView(0.5, 0.5), QTable(3))
     assert agent.view.state(a) == agent.view.state(b)
 
 
 def test_qsch_reward_free_vm_no_backlog():
     # full free buffer and zero queueing delay: 0.5*1 - 0.5*0
     c = make_cluster([3, 3, 3])
-    agent = QschAgent(FreeBufferView(), QTable(3))
+    agent = QschAgent(FreeBufferView(0.5, 0.5), QTable(3))
     assert agent.view.reward(c, 0, agent.view.state(c)) == 0.5
 
 
 def test_qsch_reward_penalizes_backlog():
     c = make_cluster([2, 2, 2])
     c.admit(TaskSpec(0, 0, 4000), 0)  # VM 0 carries all the backlog
-    agent = QschAgent(FreeBufferView(), QTable(3))
+    agent = QschAgent(FreeBufferView(0.5, 0.5), QTable(3))
     state = agent.view.state(c)
     assert agent.view.reward(c, 0, state) == pytest.approx(0.5 * 0.5 - 0.5 * 1.0)
     assert agent.view.reward(c, 1, state) == pytest.approx(0.5 * 1.0 - 0.5 * 0.0)
 
 
 def test_qsch_zero_table_picks_lowest_index():
-    agent = QschAgent(FreeBufferView(), QTable(3))
+    agent = QschAgent(FreeBufferView(0.5, 0.5), QTable(3))
     rng = np.random.default_rng(6)
     assert agent.select(make_cluster([3, 3, 3]), rng) == 0
 
 
 def test_qsch_exploits_learned_values():
     c = make_cluster([3, 3, 3])
-    agent = QschAgent(FreeBufferView(), QTable(3))
+    agent = QschAgent(FreeBufferView(0.5, 0.5), QTable(3))
     state = agent.view.state(c)
     agent.table.ensure(state, (0, 1, 2))
-    update_q(agent.table, state, 2, 1.0, ("void",), 0.9)
+    update_q(agent.table, state, 2, 1.0, ("void",), 0.9, 0.65)
     rng = np.random.default_rng(7)
     assert agent.select(c, rng) == 2
 
@@ -242,17 +242,17 @@ def test_qsch_exploits_learned_values():
 def test_qlearn_policy_follows_trained_table():
     c = make_cluster([3, 3, 3])
     table = QTable(4)
-    state = encode_state(c, DEFAULT_RANGE_MI, DEFAULT_L_CAP)
+    state = encode_state(c, ExperimentPlan.range_mi, ExperimentPlan.l_cap)
     table.ensure(state, (0, 1, 2))
-    update_q(table, state, 1, 1.0, ("void",), 0.9)
-    policy = QlearnPolicy(LengthAwareView(), table)
+    update_q(table, state, 1, 1.0, ("void",), 0.9, 0.65)
+    policy = QlearnPolicy(LengthAwareView(10_000, 40), table)
     rng = np.random.default_rng(10)
     assert all(policy(c, rng) == 1 for _ in range(50))
 
 
 def test_qlearn_policy_unseen_state_uniform_fallback():
     c = make_cluster([2, 2])
-    policy = QlearnPolicy(LengthAwareView(), QTable(3))
+    policy = QlearnPolicy(LengthAwareView(10_000, 40), QTable(3))
     rng = np.random.default_rng(11)
     picks = {policy(c, rng) for _ in range(200)}
     assert picks == {0, 1}

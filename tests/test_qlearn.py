@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import OracleEnv, state_index
-from qlsched.config import DEFAULT_LR_EXPONENT, LearnerConfig
-from qlsched.errors import ConfigError
+from qlsched.config import ConfigError, LearnerConfig
 from qlsched.mdp import action_values, build_oracle_mdp, value_iteration
 from qlsched.qlearn import (
     QTable,
@@ -37,23 +36,23 @@ def set_q(table, state, action, value, gamma=0.9):
     """
     assert table.visits(state, action) == 0
     fresh = ("__void__", action, len(table._q))
-    update_q(table, state, action, value, fresh, gamma)
+    update_q(table, state, action, value, fresh, gamma, 0.65)
 
 
 class TestLearningRate:
     def test_first_update_has_full_step(self):
-        assert learning_rate(0) == 1.0
+        assert learning_rate(0, 0.65) == 1.0
 
     def test_second_update(self):
-        assert learning_rate(1) == 0.5
+        assert learning_rate(1, 0.65) == 0.5
 
     def test_fifth_update(self):
-        assert abs(learning_rate(4) - 0.28886) < 1e-4
-        assert learning_rate(4) == pytest.approx(1.0 / (1.0 + 4**0.65))
+        assert abs(learning_rate(4, 0.65) - 0.28886) < 1e-4
+        assert learning_rate(4, 0.65) == pytest.approx(1.0 / (1.0 + 4**0.65))
 
     def test_negative_visits_rejected(self):
         with pytest.raises(ValueError, match="visits"):
-            learning_rate(-1)
+            learning_rate(-1, 0.65)
 
     def test_decreasing_and_bounded(self):
         rng = np.random.default_rng(5)
@@ -159,7 +158,7 @@ class TestUpdateQ:
     def test_first_visit_takes_reward(self):
         table = QTable(2)
         table.ensure(S, (0, 1))
-        new = update_q(table, S, 0, 1.0, NEXT, 0.9)
+        new = update_q(table, S, 0, 1.0, NEXT, 0.9, 0.65)
         assert new == 1.0
         assert table._q[S][0] == 1.0
         assert table.visits(S, 0) == 1
@@ -167,9 +166,9 @@ class TestUpdateQ:
     def test_second_visit_blends(self):
         table = QTable(2)
         table.ensure(S, (0, 1))
-        update_q(table, S, 0, 1.0, NEXT, 0.9)
+        update_q(table, S, 0, 1.0, NEXT, 0.9, 0.65)
         # beta = 1/(1+1) = 0.5, zero target: q' = (1-beta) * 1.0
-        new = update_q(table, S, 0, 0.0, NEXT, 0.9)
+        new = update_q(table, S, 0, 0.0, NEXT, 0.9, 0.65)
         assert new == 0.5
         assert table.visits(S, 0) == 2
 
@@ -179,7 +178,7 @@ class TestUpdateQ:
         table.ensure(NEXT, (0, 1, 2))
         set_q(table, NEXT, 0, 0.2)
         set_q(table, NEXT, 1, 0.7)
-        new = update_q(table, S, 2, 0.1, NEXT, 0.8)
+        new = update_q(table, S, 2, 0.1, NEXT, 0.8, 0.65)
         assert new == pytest.approx(0.1 + 0.8 * 0.7)
         # every feasible entry of NEXT negative: the bootstrap is their
         # max, not the 0 of an untouched or masked slot
@@ -188,7 +187,7 @@ class TestUpdateQ:
         table2.ensure(NEXT, (0, 2))
         set_q(table2, NEXT, 0, -0.5)
         set_q(table2, NEXT, 2, -0.25)
-        negative = update_q(table2, S, 2, 0.1, NEXT, 0.8)
+        negative = update_q(table2, S, 2, 0.1, NEXT, 0.8, 0.65)
         assert negative == pytest.approx(0.1 + 0.8 * -0.25)
 
     def test_fixed_point_is_preserved(self):
@@ -199,12 +198,12 @@ class TestUpdateQ:
         set_q(table, S, 0, 0.5)
         # q(S,0) already equals r + gamma * max_a q(NEXT, a) = 0.1 + 0.8 * 0.5
         for _ in range(5):
-            assert update_q(table, S, 0, 0.1, NEXT, 0.8) == 0.5
+            assert update_q(table, S, 0, 0.1, NEXT, 0.8, 0.65) == 0.5
 
     def test_unseen_next_state_reads_zero(self):
         table = QTable(2)
         table.ensure(S, (0, 1))
-        new = update_q(table, S, 1, -1.0, ("never",), 0.9)
+        new = update_q(table, S, 1, -1.0, ("never",), 0.9, 0.65)
         assert new == -1.0
 
     def test_q_stays_within_reward_bound(self):
@@ -221,7 +220,7 @@ class TestUpdateQ:
             n = states[rng.integers(len(states))]
             a = int(rng.integers(3))
             r = float(rng.integers(-1, 2))
-            update_q(table, s, a, r, n, gamma)
+            update_q(table, s, a, r, n, gamma, 0.65)
         for s in states:
             for a in range(3):
                 assert abs(table._q[s][a]) <= bound
@@ -237,7 +236,7 @@ class TestUpdateQ:
             s = states[rng.integers(len(states))]
             a = feas[s][rng.integers(len(feas[s]))]
             n = states[rng.integers(len(states))]
-            update_q(table, s, a, float(rng.integers(-1, 2)), n, 0.9)
+            update_q(table, s, a, float(rng.integers(-1, 2)), n, 0.9, 0.65)
         for s in states:
             row = table._q[s]
             assert table.greedy_map[s] == row.index(max(row))
@@ -399,7 +398,8 @@ class TestTrain:
                                   num_vms=2, vm_mips=1000, buffer_min=2, buffer_max=2)
         vm_specs = [VmSpec(mips=1000.0, buffer_capacity=2) for i in range(2)]
         env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 2),
-                            slot_seconds=1.0)
+                            slot_seconds=1.0, failure_ratio=0.0,
+                            max_attempts=10, d_max=5)
         cfg = LearnerConfig(total_cycles=50, repeater_threshold=1)
         result = train(env, cfg, 48)
         assert (result.cycles_run, result.stop_reason) == (3, "stable")
@@ -409,16 +409,16 @@ class TestExportQtable:
     def test_single_entry_layout(self):
         table = QTable(2)
         table.ensure((1, 0), (0,))
-        update_q(table, (1, 0), 0, 1.0, (0, 0), 0.9)
+        update_q(table, (1, 0), 0, 1.0, (0, 0), 0.9, 0.65)
         assert export_qtable(table) == "state,action,q,visits\n1-0,0,1,1\n"
 
     def test_sorting_and_unvisited_rows_omitted(self):
         table = QTable(3)
         for state in [(2, 1), (0, 3)]:
             table.ensure(state, (0, 1, 2))
-        update_q(table, (2, 1), 2, 0.5, (0, 0), 0.9)
-        update_q(table, (2, 1), 0, -0.25, (0, 0), 0.9)
-        update_q(table, (0, 3), 1, 0.125, (0, 0), 0.9)
+        update_q(table, (2, 1), 2, 0.5, (0, 0), 0.9, 0.65)
+        update_q(table, (2, 1), 0, -0.25, (0, 0), 0.9, 0.65)
+        update_q(table, (0, 3), 1, 0.125, (0, 0), 0.9, 0.65)
         text = export_qtable(table)
         assert text.splitlines() == [
             "state,action,q,visits",
@@ -430,7 +430,7 @@ class TestExportQtable:
     def test_nine_significant_digits(self):
         table = QTable(1)
         table.ensure((4,), (0,))
-        update_q(table, (4,), 0, 0.123456789012, ("x",), 0.9)
+        update_q(table, (4,), 0, 0.123456789012, ("x",), 0.9, 0.65)
         assert "4,0,0.123456789,1" in export_qtable(table)
 
     @staticmethod
@@ -460,7 +460,7 @@ class TestExportQtable:
                     updates = int(rng.integers(1, 3)) if rng.random() < 0.6 else 0
                     for _ in range(updates):
                         update_q(table, state, action, float(rng.uniform(-1.0, 1.0)),
-                                 state, 0.9)
+                                 state, 0.9, 0.65)
             assert export_qtable(table) == self._reference_export(table)
 
 
@@ -605,9 +605,10 @@ def test_row_shortcuts_match_reference_learner(values, mask, visits, next_values
 
     next_state = {"other": NEXT, "self": S, "unseen": ("unseen",)}[next_kind]
     next_actions = rows.get(next_state, actions)
-    new_q = update_q(table, S, action, reward_value, next_state, 0.9)
+    new_q = update_q(table, S, action, reward_value, next_state, 0.9,
+                     LearnerConfig().lr_exponent)
     ref.update(S, action, reward_value, next_state, next_actions, 0.9,
-               DEFAULT_LR_EXPONENT)
+               LearnerConfig().lr_exponent)
     assert new_q.hex() == ref.q[S][action].hex()
     _assert_rows_match(table, ref)
     assert table._visits == ref.visits
@@ -632,7 +633,8 @@ def test_train_matches_reference_learner(view_name, failure_ratio):
         view = (LengthAwareView(3000, 2) if view_name == "length_aware"
                 else FreeBufferView(0.5, 0.5))
         return SimulationEnv(scenario, vm_specs, view, slot_seconds=2.0,
-                             failure_ratio=failure_ratio)
+                             failure_ratio=failure_ratio, max_attempts=10,
+                             d_max=5)
 
     cfg = LearnerConfig(epsilon0=0.5, total_cycles=60, repeater_threshold=15)
     seed = [5, view_name == "length_aware", int(failure_ratio * 10)]
@@ -663,7 +665,9 @@ def test_trained_rows_hold_one_slot_per_vm(view_name):
     view = (LengthAwareView(3000, 2) if view_name == "length_aware"
             else FreeBufferView(0.5, 0.5))
     cfg = LearnerConfig(epsilon0=0.5, total_cycles=20, repeater_threshold=5)
-    table = train(SimulationEnv(scenario, vm_specs, view), cfg, 4).table
+    table = train(SimulationEnv(scenario, vm_specs, view, slot_seconds=1.0,
+                                failure_ratio=0.0, max_attempts=10, d_max=5),
+                  cfg, 4).table
     assert table.num_actions == len(vm_specs) and len(table) > 0
     for state in table.states():
         assert len(table._q[state]) == len(table._visits[state]) == len(vm_specs)
@@ -673,9 +677,9 @@ class TestUpdateQEdges:
     def test_unseen_next_state_bootstraps_zero(self):
         table = QTable(2)
         table.ensure(S, (0, 1))
-        assert update_q(table, S, 0, 1.0, ("unseen",), 0.9) == 1.0
+        assert update_q(table, S, 0, 1.0, ("unseen",), 0.9, 0.65) == 1.0
         # second visit: step 1/2, target 0.5 + 0.9 * 0
-        assert update_q(table, S, 0, 0.5, ("unseen",), 0.9) == 0.75
+        assert update_q(table, S, 0, 0.5, ("unseen",), 0.9, 0.65) == 0.75
         assert table.visits(S, 0) == 2
         assert ("unseen",) not in table.states()
 
@@ -684,7 +688,7 @@ class TestUpdateQEdges:
         table.ensure(NEXT, (0, 1))
         set_q(table, NEXT, 1, 0.5)
         table.ensure(S, (2,))
-        new = update_q(table, S, 2, -1.0, NEXT, 0.8)
+        new = update_q(table, S, 2, -1.0, NEXT, 0.8, 0.65)
         assert new == -1.0 + 0.8 * 0.5
         assert table.greedy_map[S] == 2
         assert table._q[S][:2] == [-np.inf, -np.inf]
@@ -776,7 +780,9 @@ def test_the_mask_check_catches_a_state_blind_to_feasibility(monkeypatch):
     _check_masks(monkeypatch)
     plan = _mask_plan()
     vm_specs = [VmSpec(mips=1000.0, buffer_capacity=1) for i in range(3)]
-    env = SimulationEnv(plan.scenario, vm_specs, LengthOnlyView(3000, 2))
+    env = SimulationEnv(plan.scenario, vm_specs, LengthOnlyView(3000, 2),
+                        slot_seconds=1.0, failure_ratio=0.0, max_attempts=10,
+                        d_max=5)
     with pytest.raises(AssertionError, match="not the row's mask"):
         train(env, plan.learner, 3)
 
@@ -785,9 +791,9 @@ MASKED_UPDATE = """
 from qlsched.qlearn import QTable, update_q
 table = QTable(3)
 table.ensure(("s",), (0, 1))
-update_q(table, ("s",), 1, 1.0, ("n",), 0.9)
+update_q(table, ("s",), 1, 1.0, ("n",), 0.9, 0.65)
 try:
-    update_q(table, ("s",), 2, 1.0, ("n",), 0.9)
+    update_q(table, ("s",), 2, 1.0, ("n",), 0.9, 0.65)
 except ValueError:
     print((table._q[("s",)], table._visits[("s",)], table.greedy_map))
 """
@@ -801,11 +807,11 @@ def test_update_on_a_masked_action_raises(prior_visits):
     # were, also under python -O, which strips asserts.
     table = QTable(3)
     table.ensure(S, (0, 1))
-    update_q(table, S, 1, 1.0, NEXT, 0.9)
+    update_q(table, S, 1, 1.0, NEXT, 0.9, 0.65)
     table._visits[S][2] = prior_visits
     before = (list(table._q[S]), list(table._visits[S]), dict(table.greedy_map))
     with pytest.raises(ValueError, match="reward bound"):
-        update_q(table, S, 2, 1.0, NEXT, 0.9)
+        update_q(table, S, 2, 1.0, NEXT, 0.9, 0.65)
     assert (table._q[S], table._visits[S], table.greedy_map) == before
     if prior_visits == 0:
         env = dict(os.environ)

@@ -18,9 +18,8 @@ import yaml
 from outputs_helpers import run_values, summary_row
 from qlsched import runner
 from qlsched.cli import build_parser, main
-from qlsched.config import (ExperimentPlan, LearnerConfig, ScenarioConfig, _build,
-                            parse_config)
-from qlsched.errors import ConfigError
+from qlsched.config import (POLICY_NAMES, ConfigError, ExperimentPlan,
+                            LearnerConfig, ScenarioConfig, _build, parse_config)
 from qlsched.runner import RunOutputs, run_plan, run_point, sweep_points
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -184,6 +183,30 @@ def test_plan_defaults_fill_from_scenario():
     assert plan.task_counts == [6]
     assert plan.buffer_sizes == [scenario().buffer_max]
     assert plan.failure_ratios == [0.0]
+
+
+# Every field default of the schema, which is the one place each is written:
+# a default that drifts, or a new one left out here, fails the test below.
+SCHEMA_DEFAULTS = {
+    ScenarioConfig: {"buffer_min": 5, "buffer_max": 15, "num_pes": 1,
+                     "arrival_mode": "iid", "arrival_mean": 1.0},
+    LearnerConfig: {"gamma": 0.9, "epsilon0": 1.0, "total_cycles": 10_000,
+                    "repeater_threshold": 500, "lr_exponent": 0.65},
+    ExperimentPlan: {"policies": list(POLICY_NAMES), "task_counts": None,
+                     "buffer_sizes": None, "failure_ratios": [0.0],
+                     "replications": 20, "seed": 1, "learner": LearnerConfig(),
+                     "slot_seconds": 1.0, "range_mi": 10_000, "l_cap": 40,
+                     "arrival_dmax": 5, "qsch_w_buffer": 0.5,
+                     "qsch_w_wait": 0.5, "max_attempts": 10},
+}
+
+
+def test_schema_defaults_are_pinned():
+    for cls, expect in SCHEMA_DEFAULTS.items():
+        defaults = {f.name: f.default if f.default_factory is MISSING
+                    else f.default_factory() for f in fields(cls)
+                    if (f.default, f.default_factory) != (MISSING, MISSING)}
+        assert defaults == expect, cls.__name__
 
 
 # -- sweep execution ---------------------------------------------------------------
@@ -358,7 +381,8 @@ def test_training_leaves_no_reference_cycle():
     gc.disable()
     try:
         env = SimulationEnv(scenario, vm_specs, LengthAwareView(2000, 3),
-                            failure_ratio=0.3)
+                            slot_seconds=1.0, failure_ratio=0.3,
+                            max_attempts=10, d_max=5)
         result = train(env, LearnerConfig(total_cycles=10, repeater_threshold=3), 6)
         refs = [weakref.ref(result.table), weakref.ref(env.sim)]
         del result, env
@@ -443,6 +467,30 @@ def test_cli_out_under_a_file_exits_1_before_any_point(tmp_path, capsys,
     assert ran == []
     assert blocker.read_text() == "keep\n"
     assert sorted(os.listdir(tmp_path)) == ["plan.yaml", "results"]
+
+
+def test_cli_empty_out_exits_1_before_any_point(tmp_path, capsys, monkeypatch):
+    # it used to run the whole sweep, write nothing and exit 0
+    ran = []
+    monkeypatch.setattr(runner, "run_point",
+                        lambda plan, point: ran.append(point))
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, task_counts=[4], replications=1)
+    assert main(["run", "--config", config, "--out", ""]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "out_dir" in err
+    assert ran == []
+    assert sorted(os.listdir(tmp_path)) == ["plan.yaml"]
+
+
+def test_run_plan_refuses_an_empty_out_dir(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(runner, "run_point",
+                        lambda plan, point: ran.append(point))
+    plan = parse_config(write_config(tmp_path, task_counts=[4], replications=1))
+    with pytest.raises(ConfigError, match="out_dir"):
+        run_plan(plan, "")
+    assert ran == []
 
 
 def failing_csv_writer(monkeypatch):

@@ -29,7 +29,8 @@ def specs(num_vms=2, capacity=3, mips=1000.0, pes=1):
 
 def test_arrivals_wait_for_their_slot():
     wl = [TaskSpec(0, 0, 1000), TaskSpec(1, 1, 1000)]
-    sim = Simulation(specs(), wl, slot_seconds=10.0)
+    sim = Simulation(specs(), wl, slot_seconds=10.0, failure_ratio=0.0,
+                     max_attempts=10, failure_seed=None)
     t = sim.next_decision()
     assert t.id == 0 and sim.cluster.clock == 0.0
     sim.cluster.admit(t, 0)
@@ -40,7 +41,8 @@ def test_arrivals_wait_for_their_slot():
 
 def test_all_same_slot_admitted_at_zero():
     wl = [TaskSpec(i, 0, 500) for i in range(4)]
-    sim = Simulation(specs(), wl, slot_seconds=5.0)
+    sim = Simulation(specs(), wl, slot_seconds=5.0, failure_ratio=0.0,
+                     max_attempts=10, failure_seed=None)
     for _ in range(4):
         t = sim.next_decision()
         assert t is not None
@@ -51,7 +53,8 @@ def test_all_same_slot_admitted_at_zero():
 
 def test_full_buffers_defer_until_completion_frees_space():
     wl = [TaskSpec(i, 0, 1000) for i in range(3)]
-    sim = Simulation(specs(num_vms=1, capacity=2), wl, slot_seconds=100.0)
+    sim = Simulation(specs(num_vms=1, capacity=2), wl, slot_seconds=100.0,
+                     failure_ratio=0.0, max_attempts=10, failure_seed=None)
     sim.cluster.admit(sim.next_decision(), 0)
     sim.cluster.admit(sim.next_decision(), 0)
     # buffer now full; the third task has arrived but waits unassigned
@@ -65,7 +68,9 @@ def test_full_buffers_defer_until_completion_frees_space():
 
 def test_records_complete_when_drained():
     wl = [TaskSpec(i, i, 2000) for i in range(5)]
-    records = run_policy_simulation(specs(), wl, greedy_select, slot_seconds=1.0)
+    records = run_policy_simulation(specs(), wl, greedy_select, slot_seconds=1.0,
+                                    failure_ratio=0.0, max_attempts=10,
+                                    policy_rng=None, failure_seed=None)
     assert sorted(r.task_id for r in records) == list(range(5))
     assert all(not r.aborted for r in records)
 
@@ -73,8 +78,8 @@ def test_records_complete_when_drained():
 def test_failure_ratio_one_aborts_after_max_attempts():
     wl = [TaskSpec(0, 0, 100), TaskSpec(1, 0, 100)]
     records = run_policy_simulation(
-        specs(), wl, greedy_select, failure_ratio=1.0, max_attempts=2,
-        failure_seed=5)
+        specs(), wl, greedy_select, slot_seconds=1.0, failure_ratio=1.0,
+        max_attempts=2, policy_rng=None, failure_seed=5)
     assert len(records) == 2
     assert all(r.aborted and r.attempts == 2 for r in records)
 
@@ -87,8 +92,8 @@ def test_requeued_task_goes_to_tail():
     assert u[0] < 0.5 <= min(u[1:])
     wl = [TaskSpec(0, 0, 1000), TaskSpec(1, 0, 1000)]
     sim = Simulation(specs(num_vms=1, capacity=1), wl, slot_seconds=1000.0,
-                     failure_ratio=0.5, failure_seed=29)
-    records = sim.drain(greedy_select)
+                     failure_ratio=0.5, max_attempts=10, failure_seed=29)
+    records = sim.drain(greedy_select, None)
     by_finish = sorted(records, key=lambda r: r.finish_time)
     assert [r.task_id for r in by_finish] == [1, 0]
     assert by_finish[1].attempts == 2
@@ -164,7 +169,7 @@ def test_conservation_property():
         records = run_policy_simulation(
             specs(num_vms=int(rng.integers(1, 4)), capacity=int(rng.integers(1, 4))),
             wl, random_select, slot_seconds=float(rng.choice([0.5, 2.0])),
-            failure_ratio=ratio,
+            failure_ratio=ratio, max_attempts=10,
             policy_rng=np.random.default_rng(case),
             failure_seed=case + 1)
         assert sorted(r.task_id for r in records) == list(range(n))
@@ -175,7 +180,7 @@ def test_same_seed_same_records():
     def run():
         return run_policy_simulation(
             specs(num_vms=3, capacity=2), wl, random_select,
-            slot_seconds=2.0, failure_ratio=0.2,
+            slot_seconds=2.0, failure_ratio=0.2, max_attempts=10,
             policy_rng=np.random.default_rng(9),
             failure_seed=10)
     assert run() == run()
@@ -185,27 +190,34 @@ def test_fifo_order_preserved_for_global_queue():
     # with one VM and capacity 1, service order equals arrival order
     wl = [TaskSpec(i, 0, 1000) for i in range(5)]
     records = run_policy_simulation(specs(num_vms=1, capacity=1), wl,
-                                    fifo_select, slot_seconds=1000.0)
+                                    fifo_select, slot_seconds=1000.0,
+                                    failure_ratio=0.0, max_attempts=10,
+                                    policy_rng=None, failure_seed=None)
     order = [r.task_id for r in sorted(records, key=lambda r: r.finish_time)]
     assert order == list(range(5))
 
 
 def test_slot_seconds_validation():
     with pytest.raises(ValueError):
-        Simulation(specs(), [TaskSpec(0, 0, 1)], slot_seconds=0.0)
+        Simulation(specs(), [TaskSpec(0, 0, 1)], slot_seconds=0.0,
+                   failure_ratio=0.0, max_attempts=10, failure_seed=None)
 
 
 @pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
 def test_failure_ratio_checked_at_construction(ratio):
     with pytest.raises(ValueError, match="failure_ratio"):
-        Simulation(specs(), [TaskSpec(0, 0, 1)], failure_ratio=ratio)
+        Simulation(specs(), [TaskSpec(0, 0, 1)], slot_seconds=1.0,
+                   failure_ratio=ratio, max_attempts=10, failure_seed=None)
 
 
 def test_failure_ratio_above_zero_needs_a_seed():
     # no hidden default stream: a failing run names its own seed
     with pytest.raises(ValueError, match="failure_seed"):
-        Simulation(specs(), [TaskSpec(0, 0, 1)], failure_ratio=0.1)
-    assert Simulation(specs(), [TaskSpec(0, 0, 1)]).cluster._fails is None
+        Simulation(specs(), [TaskSpec(0, 0, 1)], slot_seconds=1.0,
+                   failure_ratio=0.1, max_attempts=10, failure_seed=None)
+    assert Simulation(specs(), [TaskSpec(0, 0, 1)], slot_seconds=1.0,
+                      failure_ratio=0.0, max_attempts=10,
+                      failure_seed=None).cluster._fails is None
 
 
 @pytest.mark.parametrize("make_view", [lambda: LengthAwareView(2000, 3),
@@ -221,7 +233,8 @@ def test_env_reuses_a_fresh_state(make_view):
                               num_pes=2)
     view, fresh = make_view(), make_view()   # fresh has no remembered rewards
     env = SimulationEnv(scenario, specs(num_vms=3, pes=2), view,
-                        failure_ratio=0.2)
+                        slot_seconds=1.0, failure_ratio=0.2, max_attempts=10,
+                        d_max=5)
     rng = np.random.default_rng(12)
     env.reset(rng)
     cluster = env.sim.cluster
@@ -259,13 +272,14 @@ def test_a_least_occupied_vm_is_always_feasible_and_rewarded(
               for v, (mips, pes) in enumerate(vms)]
     sim = Simulation(specs_, [TaskSpec(i, slot, length)
                               for i, (slot, length) in enumerate(tasks)],
-                     slot_seconds=slot_seconds)
+                     slot_seconds=slot_seconds, failure_ratio=0.0,
+                     max_attempts=10, failure_seed=None)
     decisions = 0
 
     def random_feasible(cluster, rng):
         nonlocal decisions
         decisions += 1
-        state = encode_state(cluster)
+        state = encode_state(cluster, 10_000, 40)
         occupied = state[:len(specs_)]
         feasible = cluster.feasible_vms()
         least = [v for v in feasible if occupied[v] == min(occupied)]
@@ -293,7 +307,8 @@ def test_env_reset_draws_two_seeds_at_every_ratio(ratio):
     scenario = ScenarioConfig(num_tasks=10, length_min=500, length_max=3000,
                               num_vms=2, vm_mips=1000)
     env = SimulationEnv(scenario, specs(), LengthAwareView(2000, 3),
-                        failure_ratio=ratio)
+                        slot_seconds=1.0, failure_ratio=ratio, max_attempts=10,
+                        d_max=5)
     rng, twin = np.random.default_rng(21), np.random.default_rng(21)
     env.reset(rng)
     twin.integers(2**63, size=2)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qlsched.config import ScenarioConfig
-from qlsched.errors import ConfigError
+from qlsched.config import ConfigError, ScenarioConfig
 from qlsched.workload import TaskSpec, _cum_rows, generate_workload
 
 
@@ -21,27 +20,28 @@ def scenario(**over):
 # -- generate_workload -------------------------------------------------------
 
 def test_scenario1_lengths_in_range():
-    tasks = generate_workload(scenario(), seed=1)
+    tasks = generate_workload(scenario(), seed=1, d_max=5)
     assert len(tasks) == 20
     assert all(5000 <= t.length <= 200000 for t in tasks)
 
 
 def test_scenario2_lengths_in_range():
     cfg = scenario(num_tasks=100, length_min=100, length_max=400000)
-    tasks = generate_workload(cfg, seed=2)
+    tasks = generate_workload(cfg, seed=2, d_max=5)
     assert len(tasks) == 100
     assert all(100 <= t.length <= 400000 for t in tasks)
 
 
 def test_generate_deterministic():
     cfg = scenario()
-    assert generate_workload(cfg, seed=42) == generate_workload(cfg, seed=42)
+    assert (generate_workload(cfg, seed=42, d_max=5)
+            == generate_workload(cfg, seed=42, d_max=5))
 
 
 def test_first_arrival_lands_in_slot_zero():
     # makespan's origin; holds for every seed, not just lucky ones
     for seed in range(40):
-        tasks = generate_workload(scenario(), seed=seed)
+        tasks = generate_workload(scenario(), seed=seed, d_max=5)
         assert tasks[0].arrival_slot == 0
         slots = [t.arrival_slot for t in tasks]
         assert slots == sorted(slots)
@@ -52,7 +52,7 @@ def test_lengths_in_range_property():
     cfg = scenario(num_tasks=500, length_min=7, length_max=9000)
     total = 0
     for seed in range(25):
-        for t in generate_workload(cfg, seed=seed):
+        for t in generate_workload(cfg, seed=seed, d_max=5):
             assert 7 <= t.length <= 9000
             total += 1
     assert total >= 10_000
@@ -220,7 +220,7 @@ def test_generate_matches_per_slot_reference(mode, monkeypatch):
 def test_generated_tasks_are_task_specs(mode):
     cfg = scenario(num_tasks=120, arrival_mode=mode, arrival_mean=1.5)
     for seed in range(5):
-        tasks = generate_workload(cfg, seed)
+        tasks = generate_workload(cfg, seed, d_max=5)
         for i, t in enumerate(tasks):
             assert type(t) is TaskSpec
             assert t == TaskSpec(id=i, arrival_slot=t.arrival_slot, length=t.length)
@@ -231,7 +231,7 @@ def test_generated_tasks_are_task_specs(mode):
 @pytest.mark.parametrize("mode", ["iid", "markov"])
 def test_changed_arrival_model_leaves_generation_alone(mode):
     cfg = scenario(num_tasks=80, arrival_mode=mode, arrival_mean=1.5)
-    before = generate_workload(cfg, seed=9)
+    before = generate_workload(cfg, seed=9, d_max=5)
     # the cached rows generation reads are tuples: no caller can change them
     rows = _cum_rows(mode, 5, 1.5)
     assert type(rows) is tuple and all(type(row) is tuple for row in rows)
@@ -240,19 +240,19 @@ def test_changed_arrival_model_leaves_generation_alone(mode):
     with pytest.raises(TypeError):
         rows[0] = (0.0,) * 6
     assert _cum_rows(mode, 5, 1.5) is rows
-    assert generate_workload(cfg, seed=9) == before
+    assert generate_workload(cfg, seed=9, d_max=5) == before
 
 
 def test_endless_empty_slots_raise():
     # a count of 0 in every slot the loop can reach, across many blocks
     cfg = scenario(num_tasks=5, arrival_mean=1e-300)
     with pytest.raises(ConfigError, match="no arrivals for too long"):
-        generate_workload(cfg, seed=1)
+        generate_workload(cfg, seed=1, d_max=5)
 
 
 def test_markov_generation_runs():
     cfg = scenario(arrival_mode="markov", num_tasks=50)
-    tasks = generate_workload(cfg, seed=5)
+    tasks = generate_workload(cfg, seed=5, d_max=5)
     assert len(tasks) == 50 and tasks[0].arrival_slot == 0
 
 
