@@ -15,6 +15,7 @@ class CapacityError(ValueError):
     """Requested oracle MDP would enumerate too many states or entries."""
 
 
+# State indices are int32 in csr_cols, so this stays at or below 2^31.
 MAX_ORACLE_STATES = 100_000
 # Transition entries: 2^24 take 201 MB of csr_cols and csr_probs.
 MAX_ORACLE_ENTRIES = 1 << 24
@@ -26,6 +27,8 @@ MAX_ORACLE_PADDED = 1 << 24
 # reduce. 2^15 and 2^16 timed best; at 2^12 the per-block Python
 # overhead made a sweep slower.
 KERNEL_BLOCK = 1 << 15
+# Value-iteration sweeps before value_iteration gives up.
+MAX_SWEEPS = 100_000
 
 
 @dataclass
@@ -49,7 +52,6 @@ class OracleMdp:
     num_classes: int
     p_c: float
     gamma: float
-    arrival_probs: np.ndarray
     act_indptr: np.ndarray
     act_action: np.ndarray
     row_reward: np.ndarray
@@ -63,13 +65,12 @@ class OracleMdp:
 
 
 def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
-                     arrival_probs=None, p_c: float = 0.5, gamma: float = 0.9,
-                     max_states: int = MAX_ORACLE_STATES) -> OracleMdp:
+                     p_c: float = 0.5, gamma: float = 0.9) -> OracleMdp:
     """Enumerate the abstract scheduling MDP.
 
-    Per decision epoch: one task with length class c ~ arrival_probs is
-    assigned by the action, then every VM that was busy before the
-    assignment completes its head with probability p_c, independently. A
+    Per decision epoch: one task, its length class uniform over the C
+    classes, is assigned by the action, then every VM that was busy before
+    the assignment completes its head with probability p_c, independently. A
     departure at VM k removes the state-average length share
     floor(l_k / b_k). Kernel rows are exact products of those independent
     events and sum to 1.
@@ -83,9 +84,9 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     columns by row-major strides, and writes the entries of probability
     above 0 contiguously at its span of csr_indptr. Beside the model the
     build holds int32 per-state and per-row tables and one block's padded
-    entries. The state count and the per-kind table's padded slots
-    (against MAX_ORACLE_PADDED) are checked before any table is built,
-    the exact entry count csr_indptr[-1] against MAX_ORACLE_ENTRIES
+    entries. The state count (against MAX_ORACLE_STATES) and the per-kind
+    table's padded slots (against MAX_ORACLE_PADDED) are checked before any
+    table is built, the exact entry count csr_indptr[-1] against MAX_ORACLE_ENTRIES
     before any entry array, and a block's padded slots against
     MAX_ORACLE_PADDED before any block.
     """
@@ -99,24 +100,11 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
         raise ValueError("p_c must be in [0, 1]")
     if not (0.0 <= gamma < 1.0):
         raise ValueError("gamma must be in [0, 1)")
-    if arrival_probs is None:
-        arrival_probs = np.full(c, 1.0 / c)
-    arrival_probs = np.asarray(arrival_probs, dtype=float)
-    # NaN passes both `< 0` and the sum check below, so test finiteness
-    if (arrival_probs.shape != (c,) or not np.all(np.isfinite(arrival_probs))
-            or np.any(arrival_probs < 0)):
-        raise ValueError("arrival_probs must be a finite non-negative vector "
-                         "of len num_classes")
-    if abs(float(arrival_probs.sum()) - 1.0) > 1e-9:
-        raise ValueError("arrival_probs must sum to 1 within 1e-9")
 
-    if max_states > 2**31:
-        raise CapacityError(f"max_states {max_states} admits state indices "
-                            f"past int32; the limit is {2**31}")
     num_states = (n + 1) ** k * c**k
-    if num_states > max_states:
-        raise CapacityError(
-            f"{num_states} states exceed the enumeration limit {max_states}")
+    if num_states > MAX_ORACLE_STATES:
+        raise CapacityError(f"{num_states} states exceed the enumeration "
+                            f"limit {MAX_ORACLE_STATES}")
     padded = (2**k + 1) * 2**k * c
     if padded > MAX_ORACLE_PADDED:
         raise CapacityError(f"{padded} padded slots of the per-kind table exceed "
@@ -147,14 +135,14 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
     # w[set, mask] (bit j: VM j busy, VM j departs) takes the float products
     # a per-state weight would take; probs[kind] holds a row's padded (mask,
     # class) entries, mask-major. Entries of probability 0 (a departure at
-    # an idle VM, a class that never arrives, an underflow) are not kept.
+    # an idle VM, a defer row's classes past 0, an underflow) are not kept.
     factor = np.array([[1.0, 0.0], [1.0 - p_c, p_c]])   # [busy, departs]
     bit = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
     w = np.ones((2**k, 2**k))
     for j in range(k):
         w = w * factor[bit[:, j, None], bit[:, j]]
     ci = np.arange(c)
-    probs = np.vstack([np.multiply.outer(w, arrival_probs).reshape(2**k, -1),
+    probs = np.vstack([np.multiply.outer(w, np.full(c, 1.0 / c)).reshape(2**k, -1),
                        np.multiply.outer(w[-1], ci == 0).ravel()])
     kept = (probs > 0).reshape(-1, 2**k, c)
     row_len = np.count_nonzero(kept, axis=(1, 2))
@@ -203,9 +191,8 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
 
     return OracleMdp(
         num_vms=k, buffer_capacity=n, num_classes=c, p_c=p_c, gamma=gamma,
-        arrival_probs=arrival_probs, act_indptr=act_indptr,
-        act_action=act_action, row_reward=row_reward, csr_indptr=csr_indptr,
-        csr_cols=csr_cols, csr_probs=csr_probs)
+        act_indptr=act_indptr, act_action=act_action, row_reward=row_reward,
+        csr_indptr=csr_indptr, csr_cols=csr_cols, csr_probs=csr_probs)
 
 
 @dataclass
@@ -292,22 +279,20 @@ def _state_max(act_indptr: np.ndarray):
     return state_max
 
 
-def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
-                    max_sweeps: int = 100_000) -> ValueIterationResult:
-    """Solve the MDP to max-norm tolerance tol; ties go to the lowest action.
+def value_iteration(mdp: OracleMdp, tol: float = 1e-8) -> ValueIterationResult:
+    """Solve the MDP to max-norm tolerance tol within MAX_SWEEPS sweeps;
+    ties go to the lowest action.
 
     One _kernel and one _state_max serve every sweep; the kernel also
     serves the greedy extraction.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if not max_sweeps >= 1:
-        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
     q_of = _kernel(mdp)
     state_max = _state_max(mdp.act_indptr)
     v = np.zeros(mdp.num_states, dtype=np.float64)
     deltas = []
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         v_new = state_max(q_of(v))
         delta = float(np.max(np.abs(v_new - v)))
         deltas.append(delta)
@@ -316,7 +301,7 @@ def value_iteration(mdp: OracleMdp, tol: float = 1e-8,
             break
     else:
         raise RuntimeError(f"value iteration did not reach tol={tol} "
-                           f"in {max_sweeps} sweeps")
+                           f"in {MAX_SWEEPS} sweeps")
     del state_max      # free its gathers: the extraction's arrays peak
     # lowest row among each state's maxima; rows run in action order
     q = q_of(v)

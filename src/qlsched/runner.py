@@ -175,7 +175,9 @@ def _write_outputs(outputs: RunOutputs, num_vms: int, out_dir: str,
                    ancestor: str):
     """Write every file into a fresh staging directory in `ancestor`, the
     nearest existing ancestor of out_dir (or out_dir itself), then create
-    out_dir and rename each file onto its name there. The staging
+    out_dir and rename each file onto its name there. Once all are
+    renamed, each qtable_*.csv in out_dir that this run did not write, an
+    earlier run's, is removed; other files are left alone. The staging
     directory is removed however this ends, so an error before the
     renames leaves no file half written and no directory created."""
     stage = tempfile.mkdtemp(prefix=".qlsched-", dir=ancestor)
@@ -195,5 +197,9 @@ def _write_outputs(outputs: RunOutputs, num_vms: int, out_dir: str,
         os.makedirs(out_dir, exist_ok=True)
         for fname in os.listdir(stage):
             os.replace(os.path.join(stage, fname), os.path.join(out_dir, fname))
+        for fname in os.listdir(out_dir):
+            if (fname.startswith("qtable_") and fname.endswith(".csv")
+                    and fname not in outputs.qtables):
+                os.remove(os.path.join(out_dir, fname))
     finally:
         shutil.rmtree(stage, ignore_errors=True)

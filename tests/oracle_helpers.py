@@ -97,15 +97,13 @@ def reachable_from_empty(m):
     return mask
 
 
-def reference_build(num_vms, buffer_capacity, num_classes, arrival_probs=None,
-                    p_c=0.5, gamma=0.9):
-    """The oracle MDP built by concatenating per-(action, mask, class)
-    entry lists and stable-sorting them by row: build_oracle_mdp must
-    give the same arrays, value for value and dtype for dtype."""
+def reference_build(num_vms, buffer_capacity, num_classes, p_c=0.5):
+    """The oracle MDP, its arrival classes uniform, built by concatenating
+    per-(action, mask, class) entry lists and stable-sorting them by row:
+    build_oracle_mdp must give the same arrays, value for value and dtype
+    for dtype."""
     k, n, c = num_vms, buffer_capacity, num_classes
-    if arrival_probs is None:
-        arrival_probs = np.full(c, 1.0 / c)
-    arrival_probs = np.asarray(arrival_probs, dtype=float)
+    arrival_prob = 1.0 / c
     num_states = (n + 1) ** k * c**k
     shape = (n + 1,) * k + (c,) * k
     digits = np.array(np.unravel_index(np.arange(num_states), shape))
@@ -151,7 +149,7 @@ def reference_build(num_vms, buffer_capacity, num_classes, arrival_probs=None,
             w = mask_prob(depart)[sel]
             b2 = b[sel] + np.eye(k, dtype=np.int64)[a][None, :] - depart[None, :] * busy[sel]
             for ci in range(c):
-                p = w * arrival_probs[ci]
+                p = w * arrival_prob
                 keep = p > 0
                 l_arr = l[sel].copy()
                 l_arr[:, a] = np.minimum(l_arr[:, a] + ci, c - 1)

@@ -1,8 +1,8 @@
 """The names the package exports and the benchmark reaches must exist,
 every export is read through the package root, a process loads only the
 layers it runs, no public function under src/ is called only by tests,
-no run-path default is read only by tests, and every numeric config key
-declares its range.
+no run-path default is read only by tests, no parameter is passed only
+by tests, and every numeric config key declares its range.
 
 perfbench/ patches qlsched attributes by name and calls package-root
 functions, so a deletion under src/ that drops one of them would only
@@ -335,6 +335,35 @@ def test_no_public_function_or_method_serves_only_tests():
     assert sorted(unused - TEST_ONLY_ALLOWED) == []
 
 
+def _calls():
+    """Every call in the code of src/ and perfbench/."""
+    return [node for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)]
+
+
+def _public_callables(path, calls):
+    """(label, def, positional parameters, the calls that name it) for each
+    public module-level function of `path` and each public method or
+    __init__ of its public classes; a method's first parameter is dropped,
+    and __init__ is named by its class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = [(None, node) for node in tree.body]
+    defs += [(cls.name, node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+             for node in cls.body]
+    for cls, fn in defs:
+        if not isinstance(fn, ast.FunctionDef) or (
+                fn.name.startswith("_") and fn.name != "__init__"):
+            continue
+        name = cls if fn.name == "__init__" else fn.name
+        matching = [call for call in calls
+                    if getattr(call.func, "id", getattr(call.func, "attr", None))
+                    == name]
+        yield (f"{path.stem}.{cls + '.' if cls else ''}{fn.name}", fn,
+               [a.arg for a in fn.args.args][1 if cls else 0:], matching)
+
+
 def _omits(call, param, index):
     """Whether `call` leaves out parameter `param`, at positional `index`
     (None for a keyword-only one); a * or ** argument may leave out any."""
@@ -344,37 +373,60 @@ def _omits(call, param, index):
     return param not in keywords and (index is None or len(call.args) <= index)
 
 
+def _passes(call, param, index, dicts):
+    """Whether `call` passes parameter `param`, at positional `index` (None
+    for a keyword-only one). *args passes every positional parameter, **X
+    the keys of X when `dicts` names X, and any other ** every parameter."""
+    if index is not None and (len(call.args) > index or any(
+            isinstance(a, ast.Starred) for a in call.args)):
+        return True
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            spread = getattr(keyword.value, "id", getattr(keyword.value, "attr", None))
+            if spread not in dicts or param in dicts[spread]:
+                return True
+        elif keyword.arg == param:
+            return True
+    return False
+
+
 def test_no_run_path_default_is_read_only_by_tests():
     # a setting's default is written once, on its schema field: each
     # parameter default of a public function or method in a run-path layer
-    # under run_plan is omitted by some call in src/ or perfbench/;
-    # __init__ is called by its class name
-    calls = [node for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Call)]
+    # under run_plan is omitted by some call in src/ or perfbench/
+    calls = _calls()
     unread = []
     for module in sorted(RUN_PATH - {"qlsched.runner"}):
-        tree = ast.parse((SRC / f"{module.rpartition('.')[2]}.py")
-                         .read_text(encoding="utf-8"))
-        defs = [(None, node) for node in tree.body]
-        defs += [(cls.name, node) for cls in tree.body
-                 if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-                 for node in cls.body]
-        for cls, fn in defs:
-            if not isinstance(fn, ast.FunctionDef) or (
-                    fn.name.startswith("_") and fn.name != "__init__"):
-                continue
-            name = cls if fn.name == "__init__" else fn.name
-            positional = [a.arg for a in fn.args.args][1 if cls else 0:]
+        path = SRC / f"{module.rpartition('.')[2]}.py"
+        for label, fn, positional, matching in _public_callables(path, calls):
             defaulted = positional[len(positional) - len(fn.args.defaults):]
             defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs,
                                                 fn.args.kw_defaults) if d]
-            matching = [call for call in calls
-                        if getattr(call.func, "id", getattr(call.func, "attr", None))
-                        == name]
             for param in defaulted:
                 index = positional.index(param) if param in positional else None
                 if not any(_omits(call, param, index) for call in matching):
-                    unread.append(f"{module}.{cls + '.' if cls else ''}"
-                                  f"{fn.name}({param})")
+                    unread.append(f"qlsched.{label}({param})")
     assert unread == []
+
+
+def test_no_parameter_is_set_only_by_tests():
+    # each parameter of a public function or method under src/ that a call
+    # in src/ or perfbench/ names is passed by one of those calls; cli.py
+    # is left out, as main's argv is the command line's seam for tests.
+    # **X passes the keys of X when X is a module-level dict of
+    # perfbench/plans.py (the benchmark's oracle arguments)
+    plans = _load_perfbench("plans")
+    dicts = {name: set(value) for name, value in vars(plans).items()
+             if isinstance(value, dict) and not name.startswith("__")}
+    calls = _calls()
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for label, fn, positional, matching in _public_callables(path, calls):
+            for param in positional + [a.arg for a in fn.args.kwonlyargs]:
+                index = positional.index(param) if param in positional else None
+                if matching and not any(_passes(call, param, index, dicts)
+                                        for call in matching):
+                    unpassed.append(f"{label}({param})")
+    assert unpassed == []

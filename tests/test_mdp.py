@@ -161,11 +161,8 @@ def test_kernel_rows_normalized():
         build_oracle_mdp(num_vms=2, buffer_capacity=3, num_classes=3, p_c=0.3),
     ]
     for _ in range(8):
-        probs = rng.random(2)
-        probs /= probs.sum()
         instances.append(build_oracle_mdp(
-            num_vms=2, buffer_capacity=2, num_classes=2,
-            arrival_probs=probs, p_c=float(rng.random())))
+            num_vms=2, buffer_capacity=2, num_classes=2, p_c=float(rng.random())))
     for m in instances:
         sums = np.add.reduceat(m.csr_probs, m.csr_indptr[:-1])
         assert np.all(np.abs(sums - 1.0) < 1e-9)
@@ -188,8 +185,7 @@ def test_busy_vm_occupancy_returns_after_assign_depart():
 
 def test_degenerate_kernel_is_deterministic():
     for p_c in (0.0, 1.0):
-        m = build_oracle_mdp(num_vms=2, buffer_capacity=2, num_classes=2,
-                             arrival_probs=[1.0, 0.0], p_c=p_c)
+        m = build_oracle_mdp(num_vms=2, buffer_capacity=2, num_classes=1, p_c=p_c)
         for r in range(m.row_reward.size):
             sl = slice(m.csr_indptr[r], m.csr_indptr[r + 1])
             assert np.isclose(m.csr_probs[sl].sum(), 1.0)
@@ -205,10 +201,8 @@ def test_state_index_roundtrip():
 def test_capacity_limit():
     with pytest.raises(CapacityError):
         build_oracle_mdp(num_vms=3, buffer_capacity=9, num_classes=5)
-    # csr_cols is int32: no limit may admit a state index past it
-    with pytest.raises(CapacityError, match="int32"):
-        build_oracle_mdp(1, 1, 1, max_states=2**31 + 1)
-    assert build_oracle_mdp(1, 1, 1, max_states=2**31).num_states == 2
+    # csr_cols is int32: the limit may admit no state index past it
+    assert mdp.MAX_ORACLE_STATES <= 2**31
 
 
 @pytest.mark.parametrize("k", [6, 8])
@@ -314,14 +308,6 @@ def test_builder_validation():
         build_oracle_mdp(num_vms=0, buffer_capacity=1, num_classes=1)
     with pytest.raises(ValueError):
         build_oracle_mdp(num_vms=1, buffer_capacity=1, num_classes=1, p_c=1.5)
-    with pytest.raises(ValueError):
-        build_oracle_mdp(num_vms=1, buffer_capacity=1, num_classes=2,
-                         arrival_probs=[0.7, 0.7])
-    # NaN passes `< 0` and the sum check; an infinite entry fails the sum
-    for probs in ([float("nan"), 1.0], [float("inf"), 0.0]):
-        with pytest.raises(ValueError, match="arrival_probs"):
-            build_oracle_mdp(num_vms=1, buffer_capacity=1, num_classes=2,
-                             arrival_probs=probs)
     # a bool is an int to Python, and a float count fails deep in numpy
     sizes = {"num_vms": 2, "buffer_capacity": 2, "num_classes": 2}
     for name in sizes:
@@ -473,48 +459,54 @@ MODEL_ARRAYS = ("act_indptr", "act_action", "row_reward", "csr_indptr",
                 "csr_cols", "csr_probs")
 
 
-@pytest.mark.parametrize("k,n,c,arrival_probs,p_c", [
-    (1, 3, 3, None, 0.5),
-    (2, 2, 2, None, 0.0),
-    (2, 2, 3, None, 0.3),
-    (2, 2, 2, None, 1.0),
-    (3, 2, 2, None, 0.3),
-    (3, 2, 2, None, 1.0),
-    (3, 2, 3, [0.5, 0.0, 0.5], 0.3),     # a class that never arrives
-    (2, 1, 2, None, 0.5),                 # most states all-full: defer rows
-    (3, 1, 2, [0.25, 0.75], 0.0),
-    (2, 2, 2, [1e-200, 1.0], 1e-200),     # w * arrival_prob underflows to 0
-    (3, 1, 2, [1e-200, 1.0], 1e-200),     # and so do multi-departure weights
-    (4, 2, 2, None, 0.3),                 # 16 departure masks per busy set
-    (4, 1, 3, None, 0.3),
-    (1, 200, 3, None, 0.5),               # digits past 127: no table overflows
-    (2, 130, 2, None, 0.5),
-    (1, 3, 6, None, 0.5),                 # more classes than departure masks
-    (2, 2, 5, [0.2, 0.0, 0.3, 0.0, 0.5], 0.4),   # zero classes between positive ones
-    (2, 1, 3, None, 1.0),                 # p_c = 1 with defer rows
-])
-def test_build_matches_concat_and_sort_reference(k, n, c, arrival_probs, p_c):
-    m = build_oracle_mdp(k, n, c, arrival_probs=arrival_probs, p_c=p_c)
-    ref = reference_build(k, n, c, arrival_probs=arrival_probs, p_c=p_c)
+def case_ids(cases):
+    """Each (k, n, c, p_c) case's id, k-n-c-None-p_c: the None marks the
+    uniform arrival classes and keeps the ids stable, as recorded test
+    results name the cases by them."""
+    return [f"{k}-{n}-{c}-None-{p_c}" for k, n, c, p_c in cases]
+
+
+REFERENCE_CASES = [
+    (1, 3, 3, 0.5),
+    (2, 2, 2, 0.0),
+    (2, 2, 3, 0.3),
+    (2, 2, 2, 1.0),
+    (3, 2, 2, 0.3),
+    (3, 2, 2, 1.0),
+    (2, 1, 2, 0.5),                 # most states all-full: defer rows
+    (3, 1, 2, 0.0),
+    (2, 2, 2, 1e-200),              # multi-departure weights underflow to 0
+    (3, 1, 2, 1e-200),
+    (4, 2, 2, 0.3),                 # 16 departure masks per busy set
+    (4, 1, 3, 0.3),
+    (1, 200, 3, 0.5),               # digits past 127: no table overflows
+    (2, 130, 2, 0.5),
+    (1, 3, 6, 0.5),                 # more classes than departure masks
+    (2, 1, 3, 1.0),                 # p_c = 1 with defer rows
+]
+
+
+@pytest.mark.parametrize("k,n,c,p_c", REFERENCE_CASES, ids=case_ids(REFERENCE_CASES))
+def test_build_matches_concat_and_sort_reference(k, n, c, p_c):
+    m = build_oracle_mdp(k, n, c, p_c=p_c)
+    ref = reference_build(k, n, c, p_c=p_c)
     for name in MODEL_ARRAYS:
         got, want = getattr(m, name), getattr(ref, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
-@pytest.mark.parametrize("k,n,c,arrival_probs,p_c", [
-    (3, 4, 3, None, 0.5),
-    (4, 2, 2, None, 0.3),
-    (3, 2, 3, [0.5, 0.0, 0.5], 0.5),
-])
-def test_build_bytes_do_not_depend_on_the_chunk_size(monkeypatch, k, n, c,
-                                                      arrival_probs, p_c):
-    ref = reference_build(k, n, c, arrival_probs=arrival_probs, p_c=p_c)
+CHUNK_CASES = [(3, 4, 3, 0.5), (4, 2, 2, 0.3)]
+
+
+@pytest.mark.parametrize("k,n,c,p_c", CHUNK_CASES, ids=case_ids(CHUNK_CASES))
+def test_build_bytes_do_not_depend_on_the_chunk_size(monkeypatch, k, n, c, p_c):
+    ref = reference_build(k, n, c, p_c=p_c)
     # 1: one row per chunk, most rows longer than the chunk; 3 and 100:
     # chunks of one or several rows; the last: each (action, busy set) whole
     for block in (1, 3, 100, ref.csr_cols.size):
         monkeypatch.setattr(mdp, "KERNEL_BLOCK", block)
-        m = build_oracle_mdp(k, n, c, arrival_probs=arrival_probs, p_c=p_c)
+        m = build_oracle_mdp(k, n, c, p_c=p_c)
         for name in MODEL_ARRAYS:
             got, want = getattr(m, name), getattr(ref, name)
             assert got.dtype == want.dtype, (block, name)
@@ -766,16 +758,11 @@ def test_value_iteration_rejects_a_tolerance_not_above_zero(tol):
         value_iteration(build_oracle_mdp(2, 2, 2), tol=tol)
 
 
-@pytest.mark.parametrize("max_sweeps", [0, -1])
-def test_value_iteration_rejects_max_sweeps_below_one(max_sweeps):
-    with pytest.raises(ValueError, match="max_sweeps"):
-        value_iteration(build_oracle_mdp(2, 2, 2), max_sweeps=max_sweeps)
-
-
-def test_value_iteration_raises_when_the_sweeps_run_out():
+def test_value_iteration_raises_when_the_sweeps_run_out(monkeypatch):
     # one sweep from v = 0 moves v by a whole reward, far above tol
+    monkeypatch.setattr(mdp, "MAX_SWEEPS", 1)
     with pytest.raises(RuntimeError, match=r"tol=1e-12 in 1 sweeps"):
-        value_iteration(build_oracle_mdp(2, 2, 2), tol=1e-12, max_sweeps=1)
+        value_iteration(build_oracle_mdp(2, 2, 2), tol=1e-12)
 
 
 @pytest.mark.parametrize("size", [35, 37])

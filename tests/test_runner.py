@@ -308,6 +308,23 @@ def test_rerun_writes_identical_csvs(tmp_path):
         assert (paths[0] / name).read_bytes() == (paths[1] / name).read_bytes()
 
 
+def test_a_rerun_leaves_no_earlier_qtable(tmp_path):
+    # a greedy-only rerun into a learner run's out_dir leaves exactly the
+    # files a fresh greedy-only run writes, plus the files no run writes
+    config = learner_plan(tmp_path)
+    out_dir, fresh = tmp_path / "results", tmp_path / "fresh"
+    assert main(["run", "--config", config, "--out", str(out_dir)]) == 0
+    assert "qtable_qsch_t6_b3_f0.csv" in os.listdir(out_dir)
+    (out_dir / "notes.txt").write_text("mine\n")
+    greedy = ["run", "--config", config, "--set", "policies=[greedy]", "--out"]
+    assert main([*greedy, str(out_dir)]) == 0
+    assert main([*greedy, str(fresh)]) == 0
+    assert (out_dir / "notes.txt").read_text() == "mine\n"
+    (out_dir / "notes.txt").unlink()
+    assert ({name: (out_dir / name).read_bytes() for name in os.listdir(out_dir)}
+            == {name: (fresh / name).read_bytes() for name in os.listdir(fresh)})
+
+
 def test_run_point_is_pure_and_rows_are_the_csv_rows(tmp_path):
     # points run in reverse order and put back in point order give what
     # run_plan gives, so points may run in any order or in parallel
