@@ -68,8 +68,6 @@ def failure_hook(failure_ratio: float, seed):
     which yields the same doubles as n scalar calls. Above 0 a seed of
     None raises ValueError.
     """
-    if not (0.0 <= failure_ratio <= 1.0):
-        raise ValueError("failure_ratio must be in [0, 1]")
     if failure_ratio == 0.0:
         return None
     if seed is None:

@@ -25,8 +25,8 @@ def encode_state(cluster, range_mi: int, l_cap: int) -> tuple:
     """Observed scheduler state of a cluster, as a flat tuple of 2K ints.
 
     Each VM's length class is min(total // range_mi, l_cap) of its total
-    assigned length. The arguments are not checked here: LengthAwareView
-    checks them once.
+    assigned length. The arguments are not checked here: the plan's schema
+    checks range_mi and l_cap once, when the plan is parsed.
     """
     occupied, assigned = cluster.counters()
     return (*occupied,
@@ -72,10 +72,6 @@ class LengthAwareView:
     """
 
     def __init__(self, range_mi: int, l_cap: int):
-        if range_mi <= 0:
-            raise ValueError("range_mi must be > 0")
-        if l_cap < 0:
-            raise ValueError("l_cap must be >= 0")
         self.range_mi = range_mi
         self.l_cap = l_cap
         self._rewards: dict = {}
@@ -104,9 +100,6 @@ class FreeBufferView:
     """
 
     def __init__(self, w_buffer: float, w_wait: float):
-        for name, weight in (("w_buffer", w_buffer), ("w_wait", w_wait)):
-            if not 0.0 <= weight <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {weight}")
         self.w_buffer = w_buffer
         self.w_wait = w_wait
 

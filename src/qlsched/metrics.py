@@ -9,6 +9,7 @@ simulation origin at time 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,17 @@ def build_report(records, vm_specs) -> MetricsReport:
     """The per-run report over the completed records.
 
     utilization_k = (sum of exec times finished on k) / (makespan * PEs_k);
-    load_share_k = executed MI on k / executed MI everywhere.
+    load_share_k = executed MI on k / executed MI everywhere. A makespan
+    that is not finite (a slot length or VM speed the schema accepts but a
+    float cannot time) raises before any metric is computed.
     """
     done = completed(records)
     if not done:
         raise MetricsError("cannot report on a run with no completed tasks")
     span = float(max(r.finish_time for r in done))
+    if not math.isfinite(span):
+        raise MetricsError(f"the makespan is {span}: the run's times overflow "
+                           "a float (check slot_seconds and vm_mips)")
     k = len(vm_specs)
     mips = [s.mips for s in vm_specs]
     busy = [0.0] * k
@@ -84,9 +90,8 @@ def aggregate(reports):
         raise MetricsError("nothing to aggregate")
     mean, sd = {}, {}
     for name in ("avg_response_s", "avg_wait_s", "makespan_s"):
-        arr = np.array([getattr(r, name) for r in reports], dtype=float)
-        mean[name] = float(arr.mean())
-        sd[name] = float(arr.std(ddof=1)) if len(reports) > 1 else 0.0
-    mean["abort_count"] = float(np.array([r.abort_count for r in reports],
-                                         dtype=float).mean())
+        values = [getattr(r, name) for r in reports]
+        mean[name] = _mean(values)
+        sd[name] = float(np.std(values, ddof=1)) if len(reports) > 1 else 0.0
+    mean["abort_count"] = _mean([float(r.abort_count) for r in reports])
     return mean, sd

@@ -19,17 +19,11 @@ from .config import LearnerConfig
 
 def learning_rate(visits: int, exponent: float) -> float:
     """Step size for the update following `visits` prior updates of a pair."""
-    if visits < 0:
-        raise ValueError("visits must be >= 0")
     return 1.0 / (1.0 + visits**exponent)
 
 
 def decay_epsilon(epsilon0: float, cycle: int, total_cycles: int) -> float:
     """Linear decay epsilon0 * (1 - cycle/total_cycles), clamped at 0."""
-    if cycle < 0:
-        raise ValueError("cycle must be >= 0")
-    if total_cycles < 1:
-        raise ValueError("total_cycles must be >= 1")
     return max(0.0, epsilon0 * (1.0 - cycle / total_cycles))
 
 

@@ -151,8 +151,9 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
     """Execute the full sweep; write CSVs when an output directory is set.
 
     An empty out_dir, or one whose nearest existing ancestor (itself, if
-    it exists) is not a directory, raises ConfigError before the first
-    point runs. The files are staged in that ancestor (see _write_outputs).
+    it exists) is not a directory this process can write in, raises
+    ConfigError before the first point runs. The files are staged in that
+    ancestor (see _write_outputs).
     """
     if out_dir is not None:
         if not out_dir:
@@ -163,6 +164,9 @@ def run_plan(plan: ExperimentPlan, out_dir: str | None = None) -> RunOutputs:
         if not os.path.isdir(ancestor):
             raise ConfigError(f"out_dir {out_dir!r}: {ancestor!r} exists and "
                               "is not a directory")
+        if not os.access(ancestor, os.W_OK | os.X_OK):
+            raise ConfigError(f"out_dir {out_dir!r}: directory {ancestor!r} "
+                              "is not writable")
     outputs = RunOutputs()
     for point in sweep_points(plan):
         outputs.extend(run_point(plan, point))

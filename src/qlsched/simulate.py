@@ -37,8 +37,6 @@ class Simulation:
     def __init__(self, vm_specs: list[VmSpec], workload: list[TaskSpec],
                  slot_seconds: float, failure_ratio: float, max_attempts: int,
                  failure_seed):
-        if slot_seconds <= 0:
-            raise ValueError("slot_seconds must be > 0")
         self.cluster = ClusterState(vm_specs, max_attempts,
                                     failure_hook(failure_ratio, failure_seed))
         self.slot_seconds = slot_seconds

@@ -51,8 +51,6 @@ def _cum_rows(mode: str, d_max: int, mean: float) -> tuple[tuple[float, ...], ..
     (mode, d_max, mean) and kept as tuples, so no caller can change the
     rows another run draws from.
     """
-    if not (0 < mean <= d_max):
-        raise ConfigError("need 0 < arrival_mean <= d_max for binomial arrivals")
     k = np.arange(d_max + 1)
     p = mean / d_max
     pmf = np.array([comb(d_max, int(i)) * p**i * (1 - p) ** (d_max - i) for i in k])

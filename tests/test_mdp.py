@@ -18,7 +18,7 @@ from oracle_helpers import (feasible_actions, index_state, reachable_from_empty,
 from qlsched import mdp
 from qlsched.cluster import ClusterState, VmSpec
 from qlsched.config import ExperimentPlan
-from qlsched.envs import LengthAwareView, encode_state, reward
+from qlsched.envs import encode_state, reward
 from qlsched.mdp import CapacityError, action_values, build_oracle_mdp, value_iteration
 from qlsched.workload import TaskSpec
 
@@ -58,11 +58,6 @@ def test_discretize_boundaries(total, rng, expect):
 
 def test_discretize_cap_and_errors():
     assert length_class(10**9, 10000, l_cap=40) == 40
-    # encode_state takes its arguments unchecked; the view checks them once
-    with pytest.raises(ValueError, match="range_mi"):
-        LengthAwareView(0, 2)
-    with pytest.raises(ValueError, match="l_cap"):
-        LengthAwareView(10, -1)
 
 
 def test_discretize_monotone_in_total():

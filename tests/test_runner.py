@@ -500,6 +500,23 @@ def test_cli_empty_out_exits_1_before_any_point(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["plan.yaml"]
 
 
+def test_cli_unwritable_out_exits_1_before_any_point(tmp_path, capsys,
+                                                    monkeypatch):
+    # the first write came only after the whole sweep, which then failed
+    # with a PermissionError and exit 2
+    ran = []
+    monkeypatch.setattr(runner, "run_point",
+                        lambda plan, point: ran.append(point))
+    config = write_config(tmp_path, task_counts=[4], replications=1)
+    monkeypatch.setattr(runner.os, "access", lambda path, mode: False)
+    out = tmp_path / "results" / "deeper"
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "out_dir" in err and str(out) in err
+    assert ran == []
+    assert sorted(os.listdir(tmp_path)) == ["plan.yaml"]
+
+
 def test_run_plan_refuses_an_empty_out_dir(tmp_path, monkeypatch):
     ran = []
     monkeypatch.setattr(runner, "run_point",
@@ -588,6 +605,22 @@ def test_cli_bad_override_exit_1(tmp_path, capsys):
     assert "config error: gamma must be < 1, got 1.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["slot_seconds=1.0e+308",
+                                      "scenario.vm_mips=5.0e-324"])
+def test_cli_non_finite_makespan_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                            override):
+    # both values pass the schema, but a float cannot time the run: it
+    # used to write inf and nan metrics to the CSVs and exit 0
+    out_dir = tmp_path / "D"
+    code = main(["run", "--config", os.path.join(CONFIG_DIR, "scenario1.yaml"),
+                 "--set", "policies=[greedy]", "--set", "replications=2",
+                 "--set", "task_counts=[10]", "--set", override,
+                 "--out", str(out_dir)])
+    assert code == 2
+    assert "run failed" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_runtime_failure_exit_2(tmp_path, capsys):
     # certain failure on every attempt leaves no completions to report on
     config = write_config(tmp_path, task_counts=[4], replications=1)
@@ -644,6 +677,8 @@ def test_cli_runtime_failure_traceback_only_verbose(tmp_path, capsys, verbose):
     (None, "failure_ratios", [0.0, 0.0]),
     (None, "failure_ratios", [0.1234561, 0.1234562]),
     (None, "failure_ratios", [0.0123454999, 0.0123455001]),
+    (None, "failure_ratios", [float("nan")]),
+    (None, "failure_ratios", [float("inf")]),
 ])
 def test_cli_value_past_range_check_exit_1(tmp_path, capsys, section, key, value):
     # values that once slipped past validation: NaN compares false with

@@ -197,19 +197,6 @@ def test_fifo_order_preserved_for_global_queue():
     assert order == list(range(5))
 
 
-def test_slot_seconds_validation():
-    with pytest.raises(ValueError):
-        Simulation(specs(), [TaskSpec(0, 0, 1)], slot_seconds=0.0,
-                   failure_ratio=0.0, max_attempts=10, failure_seed=None)
-
-
-@pytest.mark.parametrize("ratio", [-0.1, 1.5, float("nan")])
-def test_failure_ratio_checked_at_construction(ratio):
-    with pytest.raises(ValueError, match="failure_ratio"):
-        Simulation(specs(), [TaskSpec(0, 0, 1)], slot_seconds=1.0,
-                   failure_ratio=ratio, max_attempts=10, failure_seed=None)
-
-
 def test_failure_ratio_above_zero_needs_a_seed():
     # no hidden default stream: a failing run names its own seed
     with pytest.raises(ValueError, match="failure_seed"):
@@ -289,14 +276,6 @@ def test_a_least_occupied_vm_is_always_feasible_and_rewarded(
 
     records = sim.drain(random_feasible, np.random.default_rng(seed))
     assert decisions == len(tasks) == len(records)
-
-
-@pytest.mark.parametrize("weights, message", [
-    ((2, 0.5), r"w_buffer must lie in \[0, 1\], got 2"),
-    ((0.5, -0.1), r"w_wait must lie in \[0, 1\], got -0.1")])
-def test_free_buffer_view_names_the_bad_weight(weights, message):
-    with pytest.raises(ValueError, match=message):
-        FreeBufferView(*weights)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.3])

@@ -139,18 +139,6 @@ def test_markov_sticky_rows_sum_to_one():
     assert abs(float(np.arange(6) @ pmf) - 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("kw", [
-    dict(mode="iid", d_max=5, mean=0.0),
-    dict(mode="iid", d_max=5, mean=-1.0),
-    dict(mode="iid", d_max=5, mean=5.5),
-    dict(mode="markov", d_max=2, mean=3.0),
-    dict(mode="markov", d_max=5, mean=float("nan")),
-])
-def test_arrival_model_validation(kw):
-    with pytest.raises(ConfigError, match="arrival_mean"):
-        _cum_rows(**kw)
-
-
 @pytest.mark.parametrize("mode", ["iid", "markov"])
 def test_rows_build_at_the_largest_arrival_dmax(mode):
     # the schema caps arrival_dmax at 1000, below 1030, where
