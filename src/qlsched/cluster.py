@@ -96,23 +96,26 @@ class _Queued:
 _alloc = object.__new__
 
 
-class VmState:
-    def __init__(self, spec: VmSpec):
-        self.spec = spec
-        # Admission order. Service starts in this order and no PE idles
-        # while an entry waits: queue[:pes] are in service, the rest wait.
-        self.queue: list[_Queued] = []
-        self.pe_busy: list[_Queued | None] = [None] * spec.pes
-
-    def available_at(self, clock: float) -> float:
-        """Instant the next PE frees up (now, if any PE is idle)."""
-        if None in self.pe_busy:
-            return clock
-        return min(q.finish for q in self.pe_busy)
-
-
 class ClusterState:
     """All VMs, the simulation clock and the run's attempt rule.
+
+    Each per-VM field is a flat list (or tuple) indexed by VM:
+    - specs: the VmSpec tuple;
+    - queues: each VM's buffered entries in admission order. Service
+      starts in this order and no PE idles while an entry waits, so
+      queues[vi][:pes] are in service and the rest wait;
+    - pe_busy: per PE, the entry it serves, or None when idle;
+    - occupied and assigned: the occupied buffer count and the total
+      queued length;
+    - capacities: the buffer capacity.
+    free_slots counts the free buffer slots of all VMs. events holds the
+    in-service completions keyed (finish, vm index, pe), so the heap pops
+    them in the order a scan over every busy PE would pick and
+    events[0][0] is the next completion instant.
+
+    Callers read these fields and never change them: admit and
+    advance_to_next_event are their only writers. Only clock is the
+    driver's to move, forward to each arrival slot.
 
     fails, failure_hook's stream, is called once per finishing attempt
     (None: every attempt completes). A failed attempt is requeued while
@@ -120,21 +123,18 @@ class ClusterState:
     """
 
     def __init__(self, vm_specs: list[VmSpec], max_attempts: int, fails):
-        self.vms = [VmState(s) for s in vm_specs]
-        self.clock = 0.0
-        # In-service completions keyed (finish, vm index, pe): the heap
-        # pops them in the order a scan over every busy PE would pick.
-        # Callers may read it (events[0][0] is the next completion
-        # instant); admit and advance_to_next_event are its only writers.
+        n = len(vm_specs)
+        self.specs = tuple(vm_specs)
+        self.queues: list[list[_Queued]] = [[] for _ in range(n)]
+        self.pe_busy: list[list[_Queued | None]] = [[None] * s.pes for s in vm_specs]
+        self.occupied = [0] * n
+        self.assigned = [0] * n
+        self.capacities = tuple(s.buffer_capacity for s in vm_specs)
+        self._capacity = sum(self.capacities)
+        self.free_slots = self._capacity
         self.events: list[tuple] = []
-        self._capacities = tuple(s.buffer_capacity for s in vm_specs)
-        self._indices = range(len(vm_specs))
-        # The only record of each VM's occupied buffer count and queued
-        # length; admit and advance_to_next_event keep both up to date.
-        self._occupied = [0] * len(vm_specs)
-        self._assigned = [0] * len(vm_specs)
-        self._capacity = sum(self._capacities)
-        self._free = self._capacity         # free buffer slots, all VMs
+        self.clock = 0.0
+        self._indices = range(n)
         # task id -> attempt number of its next admission, once requeued
         self._retries: dict[int, int] = {}
         self._max_attempts = max_attempts
@@ -142,27 +142,20 @@ class ClusterState:
 
     # -- observation helpers used by schedulers ---------------------------
 
-    def counters(self) -> tuple[list[int], list[int]]:
-        """The live per-VM (occupied counts, assigned lengths) lists.
-
-        No copy: the caller must not change them, and they change with
-        the next admission or completion.
-        """
-        return self._occupied, self._assigned
-
     def free_counts(self) -> list[int]:
-        return list(map(sub, self._capacities, self._occupied))
-
-    def capacities(self) -> tuple[int, ...]:
-        return self._capacities
+        return list(map(sub, self.capacities, self.occupied))
 
     def feasible_vms(self) -> list[int]:
         """Indices of the VMs with a free buffer slot, ascending."""
-        return list(compress(self._indices, map(lt, self._occupied,
-                                                self._capacities)))
+        return list(compress(self._indices, map(lt, self.occupied,
+                                                self.capacities)))
 
-    def has_free_buffer(self) -> bool:
-        return self._free > 0
+    def available_at(self, vm_index: int) -> float:
+        """Instant vm_index's next PE frees up (the clock, if one is idle)."""
+        busy = self.pe_busy[vm_index]
+        if None in busy:
+            return self.clock
+        return min(q.finish for q in busy)
 
     def backlogs(self) -> list[float]:
         """Work queued at each VM, in seconds of single-PE service remaining.
@@ -174,17 +167,17 @@ class ClusterState:
         """
         clock = self.clock
         out = []
-        for vm in self.vms:
-            mips = vm.spec.mips
+        for spec, queue in zip(self.specs, self.queues):
+            mips = spec.mips
             secs = 0.0
-            for q in vm.queue:
+            for q in queue:
                 finish = q.finish
                 if finish is not None:
                     r = finish - clock
                     secs += r if r > 0.0 else 0.0
                 else:
                     secs += q.task.length / mips
-            out.append(secs / vm.spec.pes)
+            out.append(secs / spec.pes)
         return out
 
     # -- mutation ----------------------------------------------------------
@@ -197,34 +190,35 @@ class ClusterState:
         else the task waits. Raises BufferFullError when the buffer is at
         capacity.
         """
-        occupied = self._occupied
-        caps = self._capacities
+        occupied = self.occupied
+        caps = self.capacities
         if occupied[vm_index] >= caps[vm_index]:
             raise BufferFullError(
                 f"VM {vm_index} buffer at capacity {caps[vm_index]}")
-        vm = self.vms[vm_index]
+        queue = self.queues[vm_index]
+        spec = self.specs[vm_index]
         clock = self.clock
         retries = self._retries
         entry = _alloc(_Queued)
         entry.task = task
         entry.admit_time = clock
         entry.attempt = retries.pop(task.id, 1) if retries else 1
-        vm.queue.append(entry)
+        queue.append(entry)
         occupied[vm_index] += 1
-        self._assigned[vm_index] += task.length
-        self._free -= 1
-        busy = vm.pe_busy
+        self.assigned[vm_index] += task.length
+        self.free_slots -= 1
+        busy = self.pe_busy[vm_index]
         if None in busy:
-            assert len(vm.queue) <= vm.spec.pes, "a PE is idle while an entry waits"
+            assert len(queue) <= spec.pes, "a PE is idle while an entry waits"
             pe = busy.index(None)
-            entry.finish = finish = clock + task.length / vm.spec.mips
+            entry.finish = finish = clock + task.length / spec.mips
             busy[pe] = entry
             heappush(self.events, (finish, vm_index, pe, entry))
         else:
             entry.finish = None
-        assert (0 <= occupied[vm_index] == len(vm.queue) <= caps[vm_index]
-                and self._assigned[vm_index] >= 0
-                and 0 <= self._free <= self._capacity), \
+        assert (0 <= occupied[vm_index] == len(queue) <= caps[vm_index]
+                and self.assigned[vm_index] >= 0
+                and 0 <= self.free_slots <= self._capacity), \
             f"occupancy counters of VM {vm_index} out of step with its buffer"
 
     def advance_to_next_event(self):
@@ -242,27 +236,28 @@ class ClusterState:
         if not events:
             return [], []
         finish, vi, pe, entry = heappop(events)
-        vm = self.vms[vi]
+        queue = self.queues[vi]
+        spec = self.specs[vi]
         assert finish >= self.clock - 1e-9
         self.clock = finish
-        vm.queue.remove(entry)
-        self._occupied[vi] -= 1
+        queue.remove(entry)
+        self.occupied[vi] -= 1
         task = entry.task
-        self._assigned[vi] -= task.length
-        self._free += 1
-        mips = vm.spec.mips
-        busy = vm.pe_busy
-        if len(vm.queue) >= vm.spec.pes:
-            head = vm.queue[vm.spec.pes - 1]
+        self.assigned[vi] -= task.length
+        self.free_slots += 1
+        mips = spec.mips
+        busy = self.pe_busy[vi]
+        if len(queue) >= spec.pes:
+            head = queue[spec.pes - 1]
             head.finish = head_finish = finish + head.task.length / mips
             busy[pe] = head
             heappush(events, (head_finish, vi, pe, head))
             assert None not in busy, "a PE is idle while an entry waits"
         else:
             busy[pe] = None
-        assert (0 <= self._occupied[vi] == len(vm.queue) <= self._capacities[vi]
-                and self._assigned[vi] >= 0
-                and 0 <= self._free <= self._capacity), \
+        assert (0 <= self.occupied[vi] == len(queue) <= self.capacities[vi]
+                and self.assigned[vi] >= 0
+                and 0 <= self.free_slots <= self._capacity), \
             f"occupancy counters of VM {vi} out of step with its buffer"
 
         failed = self._fails is not None and self._fails()

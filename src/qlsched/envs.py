@@ -28,9 +28,8 @@ def encode_state(cluster, range_mi: int, l_cap: int) -> tuple:
     assigned length. The arguments are not checked here: the plan's schema
     checks range_mi and l_cap once, when the plan is parsed.
     """
-    occupied, assigned = cluster.counters()
-    return (*occupied,
-            *[c if (c := x // range_mi) <= l_cap else l_cap for x in assigned])
+    return (*cluster.occupied, *[c if (c := x // range_mi) <= l_cap else l_cap
+                                 for x in cluster.assigned])
 
 
 def reward(state: tuple, action: int, capacities) -> int:
@@ -85,7 +84,7 @@ class LengthAwareView:
         An infeasible action raises on every call: only rewards that
         reward() returned are remembered.
         """
-        key = (state, action, cluster.capacities())
+        key = (state, action, cluster.capacities)
         value = self._rewards.get(key)
         if value is None:
             value = self._rewards[key] = float(reward(*key))
@@ -108,7 +107,7 @@ class FreeBufferView:
 
     def reward(self, cluster, action, state):
         """Reward of `action`; `state` is this view's state of `cluster`."""
-        free_frac = state[action] / cluster.capacities()[action]
+        free_frac = state[action] / cluster.capacities[action]
         backlogs = cluster.backlogs()
         top = max(backlogs)
         delay = backlogs[action] / top if top > 0 else 0.0

@@ -50,7 +50,6 @@ class OracleMdp:
     num_vms: int
     buffer_capacity: int
     num_classes: int
-    p_c: float
     gamma: float
     act_indptr: np.ndarray
     act_action: np.ndarray
@@ -190,7 +189,7 @@ def build_oracle_mdp(num_vms: int, buffer_capacity: int, num_classes: int,
         assert 0 <= cols.min() and cols.max() < num_states, "every column is a state"
 
     return OracleMdp(
-        num_vms=k, buffer_capacity=n, num_classes=c, p_c=p_c, gamma=gamma,
+        num_vms=k, buffer_capacity=n, num_classes=c, gamma=gamma,
         act_indptr=act_indptr, act_action=act_action, row_reward=row_reward,
         csr_indptr=csr_indptr, csr_cols=csr_cols, csr_probs=csr_probs)
 

@@ -9,10 +9,14 @@ simulation origin at time 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# The longest makespan a report accepts, 2^32 s (about 136 years): below
+# it a double's spacing is at most 2^-20 s, finer than the CSVs' six
+# decimals.
+MAX_SPAN_S = 2.0**32
 
 
 class MetricsError(ValueError):
@@ -49,16 +53,18 @@ def build_report(records, vm_specs) -> MetricsReport:
 
     utilization_k = (sum of exec times finished on k) / (makespan * PEs_k);
     load_share_k = executed MI on k / executed MI everywhere. A makespan
-    that is not finite (a slot length or VM speed the schema accepts but a
-    float cannot time) raises before any metric is computed.
+    of MAX_SPAN_S or more, inf or NaN (a slot length or VM speed the
+    schema accepts but a float cannot time to the microsecond) raises
+    before any metric is computed.
     """
     done = completed(records)
     if not done:
         raise MetricsError("cannot report on a run with no completed tasks")
     span = float(max(r.finish_time for r in done))
-    if not math.isfinite(span):
-        raise MetricsError(f"the makespan is {span}: the run's times overflow "
-                           "a float (check slot_seconds and vm_mips)")
+    if not span < MAX_SPAN_S:
+        raise MetricsError(f"the makespan is {span} s, not below MAX_SPAN_S "
+                           "(2^32 s), the longest a float times to the "
+                           "microsecond (check slot_seconds and vm_mips)")
     k = len(vm_specs)
     mips = [s.mips for s in vm_specs]
     busy = [0.0] * k

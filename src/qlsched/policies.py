@@ -23,7 +23,7 @@ from .qlearn import QTable, select_action
 def random_select(cluster, rng: np.random.Generator):
     """Uniform draw over all VMs; full draws redraw over the free ones."""
     free = cluster.feasible_vms()
-    pick = int(rng.integers(len(cluster.vms)))
+    pick = int(rng.integers(len(cluster.specs)))
     if pick in free:
         return pick
     return free[int(rng.integers(len(free)))]
@@ -32,15 +32,14 @@ def random_select(cluster, rng: np.random.Generator):
 def fifo_select(cluster, rng):
     """VM whose head-of-line work finishes earliest, among those with space."""
     free = cluster.feasible_vms()
-    clock = cluster.clock
-    return min(free, key=lambda i: (cluster.vms[i].available_at(clock), i))
+    return min(free, key=lambda i: (cluster.available_at(i), i))
 
 
 def mixed_select(cluster, rng: np.random.Generator):
     """Random draw, corrected to the max-free-buffer VM when the draw is not one."""
     free_counts = cluster.free_counts()
     top = max(free_counts)
-    pick = int(rng.integers(len(cluster.vms)))
+    pick = int(rng.integers(len(cluster.specs)))
     if free_counts[pick] == top:
         return pick
     return free_counts.index(top)  # lowest index among the maxima

@@ -55,10 +55,9 @@ class Simulation:
         pending = self._pending
         cluster = self.cluster
         events = cluster.events
-        has_free_buffer = cluster.has_free_buffer
         slot_seconds = self.slot_seconds
         while True:
-            if queue and has_free_buffer():
+            if queue and cluster.free_slots:
                 return queue.popleft()
             if events and (not pending
                            or events[0][0] <= pending[0].arrival_slot * slot_seconds):

@@ -256,7 +256,7 @@ def occupancy_suite(rng, cases=1000):
                 break
             cluster.admit(TaskSpec(tid, 0, int(rng.integers(100, 9000))),
                           free[int(rng.integers(len(free)))])
-            occupied = cluster.counters()[0]
+            occupied = cluster.occupied
             if not (all(0 <= b <= cap for b in occupied)
                     and sum(occupied) <= k * cap):
                 return False

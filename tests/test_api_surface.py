@@ -2,7 +2,8 @@
 every export is read through the package root, a process loads only the
 layers it runs, no public function under src/ is called only by tests,
 no run-path default is read only by tests, no parameter is passed only
-by tests, and every numeric config key declares its range.
+by tests, every numeric config key declares its range, and under the
+repository's pytest settings a failing property test fails only itself.
 
 perfbench/ patches qlsched attributes by name and calls package-root
 functions, so a deletion under src/ that drops one of them would only
@@ -151,6 +152,24 @@ def test_registry_and_names_that_drift_apart_fail_the_import():
                  "import qlsched.policies", check=False)
     assert out.returncode == 1
     assert "RuntimeError" in out.stderr and "'lwl'" in out.stderr
+
+
+def test_a_failing_hypothesis_test_fails_only_itself(tmp_path):
+    # pyproject.toml turns warnings into errors; the warning hypothesis's
+    # plugin raises while it reports a failure must not abort the session
+    (tmp_path / "test_child.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(ROOT / "pyproject.toml"), str(tmp_path)],
+                         cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout
 
 
 # numeric keys whose range is a cross-field rule in __post_init__

@@ -25,9 +25,8 @@ def task(tid, length, slot=0):
 def test_first_admission_counts():
     c = make_cluster()
     c.admit(task(0, 5000), 1)
-    occupied, assigned = c.counters()
-    assert occupied == [0, 1, 0]
-    assert assigned == [0, 5000, 0]
+    assert c.occupied == [0, 1, 0]
+    assert c.assigned == [0, 5000, 0]
 
 
 def test_admit_full_buffer_raises():
@@ -50,7 +49,7 @@ def test_occupancy_bound_random_admissions():
             if not free:
                 break
             c.admit(task(tid, int(rng.integers(1, 9999))), int(rng.choice(free)))
-            occ = c.counters()[0]
+            occ = c.occupied
             assert all(0 <= b <= n for b in occ)
             assert 0 <= sum(occ) <= k * n
 
@@ -103,17 +102,28 @@ def test_multi_pe_concurrent_service():
 
 def test_available_at():
     c = make_cluster(num_vms=2)
-    assert c.vms[0].available_at(c.clock) == 0.0
+    assert c.available_at(0) == 0.0
     c.admit(task(0, 9000), 0)
-    assert c.vms[0].available_at(c.clock) == pytest.approx(9.0)
-    assert c.vms[1].available_at(c.clock) == 0.0
+    assert c.available_at(0) == pytest.approx(9.0)
+    assert c.available_at(1) == 0.0
+    # a 2-PE VM, with the clock moved off 0 as an arrival slot moves it
+    c = make_cluster(num_vms=1, pes=2)
+    c.clock = 1.0
+    c.admit(task(0, 9000), 0)
+    assert c.available_at(0) == 1.0          # one PE busy: the clock
+    c.admit(task(1, 4000), 0)
+    assert c.available_at(0) == 5.0          # both busy: the earlier finish
+    c.advance_to_next_event()                # task 1 frees its PE at 5 s
+    assert c.clock == 5.0 and c.available_at(0) == 5.0
+    c.clock = 7.0
+    assert c.available_at(0) == 7.0          # still one PE idle: the clock
 
 
 def test_assigned_length_matches_queue_and_clock_monotone():
     # Random admits and advances on multi-PE VMs. Lengths are whole
     # seconds of service, so finish instants often tie across VMs and PEs.
     # After every step the kept counters, the observation helpers and the
-    # event heap must agree with a brute-force recomputation from vm.queue
+    # event heap must agree with a brute-force recomputation from queues
     # and pe_busy. Buffer capacities differ between VMs.
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -126,11 +136,11 @@ def test_assigned_length_matches_queue_and_clock_monotone():
         last_clock = 0.0
         for _ in range(30):
             in_service = [(q.finish, vi, pe, q.task.id)
-                          for vi, vm in enumerate(c.vms)
-                          for pe, q in enumerate(vm.pe_busy) if q is not None]
+                          for vi, busy in enumerate(c.pe_busy)
+                          for pe, q in enumerate(busy) if q is not None]
             next_finish = c.events[0][0] if c.events else None
             assert next_finish == (min(in_service)[0] if in_service else None)
-            if rng.random() < 0.6 and c.has_free_buffer():
+            if rng.random() < 0.6 and c.free_slots:
                 c.admit(task(tid, 1000 * int(rng.integers(1, 5))),
                         int(rng.choice(c.feasible_vms())))
                 tid += 1
@@ -144,24 +154,25 @@ def test_assigned_length_matches_queue_and_clock_monotone():
                     assert records == []
             assert c.clock >= last_clock
             last_clock = c.clock
-            assert c.has_free_buffer() == any(
-                len(vm.queue) < vm.spec.buffer_capacity for vm in c.vms)
-            occupied = [len(vm.queue) for vm in c.vms]
-            assert c.counters() == (occupied, [sum(q.task.length for q in vm.queue)
-                                               for vm in c.vms])
-            assert c.free_counts() == [vm.spec.buffer_capacity - n
-                                       for vm, n in zip(c.vms, occupied)]
-            assert c.feasible_vms() == [i for i, (vm, n) in enumerate(zip(c.vms, occupied))
-                                        if n < vm.spec.buffer_capacity]
-            for vm in c.vms:
+            assert (c.free_slots > 0) == any(
+                len(queue) < spec.buffer_capacity
+                for spec, queue in zip(c.specs, c.queues))
+            occupied = [len(queue) for queue in c.queues]
+            assert (c.occupied, c.assigned) == (
+                occupied, [sum(q.task.length for q in queue) for queue in c.queues])
+            assert c.free_counts() == [spec.buffer_capacity - n
+                                       for spec, n in zip(c.specs, occupied)]
+            assert c.feasible_vms() == [i for i, (spec, n) in enumerate(zip(c.specs, occupied))
+                                        if n < spec.buffer_capacity]
+            for spec, queue, pe_busy in zip(c.specs, c.queues, c.pe_busy):
                 # FIFO service: the in-service entries are the oldest
                 # admitted ones, and a PE idles only when none is waiting,
                 # so queue[:pes] are the entries with a finish instant
-                busy = [q for q in vm.pe_busy if q is not None]
-                n = min(len(vm.queue), vm.spec.pes)
-                assert len(busy) == n and all(q in vm.queue[:n] for q in busy)
-                assert [q.finish is not None for q in vm.queue] == [
-                    i < vm.spec.pes for i in range(len(vm.queue))]
+                busy = [q for q in pe_busy if q is not None]
+                n = min(len(queue), spec.pes)
+                assert len(busy) == n and all(q in queue[:n] for q in busy)
+                assert [q.finish is not None for q in queue] == [
+                    i < spec.pes for i in range(len(queue))]
 
     # Six completions tie at t = 1 s; admission order differs from
     # (vm, pe) order, and the events must pop in (vm, pe) order.
@@ -172,7 +183,7 @@ def test_assigned_length_matches_queue_and_clock_monotone():
     assert [(r.vm_index, r.task_id) for r in popped] == [
         (0, 1), (0, 4), (1, 2), (1, 5), (2, 0), (2, 3)]
     assert all(r.finish_time == 1.0 for r in popped)
-    assert c.events == [] and not any(vm.queue for vm in c.vms)
+    assert c.events == [] and not any(c.queues)
     assert c.free_counts() == [4, 4, 4]
 
 
@@ -197,7 +208,7 @@ def test_records_are_completion_records(failure_ratio):
     seen = {"complete": 0, "requeue": 0, "abort": 0}
     tid = 0
     for _ in range(3000):
-        if c.has_free_buffer() and (retry or not c.events or rng.random() < 0.55):
+        if c.free_slots and (retry or not c.events or rng.random() < 0.55):
             if retry:
                 t, attempt = retry.pop(0)
             else:
@@ -224,7 +235,7 @@ def test_records_are_completion_records(failure_ratio):
         assert type(r) is CompletionRecord
         assert r == CompletionRecord(
             task_id=entry.task.id, submit_time=submit, finish_time=finish,
-            exec_time=entry.task.length / c.vms[vi].spec.mips, vm_index=vi,
+            exec_time=entry.task.length / c.specs[vi].mips, vm_index=vi,
             attempts=attempt, aborted=failed)
         assert r.aborted is failed
     if failure_ratio:
@@ -235,14 +246,14 @@ def test_records_are_completion_records(failure_ratio):
 
 def _reference_backlog(c, vm_index):
     # the per-VM loop backlogs() replaced
-    vm = c.vms[vm_index]
+    spec = c.specs[vm_index]
     secs = 0.0
-    for q in vm.queue:
+    for q in c.queues[vm_index]:
         if q.finish is not None:
             secs += max(0.0, q.finish - c.clock)
         else:
-            secs += q.task.length / vm.spec.mips
-    return secs / vm.spec.pes
+            secs += q.task.length / spec.mips
+    return secs / spec.pes
 
 
 def test_backlogs_match_per_vm_loop():
@@ -262,13 +273,13 @@ def test_backlogs_match_per_vm_loop():
                 c.clock += (c.events[0][0] - c.clock) * float(rng.choice([0.5, 1.0]))
             else:
                 c.advance_to_next_event()
-            expected = [_reference_backlog(c, i) for i in range(len(c.vms))]
+            expected = [_reference_backlog(c, i) for i in range(len(c.specs))]
             assert [x.hex() for x in c.backlogs()] == [x.hex() for x in expected]
             # a clock past a pending finish clamps that entry's share at 0
             if c.events:
                 clock = c.clock
                 c.clock = c.events[0][0] + 0.5
-                expected = [_reference_backlog(c, i) for i in range(len(c.vms))]
+                expected = [_reference_backlog(c, i) for i in range(len(c.specs))]
                 assert [x.hex() for x in c.backlogs()] == [x.hex() for x in expected]
                 c.clock = clock
 
@@ -330,17 +341,17 @@ def _busy_cluster():
     c = make_cluster(num_vms=1, capacity=4, pes=2)
     for tid, length in enumerate([1000, 3000, 2000]):
         c.admit(task(tid, length), 0)
-    assert c.vms[0].queue[2].finish is None and None not in c.vms[0].pe_busy
+    assert c.queues[0][2].finish is None and None not in c.pe_busy[0]
     return c
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda c: c._occupied.__setitem__(0, c._occupied[0] - 1), "out of step"),
-    (lambda c: c._assigned.__setitem__(0, -10**9), "out of step"),
-    (lambda c: setattr(c, "_free", -5), "out of step"),
-    (lambda c: setattr(c, "_free", c._capacity + 5), "out of step"),
+    (lambda c: c.occupied.__setitem__(0, c.occupied[0] - 1), "out of step"),
+    (lambda c: c.assigned.__setitem__(0, -10**9), "out of step"),
+    (lambda c: setattr(c, "free_slots", -5), "out of step"),
+    (lambda c: setattr(c, "free_slots", c._capacity + 5), "out of step"),
     # a PE idles while task 2 waits
-    (lambda c: c.vms[0].pe_busy.__setitem__(1, None), "a PE is idle"),
+    (lambda c: c.pe_busy[0].__setitem__(1, None), "a PE is idle"),
 ], ids=["occupied", "assigned", "free_low", "free_high", "idle_pe"])
 @pytest.mark.parametrize("op", ["admit", "advance"])
 def test_inline_checks_fire(corrupt, message, op):
@@ -357,8 +368,7 @@ def test_freed_pe_takes_the_waiting_head():
     c = _busy_cluster()
     records, _ = c.advance_to_next_event()
     assert [r.task_id for r in records] == [0]
-    vm = c.vms[0]
-    assert [q.task.id for q in vm.queue] == [1, 2]
-    assert [q.task.id for q in vm.pe_busy] == [2, 1]
-    assert vm.pe_busy[0].finish == 1.0 + 2.0
+    assert [q.task.id for q in c.queues[0]] == [1, 2]
+    assert [q.task.id for q in c.pe_busy[0]] == [2, 1]
+    assert c.pe_busy[0][0].finish == 1.0 + 2.0
     assert c.events[0][0] == 3.0

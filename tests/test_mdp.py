@@ -41,7 +41,7 @@ def kernel_row(m, state, action):
 
 def length_class(total, range_mi, l_cap=ExperimentPlan.l_cap):
     """encode_state's length class of one VM with `total` MI assigned."""
-    one_vm = SimpleNamespace(counters=lambda: ([1], [total]))
+    one_vm = SimpleNamespace(occupied=[1], assigned=[total])
     return encode_state(one_vm, range_mi, l_cap)[1]
 
 
@@ -102,7 +102,7 @@ def test_encode_matches_discretize_over_random_runs():
             else:
                 c.advance_to_next_event()
             state = encode_state(c, range_mi, l_cap)
-            occupied, assigned = c.counters()
+            occupied, assigned = c.occupied, c.assigned
             assert state == tuple(occupied) + tuple(
                 min(x // range_mi, l_cap) for x in assigned)
             assert all(type(x) is int for x in state)

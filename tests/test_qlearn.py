@@ -762,7 +762,7 @@ def test_the_mask_check_catches_a_state_blind_to_feasibility(monkeypatch):
 
     class LengthOnlyView(LengthAwareView):
         def state(self, cluster):
-            return super().state(cluster)[len(cluster.vms):]
+            return super().state(cluster)[len(cluster.specs):]
 
         def reward(self, cluster, action, state):
             return super().reward(cluster, action, super().state(cluster))

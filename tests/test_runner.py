@@ -606,18 +606,22 @@ def test_cli_bad_override_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", ["slot_seconds=1.0e+308",
-                                      "scenario.vm_mips=5.0e-324"])
-def test_cli_non_finite_makespan_exits_2_and_writes_nothing(tmp_path, capsys,
+                                      "scenario.vm_mips=5.0e-324",
+                                      "slot_seconds=1.0e+307",
+                                      "slot_seconds=1.0e+9"])
+def test_cli_untimeable_makespan_exits_2_and_writes_nothing(tmp_path, capsys,
                                                             override):
-    # both values pass the schema, but a float cannot time the run: it
-    # used to write inf and nan metrics to the CSVs and exit 0
+    # every value passes the schema, but a float cannot time the run to
+    # the microsecond: it used to write inf, nan or negative metrics to
+    # the CSVs and exit 0
     out_dir = tmp_path / "D"
     code = main(["run", "--config", os.path.join(CONFIG_DIR, "scenario1.yaml"),
                  "--set", "policies=[greedy]", "--set", "replications=2",
                  "--set", "task_counts=[10]", "--set", override,
                  "--out", str(out_dir)])
     assert code == 2
-    assert "run failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "run failed" in err and "the makespan is" in err
     assert not out_dir.exists()
 
 

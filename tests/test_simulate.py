@@ -48,7 +48,7 @@ def test_all_same_slot_admitted_at_zero():
         assert t is not None
         assert sim.cluster.clock == 0.0
         sim.cluster.admit(t, 0 if sim.cluster.free_counts()[0] else 1)
-    assert sorted(q.task.id for vm in sim.cluster.vms for q in vm.queue) == [0, 1, 2, 3]
+    assert sorted(q.task.id for queue in sim.cluster.queues for q in queue) == [0, 1, 2, 3]
 
 
 def test_full_buffers_defer_until_completion_frees_space():
@@ -59,7 +59,7 @@ def test_full_buffers_defer_until_completion_frees_space():
     sim.cluster.admit(sim.next_decision(), 0)
     # buffer now full; the third task has arrived but waits unassigned
     assert sim.cluster.free_counts()[0] == 0
-    assert [q.task.id for q in sim.cluster.vms[0].queue] == [0, 1]
+    assert [q.task.id for q in sim.cluster.queues[0]] == [0, 1]
     t = sim.next_decision()
     assert t.id == 2
     # it became admittable exactly when the first completion freed a slot
@@ -271,7 +271,7 @@ def test_a_least_occupied_vm_is_always_feasible_and_rewarded(
         feasible = cluster.feasible_vms()
         least = [v for v in feasible if occupied[v] == min(occupied)]
         assert least, (occupied, feasible)
-        assert all(reward(state, v, cluster.capacities()) == 1 for v in least)
+        assert all(reward(state, v, cluster.capacities) == 1 for v in least)
         return feasible[int(rng.integers(len(feasible)))]
 
     records = sim.drain(random_feasible, np.random.default_rng(seed))
